@@ -98,13 +98,6 @@ _DEFAULTS = {
     "format": "csv",
 }
 
-_FLAG_KEYS = [
-    "mode", "n", "runs", "seed", "epsilon", "eta", "rounds", "n_iter",
-    "window", "noise_axis", "sigma2", "layers", "reps", "maxiter", "hops",
-    "threads", "format",
-]
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and flags (flags win)."""
     cfg = dict(_DEFAULTS)
@@ -126,12 +119,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[key] = val
-    for key in _FLAG_KEYS:
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in _DEFAULTS:
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     if cfg.get("threads") in (None, 0):
-        cfg["threads"] = int(os.environ.get("AKLT_MITE_THREADS", "1"))
+        env = os.environ.get("AKLT_MITE_THREADS", "1")
+        try:
+            cfg["threads"] = int(env)
+        except ValueError:
+            raise ConfigError(f"AKLT_MITE_THREADS must be an integer, got {env!r}")
     cfg["n"] = str(cfg["n"])
     return cfg
 
@@ -140,7 +137,16 @@ def _parse_n_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse chain length(s) from {text!r}")
+        raise ConfigError(f"cannot parse integer list from {text!r}")
+
+
+def _require_int(cfg: dict, key: str, lo: int) -> None:
+    try:
+        val = int(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+    if val < lo:
+        raise ConfigError(f"{key} must be at least {lo}, got {val}")
 
 
 def validate(cfg: dict, kind: str) -> dict:
@@ -151,8 +157,15 @@ def validate(cfg: dict, kind: str) -> dict:
             raise ConfigError(f"n = {n} outside {cfg['mode']} bounds {lo}..{hi}")
     if kind != "project" and len(ns) != 1:
         raise ConfigError("a single --n is required for this experiment")
-    if int(cfg["runs"]) < 1:
-        raise ConfigError("runs must be at least 1")
+    _require_int(cfg, "runs", 1)
+    _require_int(cfg, "threads", 1)
+    if kind == "recompile":
+        layers = _parse_n_list(cfg["layers"])
+        if not layers or min(layers) < 0:
+            raise ConfigError(f"layers must list depths >= 0, got {cfg['layers']!r}")
+        _require_int(cfg, "reps", 1)
+        _require_int(cfg, "maxiter", 1)
+        _require_int(cfg, "hops", 0)
     if kind == "noise" and cfg["noise_axis"] is None and float(cfg["sigma2"]) > 0:
         raise ConfigError("noise experiment needs --noise-axis")
     try:

@@ -199,24 +199,6 @@ def peak_energy(k0: int, k1: int, epsilon: float) -> float:
     return math.asin((k1 - k0) / total) / (2.0 * epsilon)
 
 
-def amplitude_log(k0: int, k1: int, chi: float) -> float:
-    """log |amplitude| accumulated by a (k0, k1) outcome record at angle chi.
-
-    Diagnostic only; the trajectory logic never consumes it.  Returns -inf
-    where either factor vanishes.
-    """
-    c0 = abs(math.cos(chi + math.pi / 4))
-    c1 = abs(math.cos(chi - math.pi / 4))
-    if (k0 > 0 and c0 == 0.0) or (k1 > 0 and c1 == 0.0):
-        return -math.inf
-    out = 0.0
-    if k0 > 0:
-        out += k0 * math.log(c0)
-    if k1 > 0:
-        out += k1 * math.log(c1)
-    return out
-
-
 def spin_rotation(angles, site: SpinMatrices) -> np.ndarray:
     """exp[2 pi i (a_x Sx + a_y Sy + a_z Sz)] for one site."""
     gen = angles[0] * site.sx + angles[1] * site.sy + angles[2] * site.sz
@@ -249,7 +231,7 @@ class ChainOps:
     def initial_state(self) -> StateVector:
         if self.mode == "spin1":
             return product_state(self.n, d=3, local=0)
-        return product_state(self.n, d=2, local=0, spins_per_site=2)
+        return product_state(self.n, d=4, local=0)
 
     def bonds(self) -> tuple[list[int], list[int]]:
         odd = list(range(1, self.n + 1, 2))
@@ -403,7 +385,7 @@ def apply_noise(
     if sigma2 == 0.0:
         return state
     if site is None:
-        site = spin1_matrices() if state.spins_per_site == 1 else site_matrices("qubit-mapped")
+        site = spin1_matrices() if state.d == 3 else site_matrices("qubit-mapped")
     vals, vecs = _eig if _eig is not None else _noise_rotations(site, axis)
     scale = math.sqrt(sigma2 / 2.0)
     for j in range(1, state.n_sites + 1):

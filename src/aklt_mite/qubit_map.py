@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spin_ops
-from .statevec import StateVector, apply_one_site, fidelity
+from .statevec import StateVector, _apply_block, apply_one_site, fidelity
 
 
 def triplet_isometry() -> np.ndarray:
@@ -45,16 +45,6 @@ def symmetric_site_projector() -> np.ndarray:
     return v @ v.conj().T
 
 
-def map_bond_projector() -> spin_ops.BondProjector:
-    """The 16x16 bond projector of the qubit encoding.
-
-    A true projector on the full two-site space (eigenvalues {0, 1}); its
-    restriction to the symmetric sector is unitarily equivalent to the 9x9
-    spin-1 bond projector.
-    """
-    return spin_ops.bond_projector("qubit-mapped")
-
-
 def isometry_pullback(op: np.ndarray) -> np.ndarray:
     """(V (x) V)' op (V (x) V): a two-site qubit operator seen from spin-1."""
     v2 = np.kron(triplet_isometry(), triplet_isometry())
@@ -63,7 +53,7 @@ def isometry_pullback(op: np.ndarray) -> np.ndarray:
 
 def symmetric_weight(state: StateVector) -> float:
     """<psi| Pi_sym |psi>, the weight in the all-sites-triplet sector."""
-    if state.spins_per_site != 2:
+    if state.d != 4:
         raise ValueError("symmetric weight is defined for qubit-pair states")
     pi_site = symmetric_site_projector()
     projected = state
@@ -73,26 +63,27 @@ def symmetric_weight(state: StateVector) -> float:
     return min(1.0, max(0.0, val))
 
 
+def _map_sites(op: np.ndarray, state: StateVector) -> StateVector:
+    """Apply the ``(d_out, d_in)`` matrix ``op`` to every site in turn."""
+    d_out = op.shape[0]
+    amps = state.amps
+    for s in range(state.n_sites):
+        amps = _apply_block(op, amps, d_out**s)
+    return StateVector(amps, state.n_sites, d_out)
+
+
 def lift_state(state: StateVector) -> StateVector:
     """Push a spin-1 chain state through the site-wise triplet isometry."""
-    if state.d != 3 or state.spins_per_site != 1:
+    if state.d != 3:
         raise ValueError("lift_state expects a spin-1 chain state")
-    v = triplet_isometry()
-    amps = state.amps.reshape((3,) * state.n_sites)
-    for axis in range(state.n_sites):
-        amps = np.moveaxis(np.tensordot(v, amps, axes=([1], [axis])), 0, axis)
-    return StateVector(amps.reshape(-1), state.n_sites, d=2, spins_per_site=2)
+    return _map_sites(triplet_isometry(), state)
 
 
 def restrict_state(state: StateVector) -> StateVector:
     """Project a qubit-pair chain state back to spin-1 coordinates (V' per site)."""
-    if state.spins_per_site != 2:
+    if state.d != 4:
         raise ValueError("restrict_state expects a qubit-pair chain state")
-    vd = triplet_isometry().conj().T
-    amps = state.amps.reshape((4,) * state.n_sites)
-    for axis in range(state.n_sites):
-        amps = np.moveaxis(np.tensordot(vd, amps, axes=([1], [axis])), 0, axis)
-    return StateVector(amps.reshape(-1), state.n_sites, d=3, spins_per_site=1)
+    return _map_sites(triplet_isometry().conj().T, state)
 
 
 def qubit_aklt_state(n: int) -> spin_ops.AkltReference:
@@ -106,7 +97,7 @@ def qubit_aklt_state(n: int) -> spin_ops.AkltReference:
     """
     if not 3 <= n <= 8:
         raise ValueError(f"n = {n} outside the supported qubit-mode range 3..8")
-    proj = map_bond_projector().matrix
+    proj = spin_ops.bond_projector("qubit-mapped").matrix
 
     def matvec(x):
         sym = StateVector(np.asarray(x, dtype=complex), n, d=3)

@@ -1,34 +1,9 @@
-"""Operator export and small shared output helpers.
-
-Operators are exported as row-major (re, im) pairs so they can be
-cross-checked by other tools without guessing numpy conventions.
-"""
+"""Small shared output helpers."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-
-import numpy as np
-
-
-def operator_to_json(op: np.ndarray, name: str = "") -> str:
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2:
-        raise ValueError("expected a matrix")
-    return json.dumps(
-        {
-            "name": name,
-            "shape": list(op.shape),
-            "data": [[z.real, z.imag] for z in op.reshape(-1)],
-        }
-    )
-
-
-def operator_from_json(text: str) -> np.ndarray:
-    obj = json.loads(text)
-    flat = np.array([complex(re, im) for re, im in obj["data"]])
-    return flat.reshape(obj["shape"])
 
 
 def config_hash(payload: dict) -> str:

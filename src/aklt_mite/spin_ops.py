@@ -217,7 +217,7 @@ def hamiltonian_apply(state: StateVector, projector: np.ndarray | None = None) -
     if state.n_sites < 3:
         raise ValueError("chain Hamiltonian needs at least 3 sites")
     if projector is None:
-        mode = "spin1" if state.spins_per_site == 1 else "qubit-mapped"
+        mode = "spin1" if state.d == 3 else "qubit-mapped"
         projector = bond_projector(mode).matrix
     out = np.zeros_like(state.amps)
     for j in range(1, state.n_sites + 1):

@@ -1,13 +1,14 @@
 """Dense state vectors on a small periodic chain, with local operator application.
 
-Basis conventions (fixed; serialized states depend on them):
+Basis conventions (fixed; stored outputs depend on them):
 
-* Site 1 is the slowest-varying digit of the flattened amplitude index,
-  i.e. ``amps.reshape((d,) * n_axes)`` puts site 1 on axis 0.
-* Spin-1 digits encode ``m = +1, 0, -1`` as ``0, 1, 2``.
-* In the two-qubit-per-site encoding (``spins_per_site=2``) each chain site
-  occupies two adjacent axes (sub-spin a, then b); ``|0>`` is the
-  ``sigma^z = +1`` state, so digit 0 means spin up.
+* Every chain site is one digit of dimension ``d`` in the flattened amplitude
+  index, and site 1 is the slowest-varying digit, i.e.
+  ``amps.reshape((d,) * n_sites)`` puts site 1 on axis 0.
+* Spin-1 sites (``d = 3``) encode ``m = +1, 0, -1`` as digits ``0, 1, 2``.
+* A qubit-pair site (``d = 4``) holds sub-spins (a, b) as the single digit
+  ``2a + b``; ``|0>`` is the ``sigma^z = +1`` state, so digit 0 means both
+  sub-spins up.  This is the amplitude order of two adjacent qubit axes.
 
 Bond indices are 1-based: bond ``j`` couples chain sites ``(j, j+1)`` with
 ``j = n_sites`` wrapping around to site 1 (periodic boundary).
@@ -15,8 +16,6 @@ Bond indices are 1-based: bond ``j`` couples chain sites ``(j, j+1)`` with
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,46 +25,30 @@ _NORM_TOL = 1e-12
 
 @dataclass
 class StateVector:
-    """Complex amplitudes over ``n_sites`` chain sites.
-
-    ``d`` is the dimension of one array axis (3 for a spin-1 chain, 2 for
-    qubits) and ``spins_per_site`` how many axes one chain site occupies
-    (1 for spin-1, 2 for the qubit-pair encoding).
-    """
+    """Complex amplitudes over ``n_sites`` chain sites of dimension ``d``
+    (3 for a spin-1 chain, 4 for the qubit-pair encoding)."""
 
     amps: np.ndarray
     n_sites: int
     d: int = 3
-    spins_per_site: int = 1
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=complex)
         if self.amps.shape != (self.dim,):
             raise ValueError(
                 f"amplitude vector has length {self.amps.size}, expected "
-                f"{self.d}^{self.n_axes} = {self.dim}"
+                f"{self.d}^{self.n_sites} = {self.dim}"
             )
 
     @property
-    def n_axes(self) -> int:
-        return self.n_sites * self.spins_per_site
-
-    @property
-    def site_dim(self) -> int:
-        return self.d**self.spins_per_site
-
-    @property
     def dim(self) -> int:
-        return self.d**self.n_axes
+        return self.d**self.n_sites
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amps.copy(), self.n_sites, self.d, self.spins_per_site)
-
     def with_amps(self, amps: np.ndarray) -> "StateVector":
-        return StateVector(amps, self.n_sites, self.d, self.spins_per_site)
+        return StateVector(amps, self.n_sites, self.d)
 
 
 @dataclass
@@ -92,25 +75,22 @@ class KrausPair:
             )
 
 
-def product_state(
-    n_sites: int, d: int = 3, local=0, spins_per_site: int = 1
-) -> StateVector:
+def product_state(n_sites: int, d: int = 3, local=0) -> StateVector:
     """Normalized tensor-product state with the same ket on every site.
 
-    ``local`` is either a basis-digit index into the ``site_dim``-dimensional
-    local space or an explicit local ket vector (normalized here).
+    ``local`` is either a basis-digit index into the ``d``-dimensional local
+    space or an explicit local ket vector (normalized here).
     """
-    site_dim = d**spins_per_site
     if np.isscalar(local):
         idx = int(local)
-        if not 0 <= idx < site_dim:
-            raise ValueError(f"local ket index {idx} out of range for site dim {site_dim}")
-        ket = np.zeros(site_dim, dtype=complex)
+        if not 0 <= idx < d:
+            raise ValueError(f"local ket index {idx} out of range for site dim {d}")
+        ket = np.zeros(d, dtype=complex)
         ket[idx] = 1.0
     else:
         ket = np.asarray(local, dtype=complex)
-        if ket.shape != (site_dim,):
-            raise ValueError(f"local ket has shape {ket.shape}, expected ({site_dim},)")
+        if ket.shape != (d,):
+            raise ValueError(f"local ket has shape {ket.shape}, expected ({d},)")
         nrm = np.linalg.norm(ket)
         if nrm == 0:
             raise ValueError("local ket must be nonzero")
@@ -118,23 +98,27 @@ def product_state(
     amps = ket
     for _ in range(n_sites - 1):
         amps = np.kron(amps, ket)
-    return StateVector(amps, n_sites, d, spins_per_site)
+    return StateVector(amps, n_sites, d)
 
 
-def _site_axes(state: StateVector, site: int) -> list[int]:
-    """Array axes occupied by 1-based chain site ``site`` (wrapped)."""
-    s = (site - 1) % state.n_sites
-    return [s * state.spins_per_site + k for k in range(state.spins_per_site)]
+def _apply_block(op: np.ndarray, amps: np.ndarray, left: int, wrap: int = 0) -> np.ndarray:
+    """``op`` (shape ``(d_out, d_in)``) applied to one block of index digits.
 
-
-def _apply_on_axes(state: StateVector, op: np.ndarray, axes: list[int]) -> StateVector:
-    k = len(axes)
-    psi = state.amps.reshape((state.d,) * state.n_axes)
-    psi = np.moveaxis(psi, axes, range(k))
-    shape = psi.shape
-    psi = op @ psi.reshape(state.d**k, -1)
-    psi = np.moveaxis(psi.reshape(shape), range(k), axes)
-    return state.with_amps(psi.reshape(-1))
+    The block is the ``d_in``-dimensional factor that follows ``left``
+    leading index combinations: ``amps`` is viewed as ``(left, d_in, rest)``.
+    With ``wrap = d`` the block is instead (last digit, first digit) of a
+    vector whose end digits have dimension ``d``, the periodic bond; ``left``
+    is then ignored.  The block is moved to the front and hit by one matrix
+    product, so the result is not renormalized.
+    """
+    if wrap:
+        x = amps.reshape(wrap, -1, wrap).transpose(2, 0, 1)
+        back = (1, 2, 0)
+    else:
+        x = amps.reshape(left, op.shape[1], -1).transpose(1, 0, 2)
+        back = (1, 0, 2)
+    y = op @ x.reshape(op.shape[1], -1)
+    return y.reshape(-1, *x.shape[1:]).transpose(back).reshape(-1)
 
 
 def apply_two_site(op: np.ndarray, j: int, state: StateVector) -> StateVector:
@@ -145,21 +129,22 @@ def apply_two_site(op: np.ndarray, j: int, state: StateVector) -> StateVector:
     """
     if not 1 <= j <= state.n_sites:
         raise ValueError(f"bond index {j} out of range 1..{state.n_sites}")
-    pair_dim = state.site_dim**2
-    if op.shape != (pair_dim, pair_dim):
-        raise ValueError(f"operator shape {op.shape} does not match bond dim {pair_dim}")
-    axes = _site_axes(state, j) + _site_axes(state, j + 1)
-    return _apply_on_axes(state, op, axes)
+    d = state.d
+    if op.shape != (d * d, d * d):
+        raise ValueError(f"operator shape {op.shape} does not match bond dim {d * d}")
+    if j == state.n_sites:
+        return state.with_amps(_apply_block(op, state.amps, 1, wrap=d))
+    return state.with_amps(_apply_block(op, state.amps, d ** (j - 1)))
 
 
 def apply_one_site(op: np.ndarray, j: int, state: StateVector) -> StateVector:
     """Apply a single-site operator to chain site ``j`` (not renormalized)."""
     if not 1 <= j <= state.n_sites:
         raise ValueError(f"site index {j} out of range 1..{state.n_sites}")
-    sd = state.site_dim
-    if op.shape != (sd, sd):
-        raise ValueError(f"operator shape {op.shape} does not match site dim {sd}")
-    return _apply_on_axes(state, op, _site_axes(state, j))
+    d = state.d
+    if op.shape != (d, d):
+        raise ValueError(f"operator shape {op.shape} does not match site dim {d}")
+    return state.with_amps(_apply_block(op, state.amps, d ** (j - 1)))
 
 
 def bond_expectation(op: np.ndarray, j: int, state: StateVector) -> complex:
@@ -201,44 +186,3 @@ def born_sample(
     if p1 <= 0.0:
         raise RuntimeError("both measurement outcomes have zero weight; corrupt Kraus pair")
     return 1, psi1.with_amps(psi1.amps / np.sqrt(p1))
-
-
-# ---------------------------------------------------------------------------
-# snapshot export
-
-_RAW_MAGIC = b"AKSV"
-_ENCODING_TAG = "site1-slowest;m=+1,0,-1->0,1,2"
-
-
-def snapshot_json(state: StateVector) -> str:
-    """JSON snapshot: header plus row-major (re, im) amplitude pairs."""
-    return json.dumps(
-        {
-            "n_sites": state.n_sites,
-            "d": state.d,
-            "spins_per_site": state.spins_per_site,
-            "encoding": _ENCODING_TAG,
-            "amps": [[z.real, z.imag] for z in state.amps],
-        }
-    )
-
-
-def from_snapshot_json(text: str) -> StateVector:
-    obj = json.loads(text)
-    amps = np.array([complex(re, im) for re, im in obj["amps"]])
-    return StateVector(amps, obj["n_sites"], obj["d"], obj["spins_per_site"])
-
-
-def snapshot_raw(state: StateVector) -> bytes:
-    """Raw snapshot: magic, (n_sites, d, spins_per_site) header, then
-    little-endian complex-double amplitudes."""
-    head = _RAW_MAGIC + struct.pack("<III", state.n_sites, state.d, state.spins_per_site)
-    return head + state.amps.astype("<c16").tobytes()
-
-
-def from_snapshot_raw(blob: bytes) -> StateVector:
-    if blob[:4] != _RAW_MAGIC:
-        raise ValueError("bad snapshot magic")
-    n_sites, d, spins_per_site = struct.unpack("<III", blob[4:16])
-    amps = np.frombuffer(blob[16:], dtype="<c16").astype(complex)
-    return StateVector(amps, n_sites, d, spins_per_site)

@@ -134,7 +134,7 @@ def check_correction_unitarity():
 
 
 def check_mapped_swap_symmetry():
-    p = qubit_map.map_bond_projector().matrix
+    p = spin_ops.bond_projector("qubit-mapped").matrix
     sw = qubit_map.site_swap()
     eye = np.eye(4)
     defect = max(
@@ -146,7 +146,7 @@ def check_mapped_swap_symmetry():
 
 def check_mapped_isometry_pullback():
     diff = _maxabs(
-        qubit_map.isometry_pullback(qubit_map.map_bond_projector().matrix)
+        qubit_map.isometry_pullback(spin_ops.bond_projector("qubit-mapped").matrix)
         - spin_ops.bond_projector("spin1").matrix
     )
     return diff <= 1e-12, f"pullback defect {diff:.2e}"
@@ -158,7 +158,7 @@ def check_qubit_reference_equivalence():
 
 
 def check_symmetric_weight_initial():
-    st = statevec.product_state(3, d=2, local=0, spins_per_site=2)
+    st = statevec.product_state(3, d=4, local=0)
     w = qubit_map.symmetric_weight(st)
     return abs(w - 1.0) <= 1e-12, f"weight {w:.12f}"
 

@@ -140,6 +140,21 @@ class TestRecompile:
         assert summary["per_depth"]["1"]["cnot_count"] == 2
         assert summary["per_depth"]["1"]["max_fidelity"] >= summary["per_depth"]["1"]["mean_fidelity"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--layers", "abc"],
+        ["--layers", "1,-1"],
+        ["--layers", ","],
+        ["--reps", 0],
+        ["--maxiter", 0],
+        ["--hops", -1],
+    ])
+    def test_bad_inputs_rejected_without_output(self, tmp_path, capsys, flags):
+        out = tmp_path / "never.csv"
+        assert run(["recompile", "--layers", "1", "--reps", 1, "--maxiter", 5,
+                    *flags, "--out", out]) == 1
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_fresh_build_passes(self, tmp_path, capsys):
@@ -166,6 +181,20 @@ class TestThreadsEnv:
         monkeypatch.delenv("AKLT_MITE_THREADS")
         assert run(["prepare", "--n", 3, "--runs", 2, "--rounds", 3, "--seed", 2, "--out", ref]) == 0
         assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("flags, env", [
+        (["--threads", -3], None),
+        ([], "x"),
+        ([], "-1"),
+    ])
+    def test_bad_thread_count_rejected(self, tmp_path, monkeypatch, capsys, flags, env):
+        # validation runs before any pool starts, so no worker is spawned here
+        if env is not None:
+            monkeypatch.setenv("AKLT_MITE_THREADS", env)
+        out = tmp_path / "never.csv"
+        assert run(["prepare", "--n", 3, "--runs", 1, *flags, "--out", out]) == 1
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
 
 
 class TestQubitMode:

@@ -22,7 +22,11 @@ class TestIsometry:
 
     def test_lift_restrict_roundtrip(self, rng):
         state = StateVector(random_unit_vector(rng, 27), 3, 3)
-        back = qubit_map.restrict_state(qubit_map.lift_state(state))
+        lifted = qubit_map.lift_state(state)
+        v = qubit_map.triplet_isometry()
+        dense = np.kron(np.kron(v, v), v)
+        assert np.max(np.abs(lifted.amps - dense @ state.amps)) <= 1e-12
+        back = qubit_map.restrict_state(lifted)
         assert np.max(np.abs(back.amps - state.amps)) <= 1e-12
 
     def test_lifted_spin_action_matches(self, rng):
@@ -71,13 +75,13 @@ class TestMappedProjector:
 
 class TestSymmetricWeight:
     def test_initial_state_fully_symmetric(self):
-        state = product_state(3, d=2, local=0, spins_per_site=2)
+        state = product_state(3, d=4, local=0)
         assert qubit_map.symmetric_weight(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_site_singlet_has_zero_weight(self):
         singlet = np.zeros(4, dtype=complex)
         singlet[1], singlet[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-        state = product_state(2, d=2, local=singlet, spins_per_site=2)
+        state = product_state(2, d=4, local=singlet)
         assert qubit_map.symmetric_weight(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_pair_encoding(self):

@@ -190,17 +190,3 @@ class TestAkltState:
             spin_ops.aklt_state(2)
         with pytest.raises(ValueError):
             spin_ops.aklt_state(10)
-
-
-class TestOperatorExport:
-    def test_json_roundtrip(self, proj9):
-        from aklt_mite.serialize import operator_from_json, operator_to_json
-
-        back = operator_from_json(operator_to_json(proj9, name="bond projector"))
-        assert np.max(np.abs(back - proj9)) <= 1e-15
-
-    def test_rejects_non_matrix(self):
-        from aklt_mite.serialize import operator_to_json
-
-        with pytest.raises(ValueError):
-            operator_to_json(np.zeros(9))

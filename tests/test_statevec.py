@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from aklt_mite import spin_ops
@@ -12,12 +12,8 @@ from aklt_mite.statevec import (
     apply_two_site,
     born_sample,
     fidelity,
-    from_snapshot_json,
-    from_snapshot_raw,
     partial_fidelity,
     product_state,
-    snapshot_json,
-    snapshot_raw,
 )
 
 from conftest import random_unit_vector
@@ -51,9 +47,8 @@ class TestProductState:
             product_state(2, d=3, local=np.zeros(3))
 
     def test_qubit_pair_sites(self):
-        st_ = product_state(3, d=2, local=0, spins_per_site=2)
+        st_ = product_state(3, d=4, local=0)
         assert st_.dim == 64
-        assert st_.site_dim == 4
         assert st_.amps[0] == 1.0
 
 
@@ -86,6 +81,24 @@ class TestApplyTwoSite:
             expected[idx] = state.amps[src]
         assert np.max(np.abs(out.amps - expected)) <= 1e-15
 
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_dense_embedding(self, rng, d, n):
+        # oracle: I_left (x) op (x) I_right on the full space; for the wrap
+        # bond (n, 1), conjugated by the digit rotation that puts site n first
+        state = StateVector(random_unit_vector(rng, d**n), n, d)
+        digits = np.indices((d,) * n).reshape(n, -1)
+        rotate = np.eye(d**n)[:, np.ravel_multi_index(np.roll(digits, 1, axis=0), (d,) * n)]
+        for k, apply in ((1, apply_one_site), (2, apply_two_site)):
+            for j in range(1, n + 1):
+                op = rng.standard_normal((d**k, d**k)) + 1j * rng.standard_normal((d**k, d**k))
+                if j + k - 1 <= n:
+                    dense = np.kron(np.kron(np.eye(d ** (j - 1)), op), np.eye(d ** (n - j - k + 1)))
+                else:
+                    dense = rotate.T @ np.kron(op, np.eye(d ** (n - 2))) @ rotate
+                out = apply(op, j, state)
+                assert np.max(np.abs(out.amps - dense @ state.amps)) <= 1e-12
+
     def test_disjoint_bonds_commute(self, rng):
         state = StateVector(random_unit_vector(rng, 81), 4, 3)
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
@@ -102,7 +115,7 @@ class TestApplyTwoSite:
             apply_two_site(np.eye(9), 5, state)
 
     def test_qubit_mode_bond_acts_on_four_qubits(self, rng, proj16):
-        state = StateVector(random_unit_vector(rng, 64), 3, 2, spins_per_site=2)
+        state = StateVector(random_unit_vector(rng, 64), 3, 4)
         once = apply_two_site(proj16, 3, state)  # wrap bond (3, 1)
         twice = apply_two_site(proj16, 3, once)
         assert np.max(np.abs(once.amps - twice.amps)) <= 1e-12
@@ -195,24 +208,3 @@ class TestBornSample:
         state = product_state(2, d=3, local=0)
         with pytest.raises(RuntimeError):
             born_sample(kraus, 1, state, np.random.default_rng(0))
-
-
-class TestSnapshots:
-    @settings(max_examples=20)
-    @given(st.integers(min_value=0, max_value=80))
-    def test_json_roundtrip(self, seed):
-        rng = np.random.default_rng(seed)
-        state = StateVector(random_unit_vector(rng, 27), 3, 3)
-        back = from_snapshot_json(snapshot_json(state))
-        assert np.max(np.abs(back.amps - state.amps)) <= 1e-15
-        assert (back.n_sites, back.d, back.spins_per_site) == (3, 3, 1)
-
-    def test_raw_roundtrip(self, rng):
-        state = StateVector(random_unit_vector(rng, 64), 3, 2, spins_per_site=2)
-        back = from_snapshot_raw(snapshot_raw(state))
-        assert np.array_equal(back.amps, state.amps)
-        assert back.spins_per_site == 2
-
-    def test_raw_bad_magic(self):
-        with pytest.raises(ValueError):
-            from_snapshot_raw(b"AKLT" + b"\x00" * 32)
