@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 invalid configuration, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys

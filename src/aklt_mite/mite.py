@@ -245,7 +245,7 @@ def build_chain(n: int, mode: str = "spin1", epsilon: float = 0.5) -> ChainOps:
         reference = aklt_state(n)
     elif mode == "qubit":
         proj = bond_projector("qubit-mapped").matrix
-        reference = qubit_map.qubit_aklt_state(n)
+        reference = qubit_map.reencoded_reference(n)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ChainOps(

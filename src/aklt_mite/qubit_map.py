@@ -88,7 +88,8 @@ def restrict_state(state: StateVector) -> StateVector:
 
 def qubit_aklt_state(n: int) -> spin_ops.AkltReference:
     """Zero-energy reference of the mapped Hamiltonian, restricted to the
-    symmetric sector.
+    symmetric sector, by exact diagonalization (the oracle for
+    :func:`reencoded_reference`).
 
     Diagonalizes V' H_mapped V on the 3^n-dimensional symmetric coordinates
     (matrix-free) and lifts the unique zero mode back to the 4^n qubit space.
@@ -120,12 +121,16 @@ def qubit_aklt_state(n: int) -> spin_ops.AkltReference:
     return spin_ops.AkltReference(lifted, float(vals[0]), n)
 
 
-def reencoded_reference(n: int) -> StateVector:
-    """The spin-1 reference pushed through the isometry (cross-check route)."""
-    return lift_state(spin_ops.aklt_state(n).state)
+def reencoded_reference(n: int) -> spin_ops.AkltReference:
+    """The closed-form spin-1 reference pushed through the isometry: the
+    qubit-mode reference every job uses."""
+    if not 3 <= n <= 8:
+        raise ValueError(f"n = {n} outside the supported qubit-mode range 3..8")
+    ref = spin_ops.aklt_state(n)
+    return spin_ops.AkltReference(lift_state(ref.state), ref.energy, n)
 
 
 def mapping_equivalence_fidelity(n: int) -> float:
     """Fidelity between the independently computed qubit reference and the
     re-encoded spin-1 reference."""
-    return fidelity(qubit_aklt_state(n).state, reencoded_reference(n))
+    return fidelity(qubit_aklt_state(n).state, reencoded_reference(n).state)

@@ -1,10 +1,17 @@
 """Spin operators, bond projectors, the projector-sum Hamiltonian, and the
-exact AKLT reference state.
+AKLT reference state.
 
 The chain Hamiltonian is the sum over periodic bonds of the projector onto
 the total-spin-2 sector of the two neighboring sites.  Its unique (periodic
 boundary) zero-energy ground state is the AKLT state, which doubles as the
 fidelity oracle for every experiment in this package.
+
+The reference is built in closed form as the bond-dimension-2 matrix-product
+state psi = Tr(A^{s_1} ... A^{s_N}) (Affleck, Kennedy, Lieb and Tasaki,
+PRL 59, 799 (1987); Schollwoeck, arXiv:1008.3477), at a cost linear in the
+Hilbert-space dimension.  Exact diagonalization of the Hamiltonian is kept
+as an independent oracle (:func:`exact_aklt_state`) for ``verify`` and the
+tests; no experiment calls it.
 
 Two site representations are supported:
 
@@ -24,12 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .statevec import StateVector, apply_two_site, product_state
+from .statevec import StateVector, apply_two_site
 
 SQRT2 = np.sqrt(2.0)
 
-# ED pathway switches to Lanczos above this Hilbert-space dimension.
-_DENSE_ED_LIMIT = 2500
+# ED pathway switches to Lanczos above this Hilbert-space dimension (N > 5
+# for spin-1); Lanczos is far faster there and agrees to machine precision.
+_DENSE_ED_LIMIT = 243
 
 # Tolerances for ground-space identification (zero mode) and for asserting
 # that the returned reference state is annihilated by the Hamiltonian.
@@ -262,15 +270,49 @@ def ground_pair(matvec, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order[0]]
 
 
+def _check_range(n: int) -> None:
+    if not 3 <= n <= 9:
+        raise ValueError(f"n = {n} outside the supported range 3..9")
+
+
 def aklt_state(n: int) -> AkltReference:
-    """Exact AKLT reference state for an ``n``-site spin-1 periodic chain.
+    """AKLT reference state for an ``n``-site spin-1 periodic chain, in closed form.
+
+    Contracts psi(s_1..s_N) = Tr(A^{s_1} ... A^{s_N}) site by site (site 1 the
+    slowest digit), normalizes, and fixes the global phase (largest-magnitude
+    amplitude real positive).  One Hamiltonian application certifies the
+    result: |H psi| must stay below ``REFERENCE_RESIDUAL_TOL`` and ``energy``
+    is <psi|H psi>.  :func:`exact_aklt_state` is the diagonalization oracle.
+    """
+    _check_range(n)
+    # A^s for digits s = 0, 1, 2 (m = +1, 0, -1): A^{+1} = sqrt(2/3) sigma^+,
+    # A^0 = -sqrt(1/3) sigma^z, A^{-1} = -sqrt(2/3) sigma^-
+    a = np.zeros((3, 2, 2))
+    a[0, 0, 1] = np.sqrt(2.0 / 3.0)
+    a[1] = -np.sqrt(1.0 / 3.0) * np.diag([1.0, -1.0])
+    a[2, 1, 0] = -np.sqrt(2.0 / 3.0)
+    chain = a
+    for _ in range(n - 1):
+        chain = np.einsum("kab,sbc->ksac", chain, a).reshape(-1, 2, 2)
+    vec = np.einsum("kaa->k", chain).astype(complex)
+    vec = _fix_phase(vec / np.linalg.norm(vec))
+    state = StateVector(vec, n, 3)
+    h_psi = hamiltonian_apply(state).amps
+    residual = np.linalg.norm(h_psi)
+    if residual > REFERENCE_RESIDUAL_TOL:
+        raise RuntimeError(f"H|ref> residual {residual:.3e} exceeds tolerance")
+    return AkltReference(state, float(np.vdot(vec, h_psi).real), n)
+
+
+def exact_aklt_state(n: int) -> AkltReference:
+    """AKLT reference state by exact diagonalization (the oracle for
+    :func:`aklt_state`).
 
     Obtained by diagonalizing the projector-sum Hamiltonian; fails if the
     lowest eigenvalue is not (numerically) zero or the zero mode is not
     unique.  Global phase: largest-magnitude amplitude real positive.
     """
-    if not 3 <= n <= 9:
-        raise ValueError(f"n = {n} outside the supported range 3..9")
+    _check_range(n)
     proj = bond_projector("spin1").matrix
     dim = 3**n
 

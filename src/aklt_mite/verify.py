@@ -114,6 +114,16 @@ def check_aklt_zero_energy():
     return resid <= 1e-10, f"|H psi| = {resid:.2e}, E0 = {ref.energy:.2e}"
 
 
+def check_aklt_closed_form_matches_ed():
+    worst = 0.0
+    for n in (4, 5, 6):
+        closed = spin_ops.aklt_state(n).state.amps
+        exact = spin_ops.exact_aklt_state(n).state.amps
+        overlap = np.vdot(exact, closed)
+        worst = max(worst, float(np.linalg.norm(closed - overlap / abs(overlap) * exact)))
+    return worst <= 1e-12, f"worst |psi_closed - psi_ED| = {worst:.2e} (N = 4..6)"
+
+
 def check_aklt_common_projector():
     ref = spin_ops.aklt_state(4)
     p = spin_ops.bond_projector("spin1").matrix
@@ -226,6 +236,7 @@ def all_checks(defect_mode: str | None = None) -> list[tuple[str, bool, str]]:
         ("adjacent_projectors_noncommute", check_adjacent_projectors_noncommute),
         ("kraus_completeness", lambda: check_kraus_completeness(defect_mode)),
         ("aklt_zero_energy", check_aklt_zero_energy),
+        ("aklt_closed_form_matches_ed", check_aklt_closed_form_matches_ed),
         ("aklt_common_projector", check_aklt_common_projector),
         ("correction_unitarity", check_correction_unitarity),
         ("mapped_projector_swap_symmetry", check_mapped_swap_symmetry),

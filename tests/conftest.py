@@ -28,3 +28,9 @@ def rng():
 def random_unit_vector(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def phase_aligned_distance(a, b):
+    """|a - e^{i phi} b| with phi chosen to make <b|a> real positive."""
+    overlap = np.vdot(b, a)
+    return float(np.linalg.norm(a - overlap / abs(overlap) * b))

@@ -288,6 +288,18 @@ class TestNoise:
         assert plain.f_tot == zeroed.f_tot
 
 
+class TestNoDiagonalization:
+    def test_job_paths_never_call_the_eigensolver(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a job path diagonalized the Hamiltonian")
+
+        monkeypatch.setattr(spin_ops, "ground_pair", forbidden)
+        for mode in ("spin1", "qubit"):
+            assert mite.build_chain(4, mode).reference.n == 4
+        series = mite.direct_projection_converge(7, 2)
+        assert series.shape == (3,)
+
+
 class TestDirectProjection:
     def test_bond_factor_idempotent(self, proj9, rng):
         comp = np.eye(9) - proj9

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from aklt_mite import mite, qubit_map, spin_ops
-from aklt_mite.statevec import StateVector, apply_two_site, fidelity, product_state
+from aklt_mite.statevec import StateVector, apply_two_site, product_state
 
-from conftest import random_unit_vector
+from conftest import phase_aligned_distance, random_unit_vector
 
 
 class TestIsometry:
@@ -102,6 +102,16 @@ class TestQubitReference:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             qubit_map.qubit_aklt_state(2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_job_reference_matches_sector_diagonalization(self, n):
+        lifted = mite.build_chain(n, "qubit").reference.state.amps
+        exact = qubit_map.qubit_aklt_state(n).state.amps
+        assert phase_aligned_distance(lifted, exact) <= 1e-12
+
+    def test_job_reference_out_of_range(self):
+        with pytest.raises(ValueError):
+            qubit_map.reencoded_reference(9)
 
 
 class TestQubitDynamics:

@@ -5,8 +5,6 @@ from scipy.linalg import expm
 from aklt_mite import recompile as rc
 from aklt_mite.spin_ops import bond_projector
 
-from conftest import random_unit_vector
-
 
 def random_unitary(rng, dim):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

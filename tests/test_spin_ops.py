@@ -4,7 +4,7 @@ import pytest
 from aklt_mite import spin_ops
 from aklt_mite.statevec import StateVector, apply_two_site, partial_fidelity, product_state
 
-from conftest import random_unit_vector
+from conftest import phase_aligned_distance, random_unit_vector
 
 
 def comm(a, b):
@@ -190,3 +190,21 @@ class TestAkltState:
             spin_ops.aklt_state(2)
         with pytest.raises(ValueError):
             spin_ops.aklt_state(10)
+
+
+class TestClosedFormReference:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_matches_exact_diagonalization(self, n):
+        closed = spin_ops.aklt_state(n).state.amps
+        exact = spin_ops.exact_aklt_state(n).state.amps
+        assert phase_aligned_distance(closed, exact) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_energy_is_zero(self, n):
+        assert abs(spin_ops.aklt_state(n).energy) <= 1e-12
+
+    def test_oracle_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            spin_ops.exact_aklt_state(2)
+        with pytest.raises(ValueError):
+            spin_ops.exact_aklt_state(10)
