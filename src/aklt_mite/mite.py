@@ -51,7 +51,9 @@ then per measurement one uniform variate, and per correction six uniforms
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 from scipy.linalg import expm
@@ -62,6 +64,7 @@ from .spin_ops import (
     SpinMatrices,
     aklt_state,
     bond_projector,
+    check_chain_size,
     site_matrices,
     spin1_matrices,
 )
@@ -123,6 +126,8 @@ class MiteConfig:
             raise ValueError("noise axis must be 'x' or 'z'")
         if self.noise_sigma2 < 0:
             raise ValueError("noise variance parameter must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def resolved_eta(self, mode: str) -> float:
         if self.eta is not None:
@@ -229,9 +234,7 @@ class ChainOps:
     reference: AkltReference
 
     def initial_state(self) -> StateVector:
-        if self.mode == "spin1":
-            return product_state(self.n, d=3, local=0)
-        return product_state(self.n, d=4, local=0)
+        return product_state(self.n, d=self.site.dim, local=0)
 
     def bonds(self) -> tuple[list[int], list[int]]:
         odd = list(range(1, self.n + 1, 2))
@@ -240,21 +243,15 @@ class ChainOps:
 
 
 def build_chain(n: int, mode: str = "spin1", epsilon: float = 0.5) -> ChainOps:
-    if mode == "spin1":
-        proj = bond_projector("spin1").matrix
-        reference = aklt_state(n)
-    elif mode == "qubit":
-        proj = bond_projector("qubit-mapped").matrix
-        reference = qubit_map.reencoded_reference(n)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    proj = bond_projector(mode)
+    reference = aklt_state(n) if mode == "spin1" else qubit_map.reencoded_reference(n)
     return ChainOps(
         n=n,
         mode=mode,
         epsilon=epsilon,
         projector=proj,
         kraus=measurement_kraus(epsilon, proj),
-        site=site_matrices(mode if mode == "spin1" else "qubit-mapped"),
+        site=site_matrices(mode),
         reference=reference,
     )
 
@@ -268,8 +265,6 @@ class SubroutineStats:
     corrections: int = 0
     converged: bool = False
     e_peak_last: float = 0.0
-    outcomes: list[int] = field(default_factory=list)
-    counts_after: list[tuple[int, int]] = field(default_factory=list)
 
 
 def mite_subroutine(
@@ -307,7 +302,6 @@ def mite_subroutine(
         q, state = born_sample(chain.kraus, j, state, rng)
         t += 1
         stats.measurements += 1
-        stats.outcomes.append(q)
         counter.record(q)
         if counter.total > config.counter_cap:
             counter.rescale()
@@ -321,7 +315,6 @@ def mite_subroutine(
             t = 0
         else:
             streak = streak + 1 if e_peak < e_th else 0
-        stats.counts_after.append((counter.k0, counter.k1))
         if bond_series is not None:
             bond_series.append(
                 (bond_t0 + stats.measurements, partial_fidelity(state, j, chain.projector))
@@ -385,7 +378,7 @@ def apply_noise(
     if sigma2 == 0.0:
         return state
     if site is None:
-        site = spin1_matrices() if state.d == 3 else site_matrices("qubit-mapped")
+        site = site_matrices("spin1" if state.d == 3 else "qubit")
     vals, vecs = _eig if _eig is not None else _noise_rotations(site, axis)
     scale = math.sqrt(sigma2 / 2.0)
     for j in range(1, state.n_sites + 1):
@@ -491,13 +484,18 @@ def prepare(config: MiteConfig, n: int, mode: str = "spin1") -> TrajectoryRecord
 
 
 def run_trajectories(
-    config: MiteConfig, n: int, mode: str, runs: int
+    config: MiteConfig, n: int, mode: str, runs: int, threads: int = 1
 ) -> list[TrajectoryRecord]:
-    """Independent trajectories with per-run seeds ``config.seed + run_id``."""
-    return [
-        prepare(replace(config, seed=config.seed + run_id), n, mode)
-        for run_id in range(runs)
-    ]
+    """Independent trajectories with per-run seeds ``config.seed + run_id``.
+
+    ``threads > 1`` spreads the runs over that many worker processes; the
+    records, returned in ``run_id`` order, do not depend on it.
+    """
+    configs = [replace(config, seed=config.seed + run_id) for run_id in range(runs)]
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(prepare, configs, repeat(n), repeat(mode)))
+    return [prepare(c, n, mode) for c in configs]
 
 
 def padded_series(record: TrajectoryRecord, r_max: int) -> np.ndarray:
@@ -564,12 +562,10 @@ def direct_projection_converge(
     per round.  Returns fidelities against the AKLT reference at
     r = 0 .. r_max.
     """
-    if not 3 <= n <= 9:
-        raise ValueError(f"n = {n} outside the supported range 3..9")
+    check_chain_size(n)
     if reference is None:
         reference = aklt_state(n)
-    proj = bond_projector("spin1").matrix
-    comp = np.eye(9) - proj
+    comp = np.eye(9) - bond_projector("spin1")
     state = twisted_sx_product(n, twist)
     series = [fidelity(state, reference.state)]
     for _ in range(r_max):

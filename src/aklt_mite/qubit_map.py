@@ -96,9 +96,8 @@ def qubit_aklt_state(n: int) -> spin_ops.AkltReference:
     This is deliberately not a re-encoding of the spin-1 reference, so
     agreement between the two is an independent check of the mapping.
     """
-    if not 3 <= n <= 8:
-        raise ValueError(f"n = {n} outside the supported qubit-mode range 3..8")
-    proj = spin_ops.bond_projector("qubit-mapped").matrix
+    spin_ops.check_chain_size(n, "qubit")
+    proj = spin_ops.bond_projector("qubit")
 
     def matvec(x):
         sym = StateVector(np.asarray(x, dtype=complex), n, d=3)
@@ -111,10 +110,8 @@ def qubit_aklt_state(n: int) -> spin_ops.AkltReference:
         raise RuntimeError(f"lowest symmetric-sector eigenvalue {vals[0]:.3e} is not zero")
     if vals[1] <= spin_ops.ZERO_ENERGY_TOL:
         raise RuntimeError("symmetric-sector zero space is degenerate")
-    vec = vec / np.linalg.norm(vec)
-    lifted = lift_state(StateVector(vec, n, d=3))
-    k = int(np.argmax(np.abs(lifted.amps)))
-    lifted = lifted.with_amps(lifted.amps * (abs(lifted.amps[k]) / lifted.amps[k]))
+    lifted = lift_state(StateVector(vec / np.linalg.norm(vec), n, d=3))
+    lifted = lifted.with_amps(spin_ops._fix_phase(lifted.amps))
     residual = np.linalg.norm(spin_ops.hamiltonian_apply(lifted, proj).amps)
     if residual > spin_ops.REFERENCE_RESIDUAL_TOL:
         raise RuntimeError(f"H|ref> residual {residual:.3e} exceeds tolerance")
@@ -124,8 +121,7 @@ def qubit_aklt_state(n: int) -> spin_ops.AkltReference:
 def reencoded_reference(n: int) -> spin_ops.AkltReference:
     """The closed-form spin-1 reference pushed through the isometry: the
     qubit-mode reference every job uses."""
-    if not 3 <= n <= 8:
-        raise ValueError(f"n = {n} outside the supported qubit-mode range 3..8")
+    spin_ops.check_chain_size(n, "qubit")
     ref = spin_ops.aklt_state(n)
     return spin_ops.AkltReference(lift_state(ref.state), ref.energy, n)
 

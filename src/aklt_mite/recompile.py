@@ -126,7 +126,7 @@ def unitary_fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 def target_unitary(epsilon: float) -> np.ndarray:
     """exp(-i epsilon P (x) sigma_y) on 4 system qubits + 1 ancilla."""
-    proj = bond_projector("qubit-mapped").matrix
+    proj = bond_projector("qubit")
     eye = np.eye(DIM)
     return (
         eye
@@ -188,8 +188,18 @@ class OptimizerConfig:
     maxiter: int = 100
     n_hops: int = 5
     hop_size: float = 0.3
-    repetitions: int = 100
+    repetitions: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        if self.maxiter < 1:
+            raise ValueError("maxiter must be at least 1")
+        if self.n_hops < 0:
+            raise ValueError("n_hops must be nonnegative")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

@@ -13,10 +13,10 @@ Hilbert-space dimension.  Exact diagonalization of the Hamiltonian is kept
 as an independent oracle (:func:`exact_aklt_state`) for ``verify`` and the
 tests; no experiment calls it.
 
-Two site representations are supported:
+Two site encodings (``mode``) are supported:
 
 * ``spin1``: one spin-1 per site, local dimension 3.
-* ``qubit-mapped``: two spin-1/2 per site; spin operators are replaced by the
+* ``qubit``: two spin-1/2 per site; spin operators are replaced by the
   sum of the two sub-spin operators, local dimension 4.
 
 The spin-1/2 operators carry the spin-operator normalization (Pauli matrices
@@ -43,6 +43,18 @@ _DENSE_ED_LIMIT = 243
 # that the returned reference state is annihilated by the Hamiltonian.
 ZERO_ENERGY_TOL = 1e-8
 REFERENCE_RESIDUAL_TOL = 1e-10
+
+# Supported chain lengths per encoding: the periodic Hamiltonian needs three
+# sites, and the dense state (3^9 or 4^8 amplitudes) bounds the top.
+CHAIN_SIZES = {"spin1": (3, 9), "qubit": (3, 8)}
+
+
+def check_chain_size(n: int, mode: str = "spin1") -> None:
+    if mode not in CHAIN_SIZES:
+        raise ValueError(f"unknown mode {mode!r}")
+    lo, hi = CHAIN_SIZES[mode]
+    if not lo <= n <= hi:
+        raise ValueError(f"n = {n} outside the supported {mode} range {lo}..{hi}")
 
 
 @dataclass(frozen=True)
@@ -89,17 +101,9 @@ def paired_site_matrices() -> SpinMatrices:
 def site_matrices(mode: str) -> SpinMatrices:
     if mode == "spin1":
         return spin1_matrices()
-    if mode in ("qubit", "qubit-mapped"):
+    if mode == "qubit":
         return paired_site_matrices()
     raise ValueError(f"unknown mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class BondProjector:
-    """Projector onto the total-spin-2 sector of one bond."""
-
-    matrix: np.ndarray
-    mode: str
 
 
 def _two_site_total_spin_sq(site: SpinMatrices) -> np.ndarray:
@@ -111,7 +115,7 @@ def _two_site_total_spin_sq(site: SpinMatrices) -> np.ndarray:
     return total
 
 
-def bond_projector(mode: str = "spin1") -> BondProjector:
+def bond_projector(mode: str = "spin1") -> np.ndarray:
     """Total-spin-2 bond projector, built from the quartic polynomial in the
     combined spin (S_j + S_{j+1})^2 that is 1 on the S=2 multiplet and 0 on
     S=0, 1.
@@ -119,14 +123,13 @@ def bond_projector(mode: str = "spin1") -> BondProjector:
     This form is an exact projector in both site representations; the
     quadratic short form (see :func:`bond_projector_short_form`) agrees with
     it only where every site carries genuine spin 1, i.e. everywhere in
-    spin1 mode but only on the symmetric sector in qubit-mapped mode.
+    spin1 mode but only on the symmetric sector in qubit mode.
     """
     site = site_matrices(mode)
     csq = _two_site_total_spin_sq(site)
     eye = np.eye(csq.shape[0])
     mat = csq @ (csq - 2 * eye) / 24.0
-    mat = (mat + mat.conj().T) / 2
-    return BondProjector(mat, mode)
+    return (mat + mat.conj().T) / 2
 
 
 def bond_projector_short_form(mode: str = "spin1") -> np.ndarray:
@@ -225,8 +228,7 @@ def hamiltonian_apply(state: StateVector, projector: np.ndarray | None = None) -
     if state.n_sites < 3:
         raise ValueError("chain Hamiltonian needs at least 3 sites")
     if projector is None:
-        mode = "spin1" if state.d == 3 else "qubit-mapped"
-        projector = bond_projector(mode).matrix
+        projector = bond_projector("spin1" if state.d == 3 else "qubit")
     out = np.zeros_like(state.amps)
     for j in range(1, state.n_sites + 1):
         out += apply_two_site(projector, j, state).amps
@@ -243,8 +245,13 @@ class AkltReference:
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude amplitude real positive."""
-    k = int(np.argmax(np.abs(vec)))
+    """Make the first amplitude of (near-)largest magnitude real positive.
+
+    AKLT states hold many amplitudes tied in magnitude; a relative 1e-9
+    tolerance keeps rounding from deciding which of them sets the phase.
+    """
+    mags = np.abs(vec)
+    k = int(np.argmax(mags >= (1.0 - 1e-9) * mags.max()))
     return vec * (abs(vec[k]) / vec[k])
 
 
@@ -270,21 +277,16 @@ def ground_pair(matvec, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order[0]]
 
 
-def _check_range(n: int) -> None:
-    if not 3 <= n <= 9:
-        raise ValueError(f"n = {n} outside the supported range 3..9")
-
-
 def aklt_state(n: int) -> AkltReference:
     """AKLT reference state for an ``n``-site spin-1 periodic chain, in closed form.
 
     Contracts psi(s_1..s_N) = Tr(A^{s_1} ... A^{s_N}) site by site (site 1 the
-    slowest digit), normalizes, and fixes the global phase (largest-magnitude
-    amplitude real positive).  One Hamiltonian application certifies the
+    slowest digit), normalizes, and fixes the global phase (first
+    largest-magnitude amplitude real positive).  One Hamiltonian application certifies the
     result: |H psi| must stay below ``REFERENCE_RESIDUAL_TOL`` and ``energy``
     is <psi|H psi>.  :func:`exact_aklt_state` is the diagonalization oracle.
     """
-    _check_range(n)
+    check_chain_size(n)
     # A^s for digits s = 0, 1, 2 (m = +1, 0, -1): A^{+1} = sqrt(2/3) sigma^+,
     # A^0 = -sqrt(1/3) sigma^z, A^{-1} = -sqrt(2/3) sigma^-
     a = np.zeros((3, 2, 2))
@@ -310,10 +312,10 @@ def exact_aklt_state(n: int) -> AkltReference:
 
     Obtained by diagonalizing the projector-sum Hamiltonian; fails if the
     lowest eigenvalue is not (numerically) zero or the zero mode is not
-    unique.  Global phase: largest-magnitude amplitude real positive.
+    unique.  Global phase as in :func:`aklt_state`.
     """
-    _check_range(n)
-    proj = bond_projector("spin1").matrix
+    check_chain_size(n)
+    proj = bond_projector("spin1")
     dim = 3**n
 
     def matvec(x):

@@ -45,20 +45,20 @@ def check_spin_half_algebra():
 
 
 def check_projector_idempotent():
-    p = spin_ops.bond_projector("spin1").matrix
+    p = spin_ops.bond_projector("spin1")
     defect = _maxabs(p @ p - p)
     return defect <= 1e-12, f"P^2 - P defect {defect:.2e}"
 
 
 def check_projector_hermitian_trace():
-    p = spin_ops.bond_projector("spin1").matrix
+    p = spin_ops.bond_projector("spin1")
     herm = _maxabs(p - p.conj().T)
     tr = abs(np.trace(p).real - 5.0)
     return herm <= 1e-12 and tr <= 1e-12, f"hermiticity {herm:.2e}, trace-5 {tr:.2e}"
 
 
 def check_projector_spectrum():
-    p = spin_ops.bond_projector("spin1").matrix
+    p = spin_ops.bond_projector("spin1")
     vals = np.sort(np.linalg.eigvalsh(p))
     ok = np.allclose(vals[:4], 0, atol=1e-12) and np.allclose(vals[4:], 1, atol=1e-12)
     return ok, f"eigenvalues {np.round(vals, 12)}"
@@ -66,14 +66,14 @@ def check_projector_spectrum():
 
 def check_projector_forms_agree():
     diff = _maxabs(
-        spin_ops.bond_projector("spin1").matrix
+        spin_ops.bond_projector("spin1")
         - spin_ops.bond_projector_short_form("spin1")
     )
     return diff <= 1e-12, f"quartic vs short form {diff:.2e}"
 
 
 def check_coupled_basis_action():
-    p = spin_ops.bond_projector("spin1").matrix
+    p = spin_ops.bond_projector("spin1")
     worst = 0.0
     for cs in spin_ops.coupled_basis():
         expect = 1.0 if cs.s == 2 else 0.0
@@ -82,7 +82,7 @@ def check_coupled_basis_action():
 
 
 def check_adjacent_projectors_noncommute():
-    p = spin_ops.bond_projector("spin1").matrix
+    p = spin_ops.bond_projector("spin1")
     p12 = np.kron(p, np.eye(3))
     p23 = np.kron(np.eye(3), p)
     norm = float(np.linalg.norm(p12 @ p23 - p23 @ p12))
@@ -92,8 +92,8 @@ def check_adjacent_projectors_noncommute():
 def check_kraus_completeness(defect_mode: str | None = None):
     tol = 1e-12
     worst = 0.0
-    for mode in ("spin1", "qubit-mapped"):
-        p = spin_ops.bond_projector(mode).matrix
+    for mode in ("spin1", "qubit"):
+        p = spin_ops.bond_projector(mode)
         if defect_mode == "kraus-half":
             # deliberately corrupted normalization: 1/2 instead of 1/sqrt(2)
             eye = np.eye(p.shape[0])
@@ -126,7 +126,7 @@ def check_aklt_closed_form_matches_ed():
 
 def check_aklt_common_projector():
     ref = spin_ops.aklt_state(4)
-    p = spin_ops.bond_projector("spin1").matrix
+    p = spin_ops.bond_projector("spin1")
     worst = max(
         abs(1.0 - statevec.partial_fidelity(ref.state, j, p)) for j in range(1, 5)
     )
@@ -144,7 +144,7 @@ def check_correction_unitarity():
 
 
 def check_mapped_swap_symmetry():
-    p = spin_ops.bond_projector("qubit-mapped").matrix
+    p = spin_ops.bond_projector("qubit")
     sw = qubit_map.site_swap()
     eye = np.eye(4)
     defect = max(
@@ -156,8 +156,8 @@ def check_mapped_swap_symmetry():
 
 def check_mapped_isometry_pullback():
     diff = _maxabs(
-        qubit_map.isometry_pullback(spin_ops.bond_projector("qubit-mapped").matrix)
-        - spin_ops.bond_projector("spin1").matrix
+        qubit_map.isometry_pullback(spin_ops.bond_projector("qubit"))
+        - spin_ops.bond_projector("spin1")
     )
     return diff <= 1e-12, f"pullback defect {diff:.2e}"
 
@@ -176,7 +176,7 @@ def check_symmetric_weight_initial():
 def check_target_unitary_closed_form():
     eps = 0.5
     closed = recompile.target_unitary(eps)
-    p = spin_ops.bond_projector("qubit-mapped").matrix
+    p = spin_ops.bond_projector("qubit")
     oracle = expm(-1j * eps * np.kron(p, np.array([[0, -1j], [1j, 0]])))
     diff = _maxabs(closed - oracle)
     return diff <= 1e-10, f"closed form vs expm {diff:.2e}"
@@ -210,7 +210,7 @@ def check_gradient_finite_difference():
 
 
 def check_born_frequencies():
-    p = spin_ops.bond_projector("spin1").matrix
+    p = spin_ops.bond_projector("spin1")
     kraus = mite.measurement_kraus(0.5, p)
     state = statevec.product_state(2, d=3, local=0)  # stretched pair, E = 1
     p0 = (np.cos(0.5) - np.sin(0.5)) ** 2 / 2

@@ -6,12 +6,12 @@ from aklt_mite import spin_ops
 
 @pytest.fixture(scope="session")
 def proj9():
-    return spin_ops.bond_projector("spin1").matrix
+    return spin_ops.bond_projector("spin1")
 
 
 @pytest.fixture(scope="session")
 def proj16():
-    return spin_ops.bond_projector("qubit-mapped").matrix
+    return spin_ops.bond_projector("qubit")
 
 
 @pytest.fixture(scope="session")

@@ -70,15 +70,15 @@ def test_criterion_1_operator_identities():
     """P^2 = P, Hermiticity, spectrum {0 x4, 1 x5}, trace 5; Kraus
     completeness <= 1e-12; correction unitaries unitary <= 1e-12; target
     unitary closed form vs exponential oracle <= 1e-10."""
-    p = spin_ops.bond_projector("spin1").matrix
+    p = spin_ops.bond_projector("spin1")
     assert np.max(np.abs(p @ p - p)) <= 1e-12
     assert np.max(np.abs(p - p.conj().T)) <= 1e-12
     assert abs(np.trace(p).real - 5.0) <= 1e-12
     vals = np.sort(np.linalg.eigvalsh(p))
     assert np.allclose(vals, [0] * 4 + [1] * 5, atol=1e-12)
 
-    for mode in ("spin1", "qubit-mapped"):
-        pm = spin_ops.bond_projector(mode).matrix
+    for mode in ("spin1", "qubit"):
+        pm = spin_ops.bond_projector(mode)
         k = mite.measurement_kraus(0.5, pm)
         comp = k.m0.conj().T @ k.m0 + k.m1.conj().T @ k.m1 - np.eye(pm.shape[0])
         assert np.max(np.abs(comp)) <= 1e-12
@@ -92,7 +92,7 @@ def test_criterion_1_operator_identities():
     eps = 0.5
     sy = np.array([[0, -1j], [1j, 0]])
     target = recompile.target_unitary(eps)
-    oracle = expm(-1j * eps * np.kron(spin_ops.bond_projector("qubit-mapped").matrix, sy))
+    oracle = expm(-1j * eps * np.kron(spin_ops.bond_projector("qubit"), sy))
     defect = np.max(np.abs(target - oracle))
     print(f"criterion 1: closed-form-vs-expm defect {defect:.2e}")
     assert defect <= 1e-10
@@ -102,7 +102,7 @@ def test_criterion_2_aklt_oracle(references):
     """For N = 3..8: zero ground energy within 1e-8, unique zero mode, and
     unit weight in every bond's kernel within 1e-9; the closed-form
     reference every job uses equals that zero mode within 1e-12."""
-    p = spin_ops.bond_projector("spin1").matrix
+    p = spin_ops.bond_projector("spin1")
     for n, ref in references.items():
         assert abs(ref.energy) <= 1e-8
         for j in range(1, n + 1):
@@ -256,7 +256,7 @@ def test_criterion_8b_cnot_count():
 def test_criterion_9_statistical_sanity(tmp_path):
     """Born frequencies within 3 standard errors over >= 1e4 samples, and
     byte-identical outputs for identical seeds."""
-    p = spin_ops.bond_projector("spin1").matrix
+    p = spin_ops.bond_projector("spin1")
     kraus = mite.measurement_kraus(0.5, p)
     state = product_state(2, d=3, local=0)
     p0 = (math.cos(0.5) - math.sin(0.5)) ** 2 / 2

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from aklt_mite import cli
 from aklt_mite.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -58,6 +59,12 @@ class TestPrepare:
         assert not out.exists()
         assert "invalid configuration" in capsys.readouterr().err
 
+    def test_negative_seed_rejected_without_output(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run(["prepare", "--n", 3, "--runs", 1, "--seed", -1, "--out", out]) == 1
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_missing_out_rejected(self):
         assert run(["prepare", "--n", 3, "--runs", 1]) == 1
 
@@ -84,6 +91,21 @@ class TestPrepare:
         overridden = tmp_path / "override.csv"
         assert run(["prepare", "--config", cfg, "--seed", 6, "--out", overridden]) == 0
         assert data_rows(overridden) != data_rows(viafile)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def failing_fmt(x):
+            calls.append(x)
+            if len(calls) > 10:  # the first cell of the third data row
+                raise OSError("disk full")
+            return str(x)
+
+        monkeypatch.setattr(cli, "_fmt", failing_fmt)
+        out = tmp_path / "prep.csv"
+        assert run(["prepare", "--n", 3, "--runs", 1, "--rounds", 4, "--out", out]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # neither the output nor a temp file
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -147,6 +169,7 @@ class TestRecompile:
         ["--reps", 0],
         ["--maxiter", 0],
         ["--hops", -1],
+        ["--seed", -1],
     ])
     def test_bad_inputs_rejected_without_output(self, tmp_path, capsys, flags):
         out = tmp_path / "never.csv"
@@ -207,3 +230,19 @@ class TestQubitMode:
     def test_qubit_bounds(self, tmp_path):
         assert run(["prepare", "--mode", "qubit", "--n", 9, "--runs", 1,
                     "--out", tmp_path / "x.csv"]) == 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("prepare --n 3 --runs 2 --rounds 5 --seed 7", "1c1f321314206c1e"),
+    ("prepare --mode spin1 --n 6 --runs 3 --rounds 30 --threads 1 --seed 100", "a004a5f6dc5103a4"),
+    ("noise --mode qubit --n 5 --noise-axis z --sigma2 1e-2 --runs 4 --threads 1 --seed 0",
+     "f3a708195eeb59b7"),
+    ("project --n 3,4,5,6,7,8,9 --rounds 15 --threads 1", "404093c9b039e788"),
+    ("recompile --layers 4 --reps 2 --maxiter 30 --threads 1 --seed 0", "b9fbc5f03c79ae00"),
+])
+def test_science_hash_pinned(argv, expected):
+    """Config hashes in data-file headers stay stable across refactors of
+    the defaults (the benchmark's pinned outputs carry these five)."""
+    args = cli._build_parser().parse_args(argv.split())
+    cfg = cli.validate(cli.resolve_config(args), args.command)
+    assert cli.science_hash(cfg, args.command) == expected

@@ -25,9 +25,9 @@ class TestMeasurementKraus:
             spectral /= np.sqrt(2)
             assert np.max(np.abs(mat - spectral)) <= 1e-12
 
-    @pytest.mark.parametrize("mode", ["spin1", "qubit-mapped"])
+    @pytest.mark.parametrize("mode", ["spin1", "qubit"])
     def test_completeness(self, mode):
-        p = spin_ops.bond_projector(mode).matrix
+        p = spin_ops.bond_projector(mode)
         k = mite.measurement_kraus(0.5, p)
         comp = k.m0.conj().T @ k.m0 + k.m1.conj().T @ k.m1
         assert np.max(np.abs(comp - np.eye(p.shape[0]))) <= 1e-12
@@ -126,8 +126,28 @@ class TestConfig:
             mite.MiteConfig(noise_axis="y")
 
 
+def record_visits(monkeypatch):
+    """Log what the subroutine does, in order: each measurement outcome q
+    (0 or 1) and ``"fire"`` for each correction."""
+    events = []
+    sample, correction = mite.born_sample, mite.correction_unitary
+
+    def logged_sample(*args):
+        q, state = sample(*args)
+        events.append(q)
+        return q, state
+
+    def logged_correction(*args):
+        events.append("fire")
+        return correction(*args)
+
+    monkeypatch.setattr(mite, "born_sample", logged_sample)
+    monkeypatch.setattr(mite, "correction_unitary", logged_correction)
+    return events
+
+
 class TestSubroutine:
-    def test_excited_bond_draws_a_correction(self, proj9):
+    def test_excited_bond_draws_a_correction(self, proj9, monkeypatch):
         """A stretched pair keeps producing excited outcomes (p1 ~ 0.92), so
         the feedback loop fires a correction almost surely within a few
         visits of the persistent-counter subroutine."""
@@ -137,24 +157,22 @@ class TestSubroutine:
             n=2, mode="spin1", epsilon=0.5, projector=chain.projector,
             kraus=chain.kraus, site=chain.site, reference=None,
         )
+        events = record_visits(monkeypatch)
         fired = 0
         first_fire_meas = []
         runs = 1000
         rng = np.random.default_rng(0)
         for _ in range(runs):
+            events.clear()
             state = product_state(2, d=3, local=0)
             counter = mite.MeasurementCounter()
-            used = 0
             for _visit in range(3):  # the loop spans sweep rounds in practice
                 state, stats = mite.mite_subroutine(state, 1, two_site, cfg, rng, counter)
                 if stats.corrections > 0:
                     fired += 1
-                    fire_at = next(
-                        k for k, c in enumerate(stats.counts_after) if c == (0, 0)
-                    )
-                    first_fire_meas.append(used + fire_at + 1)
+                    # measurements up to and including the one that fired
+                    first_fire_meas.append(events.index("fire"))
                     break
-                used += stats.measurements
         assert fired / runs > 0.99
         # the trigger needs one clean run of excited outcomes: tens, not hundreds
         assert np.median(first_fire_meas) <= 3 * cfg.fire_window
@@ -184,29 +202,39 @@ class TestSubroutine:
             assert sum(s.corrections for s in stats) == 0
             assert fidelity(state, chain.reference.state) == pytest.approx(1.0, abs=1e-9)
 
-    def test_counter_resets_after_each_correction(self):
+    def test_counter_resets_after_each_correction(self, monkeypatch):
         cfg = mite.MiteConfig(seed=0)
         chain = mite.build_chain(3, "spin1")
         state = chain.initial_state()
         rng = np.random.default_rng(1)
         counter = mite.MeasurementCounter()
+        events = record_visits(monkeypatch)
         _, stats = mite.mite_subroutine(state, 1, chain, cfg, rng, counter)
         assert stats.corrections >= 1
-        fires = [k for k, q in enumerate(stats.outcomes)
-                 if stats.counts_after[k] == (0, 0)]
-        assert len(fires) == stats.corrections
-        for k in fires:  # the trigger is a complete run of excited outcomes
-            assert all(q == 1 for q in stats.outcomes[k - cfg.fire_window + 1 : k + 1])
+        assert events.count("fire") == stats.corrections
+        stretches = [[]]  # outcomes between corrections
+        for event in events:
+            if event == "fire":
+                stretches.append([])
+            else:
+                stretches[-1].append(event)
+        *fired, last = stretches
+        for outcomes in fired:  # each trigger is a complete run of excited outcomes
+            assert outcomes[-cfg.fire_window:] == [1] * cfg.fire_window
+        # the counter restarted at the last correction (too few outcomes to rescale)
+        assert (counter.k0, counter.k1) == (last.count(0), last.count(1))
 
-    def test_deterministic_replay(self):
+    def test_deterministic_replay(self, monkeypatch):
         cfg = mite.MiteConfig(seed=0)
         chain = mite.build_chain(3, "spin1")
+        events = record_visits(monkeypatch)
         out = []
         for _ in range(2):
+            events.clear()
             state = chain.initial_state()
             rng = np.random.default_rng(7)
             state, stats = mite.mite_subroutine(state, 2, chain, cfg, rng)
-            out.append((tuple(stats.outcomes), stats.corrections, state.amps.copy()))
+            out.append((tuple(events), stats.corrections, state.amps.copy()))
         assert out[0][0] == out[1][0]
         assert out[0][1] == out[1][1]
         assert np.array_equal(out[0][2], out[1][2])

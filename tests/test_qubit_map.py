@@ -65,7 +65,7 @@ class TestMappedProjector:
         on singlet-carrying sectors: there it takes the value 1/3 instead of
         an eigenvalue in {0, 1}.  Both forms coincide after symmetric-sector
         projection."""
-        short = spin_ops.bond_projector_short_form("qubit-mapped")
+        short = spin_ops.bond_projector_short_form("qubit")
         assert np.max(np.abs(short - proj16)) > 0.2
         pi2 = np.kron(qubit_map.symmetric_site_projector(), qubit_map.symmetric_site_projector())
         assert np.max(np.abs(pi2 @ (short - proj16) @ pi2)) <= 1e-12

@@ -110,7 +110,7 @@ class TestTargetUnitary:
     def test_closed_form_matches_exponential_oracle(self):
         eps = 0.5
         sy = np.array([[0, -1j], [1j, 0]])
-        h = np.kron(bond_projector("qubit-mapped").matrix, sy)
+        h = np.kron(bond_projector("qubit"), sy)
         assert np.max(np.abs(rc.target_unitary(eps) - expm(-1j * eps * h))) <= 1e-10
 
     def test_reduces_to_identity_at_zero_time(self):

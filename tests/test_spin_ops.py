@@ -4,7 +4,7 @@ import pytest
 from aklt_mite import spin_ops
 from aklt_mite.statevec import StateVector, apply_two_site, partial_fidelity, product_state
 
-from conftest import phase_aligned_distance, random_unit_vector
+from conftest import random_unit_vector
 
 
 def comm(a, b):
@@ -60,9 +60,9 @@ class TestBondProjector:
         short = spin_ops.bond_projector_short_form("spin1")
         assert np.max(np.abs(proj9 - short)) <= 1e-12
 
-    @pytest.mark.parametrize("mode", ["spin1", "qubit-mapped"])
+    @pytest.mark.parametrize("mode", ["spin1", "qubit"])
     def test_commutes_with_pair_sz(self, mode):
-        p = spin_ops.bond_projector(mode).matrix
+        p = spin_ops.bond_projector(mode)
         site = spin_ops.site_matrices(mode)
         eye = np.eye(site.dim)
         sz_tot = np.kron(site.sz, eye) + np.kron(eye, site.sz)
@@ -195,9 +195,10 @@ class TestAkltState:
 class TestClosedFormReference:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_matches_exact_diagonalization(self, n):
+        # both builds fix the global phase by the same rule, so no alignment
         closed = spin_ops.aklt_state(n).state.amps
         exact = spin_ops.exact_aklt_state(n).state.amps
-        assert phase_aligned_distance(closed, exact) <= 1e-12
+        assert np.linalg.norm(closed - exact) <= 1e-12
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_energy_is_zero(self, n):
