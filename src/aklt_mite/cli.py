@@ -272,7 +272,6 @@ def summary_path(out: Path) -> Path:
 def run_prepare(cfg: dict, out: Path, kind: str = "prepare") -> int:
     n = _parse_n_list(cfg["n"])[0]
     config = _build_config(cfg, mite.MiteConfig, MITE_FIELDS)
-    r_max = config.r_max
     records = mite.run_trajectories(
         config, n, cfg["mode"], int(cfg["runs"]), int(cfg["threads"])
     )
@@ -287,11 +286,11 @@ def run_prepare(cfg: dict, out: Path, kind: str = "prepare") -> int:
     columns = ["run_id", "r", "f_tot", "min_partial_fidelity", "corrections_so_far"]
     write_rows(out, cfg["format"], header, columns, rows)
 
-    padded = np.stack([mite.padded_series(rec, r_max) for rec in records])
+    padded = np.stack([mite.padded_series(rec, config.r_max) for rec in records])
     r_c = []
-    for rec in records:
+    for series in padded:
         try:
-            r_c.append(mite.critical_rounds(mite.padded_series(rec, r_max), 0.9))
+            r_c.append(mite.critical_rounds(series, 0.9))
         except ValueError:
             r_c.append(None)
     crossed = [x for x in r_c if x is not None]

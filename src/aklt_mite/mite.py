@@ -56,7 +56,6 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import qubit_map
 from .spin_ops import (
@@ -204,20 +203,36 @@ def peak_energy(k0: int, k1: int, epsilon: float) -> float:
     return math.asin((k1 - k0) / total) / (2.0 * epsilon)
 
 
-def spin_rotation(angles, site: SpinMatrices) -> np.ndarray:
-    """exp[2 pi i (a_x Sx + a_y Sy + a_z Sz)] for one site."""
-    gen = angles[0] * site.sx + angles[1] * site.sy + angles[2] * site.sz
-    return expm(2j * np.pi * gen)
+def site_rotation(v, site: SpinMatrices) -> np.ndarray:
+    """exp(i v.S) for one site, in closed form.
+
+    For a unit vector n, n.S has spectrum in {-1, 0, 1} in both encodings
+    (spin 1; triplet plus singlet of a qubit pair), so (n.S)^3 = n.S and
+
+        exp(i t n.S) = 1 + i sin t (n.S) + (cos t - 1) (n.S)^2,  t = |v|.
+
+    In terms of G = v.S the coefficients are sin t / t and
+    (cos t - 1) / t^2 = -2 (sin(t/2) / t)^2, the latter free of
+    cancellation at small t; v = 0 gives the identity exactly.
+    """
+    vx, vy, vz = map(float, v)
+    t = math.hypot(vx, vy, vz)
+    if t == 0.0:
+        return np.eye(site.dim, dtype=complex)
+    gen = vx * site.sx + vy * site.sy + vz * site.sz
+    half = math.sin(t / 2) / t
+    return np.eye(site.dim) + (1j * math.sin(t) / t) * gen - (2 * half * half) * (gen @ gen)
 
 
 def correction_unitary(site: SpinMatrices, rng: np.random.Generator) -> np.ndarray:
-    """Independent random spin rotations on the two sites of a bond.
+    """Independent random spin rotations exp(2 pi i a.S) on the two sites of
+    a bond.
 
-    Six uniform [0, 1) draws: x/y/z angles for the lower-numbered site, then
-    for its neighbor.
+    Six uniform [0, 1) draws: x/y/z components of ``a`` for the
+    lower-numbered site, then for its neighbor.
     """
-    left = spin_rotation(rng.random(3), site)
-    right = spin_rotation(rng.random(3), site)
+    left = site_rotation(2 * np.pi * rng.random(3), site)
+    right = site_rotation(2 * np.pi * rng.random(3), site)
     return np.kron(left, right)
 
 
@@ -353,11 +368,7 @@ def sweep_round(
     return state, stats
 
 
-def _noise_rotations(site: SpinMatrices, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the noise generator, for cheap exp(i xi S)."""
-    gen = {"x": site.sx, "z": site.sz}[axis]
-    vals, vecs = np.linalg.eigh(gen)
-    return vals, vecs
+_AXES = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}
 
 
 def apply_noise(
@@ -366,7 +377,6 @@ def apply_noise(
     sigma2: float,
     rng: np.random.Generator,
     site: SpinMatrices | None = None,
-    _eig=None,
 ) -> StateVector:
     """Random local rotations exp(i xi_j S_j^axis) on every site.
 
@@ -379,12 +389,11 @@ def apply_noise(
         return state
     if site is None:
         site = site_matrices("spin1" if state.d == 3 else "qubit")
-    vals, vecs = _eig if _eig is not None else _noise_rotations(site, axis)
+    unit = _AXES[axis]
     scale = math.sqrt(sigma2 / 2.0)
     for j in range(1, state.n_sites + 1):
         xi = scale * rng.standard_normal()
-        rot = (vecs * np.exp(1j * xi * vals)) @ vecs.conj().T
-        state = apply_one_site(rot, j, state)
+        state = apply_one_site(site_rotation(xi * unit, site), j, state)
     return state
 
 
@@ -411,10 +420,6 @@ class TrajectoryRecord:
     sym_weight: list[float] | None = None
     bond_series: dict[int, list[tuple[int, float]]] | None = None
 
-    @property
-    def total_corrections(self) -> int:
-        return sum(self.corrections)
-
 
 def prepare(config: MiteConfig, n: int, mode: str = "spin1") -> TrajectoryRecord:
     """Run one full preparation trajectory and record it.
@@ -429,7 +434,6 @@ def prepare(config: MiteConfig, n: int, mode: str = "spin1") -> TrajectoryRecord
     state = chain.initial_state()
 
     noisy = config.noise_axis is not None and config.noise_sigma2 > 0.0
-    noise_eig = _noise_rotations(chain.site, config.noise_axis) if noisy else None
     track_sym = mode == "qubit"
 
     counters = {j: MeasurementCounter() for j in range(1, n + 1)}
@@ -450,9 +454,7 @@ def prepare(config: MiteConfig, n: int, mode: str = "spin1") -> TrajectoryRecord
     converged_round = None
     for r in range(1, config.r_max + 1):
         if noisy:
-            state = apply_noise(
-                state, config.noise_axis, config.noise_sigma2, rng, chain.site, noise_eig
-            )
+            state = apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
         state, stats = sweep_round(state, chain, config, rng, counters, bond_series, bond_t0)
         rounds_executed = r
         by_bond = {st.bond: st for st in stats}
@@ -506,15 +508,6 @@ def padded_series(record: TrajectoryRecord, r_max: int) -> np.ndarray:
     return np.array(f[: r_max + 1])
 
 
-def padded_peak_series(record: TrajectoryRecord, r_max: int) -> np.ndarray:
-    """Per-round bond-averaged peak estimates padded to length r_max."""
-    p = [float(np.mean(row)) for row in record.e_peak]
-    if not p:
-        return np.zeros(r_max)
-    p.extend([p[-1]] * (r_max - len(p)))
-    return np.array(p[:r_max])
-
-
 # ---------------------------------------------------------------------------
 # deterministic direct-projection oracle
 
@@ -544,8 +537,7 @@ def twisted_sx_product(n: int, theta: float = 1.0) -> StateVector:
     base = sx_stretched_site_ket()
     amps = np.array([1.0 + 0j])
     for j in range(n):
-        rot = expm(-1j * theta * j * s1.sz)
-        amps = np.kron(amps, rot @ base)
+        amps = np.kron(amps, site_rotation((0.0, 0.0, -theta * j), s1) @ base)
     return StateVector(amps, n, 3)
 
 

@@ -6,7 +6,8 @@ P is idempotent the exponential has the closed form
 
     1 + (cos eps - 1) (P (x) 1) - i sin eps (P (x) sigma_y),
 
-which doubles as the independent oracle check against scipy's expm.
+which ``verify`` and the tests hold against scipy's ``expm`` as the
+independent oracle.
 
 The ansatz is a layered circuit on 5 qubits: an initial moment of one
 three-angle single-qubit gate per qubit, then ``n_layers`` repetitions of a
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .spin_ops import bond_projector
 
@@ -222,6 +222,8 @@ def optimize_once(
     ``hop_size`` (clipped to the box) and re-runs the local optimizer.
     Non-finite losses abort the repetition, which is recorded as failed.
     """
+    from scipy.optimize import minimize  # imported here so that no other job loads scipy
+
     npar = n_params(n_layers)
     bounds = [(0.0, 2 * np.pi)] * npar
     iterations = 0

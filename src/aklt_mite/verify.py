@@ -2,13 +2,14 @@
 
 Each check returns (passed, detail).  The suite is what ``aklt-mite verify``
 runs; it is deliberately redundant with the test suite so a deployed build
-can be validated without a test harness present.
+can be validated without a test harness present.  The ``expm`` oracles
+import scipy inside their checks, so importing this module (and with it the
+CLI) does not load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import mite, qubit_map, recompile, spin_ops, statevec
 
@@ -134,13 +135,20 @@ def check_aklt_common_projector():
 
 
 def check_correction_unitarity():
+    from scipy.linalg import expm
+
     rng = np.random.default_rng(7)
-    worst = 0.0
+    worst = worst_expm = 0.0
     for mats in (spin_ops.spin1_matrices(), spin_ops.paired_site_matrices()):
         for _ in range(20):
             u = mite.correction_unitary(mats, rng)
             worst = max(worst, _maxabs(u @ u.conj().T - np.eye(u.shape[0])))
-    return worst <= 1e-12, f"worst unitarity defect {worst:.2e}"
+            # correction-sized and noise-sized rotation vectors
+            for v in (2 * np.pi * rng.random(3), 0.1 * rng.standard_normal(3)):
+                gen = v[0] * mats.sx + v[1] * mats.sy + v[2] * mats.sz
+                worst_expm = max(worst_expm, _maxabs(mite.site_rotation(v, mats) - expm(1j * gen)))
+    passed = worst <= 1e-12 and worst_expm <= 1e-12
+    return passed, f"worst unitarity defect {worst:.2e}, closed form vs expm {worst_expm:.2e}"
 
 
 def check_mapped_swap_symmetry():
@@ -174,6 +182,8 @@ def check_symmetric_weight_initial():
 
 
 def check_target_unitary_closed_form():
+    from scipy.linalg import expm
+
     eps = 0.5
     closed = recompile.target_unitary(eps)
     p = spin_ops.bond_projector("qubit")

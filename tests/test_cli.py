@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -230,6 +233,44 @@ class TestQubitMode:
     def test_qubit_bounds(self, tmp_path):
         assert run(["prepare", "--mode", "qubit", "--n", 9, "--runs", 1,
                     "--out", tmp_path / "x.csv"]) == 1
+
+
+SCIPY_PROBE = """
+import json, sys
+from aklt_mite import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+loaded = {"import": scipy_modules()}
+out = sys.argv[1]
+for argv in (
+    "prepare --n 3 --runs 1 --rounds 3 --seed 0",
+    "prepare --mode qubit --n 3 --runs 1 --rounds 3 --seed 0",
+    "noise --n 3 --runs 1 --rounds 3 --seed 0 --noise-axis x --sigma2 1e-2",
+    "noise --mode qubit --n 3 --runs 1 --rounds 3 --seed 0 --noise-axis z --sigma2 1e-2",
+    "project --n 3,4,9 --rounds 3",
+):
+    if cli.main([*argv.split(), "--out", out]) != 0:
+        sys.exit(f"job failed: {argv}")
+    loaded[argv] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_jobs_load_no_scipy(tmp_path):
+    """The CLI import and the prepare/noise/project jobs run without scipy;
+    only recompile and the expm/diagonalization oracles import it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == {stage: [] for stage in loaded}
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from aklt_mite import mite, spin_ops
 from aklt_mite.statevec import StateVector, apply_two_site, born_sample, fidelity, product_state
@@ -87,7 +88,7 @@ class TestAmplitudeDiagnostic:
 class TestCorrectionUnitary:
     def test_zero_angles_identity(self):
         s1 = spin_ops.spin1_matrices()
-        assert np.allclose(mite.spin_rotation([0, 0, 0], s1), np.eye(3), atol=1e-14)
+        assert np.allclose(mite.site_rotation([0, 0, 0], s1), np.eye(3), atol=1e-14)
 
     @pytest.mark.parametrize("maker", [spin_ops.spin1_matrices, spin_ops.paired_site_matrices])
     def test_unitarity(self, maker):
@@ -100,7 +101,18 @@ class TestCorrectionUnitary:
     def test_full_z_turn_is_identity_for_integer_spin(self):
         # 2 pi rotation of a spin-1: exp(2 pi i Sz) = diag(e^{2pi i}, 1, e^{-2pi i})
         s1 = spin_ops.spin1_matrices()
-        assert np.allclose(mite.spin_rotation([0, 0, 1], s1), np.eye(3), atol=1e-12)
+        assert np.allclose(mite.site_rotation([0, 0, 2 * np.pi], s1), np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("maker", [spin_ops.spin1_matrices, spin_ops.paired_site_matrices])
+    def test_closed_form_matches_expm(self, maker):
+        site = maker()
+        rng = np.random.default_rng(8)
+        vectors = [np.zeros(3), [0.0, 0.0, 1e-9]]
+        vectors += [2 * np.pi * rng.random(3) for _ in range(50)]  # correction-sized
+        vectors += [0.1 * rng.standard_normal(3) for _ in range(50)]  # noise-sized
+        for v in vectors:
+            gen = v[0] * site.sx + v[1] * site.sy + v[2] * site.sz
+            assert np.max(np.abs(mite.site_rotation(v, site) - expm(1j * gen))) <= 1e-12
 
     def test_six_draw_reproducibility(self):
         s1 = spin_ops.spin1_matrices()
