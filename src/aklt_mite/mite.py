@@ -42,6 +42,13 @@ of carrying half-finished repairs into the next round.
 
 A sweep round runs the subroutine over all odd bonds, then all even bonds.
 
+Between corrections a visit never leaves the plane span{P psi, (1 - P) psi}
+of its bond: both measurement operators are (1 + (g_q - 1) P) / sqrt(2).
+``two_level_sample`` therefore samples and collapses on the excited weight
+w = <psi|P|psi> alone, and the full state is built only before a correction
+and at the end of the visit.  ``statevec.born_sample`` on the matrix
+Kraus pair is its full-state oracle (``verify``).
+
 RNG discipline (one trajectory = one ``numpy`` Generator): each round
 first draws per-site noise angles (sites 1..N, only when noise is active),
 then per measurement one uniform variate, and per correction six uniforms
@@ -72,7 +79,6 @@ from .statevec import (
     StateVector,
     apply_one_site,
     apply_two_site,
-    born_sample,
     fidelity,
     partial_fidelity,
     product_state,
@@ -80,6 +86,8 @@ from .statevec import (
 
 SQRT2 = math.sqrt(2.0)
 _IDEMPOTENT_TOL = 1e-10
+_BUILT_NORM_TOL = 1e-10
+_WEIGHT_TOL = 1e-12
 DEFAULT_ETA = {"spin1": 4.0, "qubit": 2.0}
 
 
@@ -92,7 +100,8 @@ class MiteConfig:
     ``1 - early_stop``; set it to ``None`` to run all ``r_max`` rounds.
     ``record_bond_series`` additionally stores, per bond, the partial
     fidelity after every single measurement (indexed by the bond's
-    cumulative measurement count), which roughly doubles the cost.
+    cumulative measurement count); it is read off the two-level kernel's
+    excited weight, so it costs no state-vector work.
     """
 
     epsilon: float = 0.5
@@ -182,7 +191,9 @@ def measurement_kraus(epsilon: float, projector: np.ndarray) -> KrausPair:
 
     Acts as 1/sqrt(2) on the projector's kernel and as
     (cos eps -+ sin eps)/sqrt(2) on its range; the 1/sqrt(2) prefactor makes
-    the pair complete (m0'm0 + m1'm1 = 1) exactly.
+    the pair complete (m0'm0 + m1'm1 = 1) exactly.  The job path samples
+    the same pair through ``two_level_sample``; this matrix form feeds the
+    full-state oracle.
     """
     projector = np.asarray(projector, dtype=complex)
     defect = np.max(np.abs(projector @ projector - projector))
@@ -193,6 +204,82 @@ def measurement_kraus(epsilon: float, projector: np.ndarray) -> KrausPair:
     m0 = (eye + (c - 1 - s) * projector) / SQRT2
     m1 = (eye + (c - 1 + s) * projector) / SQRT2
     return KrausPair(m0, m1)
+
+
+def measurement_gains(epsilon: float) -> tuple[float, float]:
+    """Range factors g_q = cos eps -+ sin eps of the pair m_q = (1 + (g_q - 1) P) / sqrt(2).
+
+    g0^2 + g1^2 = 2, so the outcome probabilities (g_q^2 w + 1 - w) / 2
+    sum to 1 for every excited weight w.
+    """
+    c, s = math.cos(epsilon), math.sin(epsilon)
+    return c - s, c + s
+
+
+@dataclass
+class TwoLevelBond:
+    """A bond visit's state between corrections, as two real amplitudes.
+
+    The state is alpha P psi0 + beta (1 - P) psi0 for the state psi0 the
+    stretch started from, with ``excited`` = P psi0, and ``w`` is its
+    excited weight <psi|P|psi>.  ``open`` pays the stretch's one projector
+    application; ``state`` builds the full vector back.
+    """
+
+    j: int
+    base: StateVector
+    excited: StateVector
+    w: float
+    alpha: float = 1.0
+    beta: float = 1.0
+
+    @classmethod
+    def open(cls, state: StateVector, j: int, projector: np.ndarray) -> "TwoLevelBond":
+        excited = apply_two_site(projector, j, state)
+        bond = cls(j, state, excited, float(np.vdot(excited.amps, excited.amps).real))
+        bond._check_weight()
+        return bond
+
+    def _check_weight(self):
+        if not -_WEIGHT_TOL <= self.w <= 1.0 + _WEIGHT_TOL:
+            raise RuntimeError(f"bond {self.j}: excited weight {self.w!r} outside [0, 1]")
+
+    def state(self) -> StateVector:
+        """alpha P psi0 + beta (1 - P) psi0, renormalized by its own norm.
+
+        The norm before renormalizing is 1 up to rounding; a larger defect
+        means the scalars drifted from the vectors and raises.
+        """
+        self._check_weight()
+        amps = self.alpha * self.excited.amps + self.beta * (self.base.amps - self.excited.amps)
+        nrm = float(np.linalg.norm(amps))
+        if abs(nrm - 1.0) > _BUILT_NORM_TOL:
+            raise RuntimeError(f"bond {self.j}: built state has norm {nrm!r}, not 1")
+        return self.base.with_amps(amps / nrm)
+
+
+def two_level_sample(
+    bond: TwoLevelBond, gains: tuple[float, float], rng: np.random.Generator
+) -> int:
+    """Sample one weak measurement on ``bond`` and collapse it in place.
+
+    Outcome q has probability p_q = (g_q^2 w + 1 - w) / 2; the collapse
+    scales alpha by g_q / sqrt(2 p_q) and beta by 1 / sqrt(2 p_q), so the
+    excited weight becomes g_q^2 w / (2 p_q).  Exactly one uniform variate
+    is consumed per call, as in ``statevec.born_sample``.
+    """
+    w = bond.w
+    g0, g1 = gains
+    p0 = (g0 * g0 * w + 1.0 - w) / 2
+    if rng.random() < p0:
+        q, g, p = 0, g0, p0
+    else:
+        q, g, p = 1, g1, (g1 * g1 * w + 1.0 - w) / 2
+    scale = 1.0 / math.sqrt(2 * p)
+    bond.alpha *= g * scale
+    bond.beta *= scale
+    bond.w = g * g * w / (2 * p)
+    return q
 
 
 def peak_energy(k0: int, k1: int, epsilon: float) -> float:
@@ -242,9 +329,7 @@ class ChainOps:
 
     n: int
     mode: str
-    epsilon: float
     projector: np.ndarray
-    kraus: KrausPair
     site: SpinMatrices
     reference: AkltReference
 
@@ -257,15 +342,12 @@ class ChainOps:
         return odd, even
 
 
-def build_chain(n: int, mode: str = "spin1", epsilon: float = 0.5) -> ChainOps:
-    proj = bond_projector(mode)
+def build_chain(n: int, mode: str = "spin1") -> ChainOps:
     reference = aklt_state(n) if mode == "spin1" else qubit_map.reencoded_reference(n)
     return ChainOps(
         n=n,
         mode=mode,
-        epsilon=epsilon,
-        projector=proj,
-        kraus=measurement_kraus(epsilon, proj),
+        projector=bond_projector(mode),
         site=site_matrices(mode),
         reference=reference,
     )
@@ -302,6 +384,9 @@ def mite_subroutine(
     visit may fire several times (each backed by its own complete run)
     before it converges or gives up.
 
+    Measurements run on the two-level kernel: one projector application
+    opens the visit and one follows each correction.
+
     ``counter`` carries the bond's record across invocations; a fresh one
     is used when omitted.  When ``bond_series`` is given, (cumulative
     measurement count, partial fidelity) pairs are appended after every
@@ -310,11 +395,13 @@ def mite_subroutine(
     if counter is None:
         counter = MeasurementCounter()
     e_th = config.e_th(chain.mode)
+    gains = measurement_gains(config.epsilon)
     stats = SubroutineStats(bond=j)
+    bond = TwoLevelBond.open(state, j, chain.projector)
     streak = 0
     t = 0
     while t < config.n_iter:
-        q, state = born_sample(chain.kraus, j, state, rng)
+        q = two_level_sample(bond, gains, rng)
         t += 1
         stats.measurements += 1
         counter.record(q)
@@ -323,7 +410,8 @@ def mite_subroutine(
         e_peak = peak_energy(counter.k0, counter.k1, config.epsilon)
         stats.e_peak_last = e_peak
         if counter.run1 >= config.fire_window and e_peak >= e_th:
-            state = apply_two_site(correction_unitary(chain.site, rng), j, state)
+            kick = correction_unitary(chain.site, rng)
+            bond = TwoLevelBond.open(apply_two_site(kick, j, bond.state()), j, chain.projector)
             stats.corrections += 1
             counter.reset()
             streak = 0
@@ -331,13 +419,11 @@ def mite_subroutine(
         else:
             streak = streak + 1 if e_peak < e_th else 0
         if bond_series is not None:
-            bond_series.append(
-                (bond_t0 + stats.measurements, partial_fidelity(state, j, chain.projector))
-            )
+            bond_series.append((bond_t0 + stats.measurements, min(1.0, max(0.0, 1.0 - bond.w))))
         if streak >= config.window:
             stats.converged = True
             break
-    return state, stats
+    return bond.state(), stats
 
 
 def sweep_round(
@@ -376,7 +462,7 @@ def apply_noise(
     axis: str,
     sigma2: float,
     rng: np.random.Generator,
-    site: SpinMatrices | None = None,
+    site: SpinMatrices,
 ) -> StateVector:
     """Random local rotations exp(i xi_j S_j^axis) on every site.
 
@@ -387,8 +473,6 @@ def apply_noise(
     """
     if sigma2 == 0.0:
         return state
-    if site is None:
-        site = site_matrices("spin1" if state.d == 3 else "qubit")
     unit = _AXES[axis]
     scale = math.sqrt(sigma2 / 2.0)
     for j in range(1, state.n_sites + 1):
@@ -428,7 +512,7 @@ def prepare(config: MiteConfig, n: int, mode: str = "spin1") -> TrajectoryRecord
     (qubit), optionally applies noise at the top of each round, and sweeps
     until ``r_max`` rounds or the early-stop fidelity is reached.
     """
-    chain = build_chain(n, mode, config.epsilon)
+    chain = build_chain(n, mode)
     config.e_th(mode)  # validate threshold up front
     rng = np.random.default_rng(config.seed)
     state = chain.initial_state()

@@ -175,7 +175,8 @@ def born_sample(
 
     Outcome ``q`` is drawn with probability ||m_q psi||^2; the returned state
     is the renormalized post-measurement state.  Exactly one uniform variate
-    is consumed per call.
+    is consumed per call.  This is the full-state oracle: jobs sample
+    through ``mite.two_level_sample``, which ``verify`` checks against it.
     """
     psi0 = apply_two_site(kraus.m0, j, state)
     p0 = float(np.vdot(psi0.amps, psi0.amps).real)

@@ -232,6 +232,117 @@ def check_born_frequencies():
     return dev <= 3.0, f"empirical p0 {hits / n:.4f} vs {p0:.4f} ({dev:.2f} sigma)"
 
 
+def reference_visit(state, j, chain, config, rng, counter, bond_series, bond_t0):
+    """``mite.mite_subroutine`` on the full state: every measurement is one
+    ``statevec.born_sample`` with the matrix Kraus pair, under the same
+    trigger logic, and the bond series reads ``statevec.partial_fidelity``."""
+    kraus = mite.measurement_kraus(config.epsilon, chain.projector)
+    e_th = config.e_th(chain.mode)
+    stats = mite.SubroutineStats(bond=j)
+    streak = t = 0
+    while t < config.n_iter:
+        q, state = statevec.born_sample(kraus, j, state, rng)
+        t += 1
+        stats.measurements += 1
+        counter.record(q)
+        if counter.total > config.counter_cap:
+            counter.rescale()
+        e_peak = mite.peak_energy(counter.k0, counter.k1, config.epsilon)
+        stats.e_peak_last = e_peak
+        if counter.run1 >= config.fire_window and e_peak >= e_th:
+            state = statevec.apply_two_site(mite.correction_unitary(chain.site, rng), j, state)
+            stats.corrections += 1
+            counter.reset()
+            streak = t = 0
+        else:
+            streak = streak + 1 if e_peak < e_th else 0
+        bond_series.append(
+            (bond_t0 + stats.measurements, statevec.partial_fidelity(state, j, chain.projector))
+        )
+        if streak >= config.window:
+            stats.converged = True
+            break
+    return state, stats
+
+
+def reference_trajectory(config, n: int, mode: str) -> mite.TrajectoryRecord:
+    """``mite.prepare`` with every visit run by ``reference_visit``; fills
+    the record fields the two-level kernel must reproduce."""
+    chain = mite.build_chain(n, mode)
+    rng = np.random.default_rng(config.seed)
+    state = chain.initial_state()
+    counters = {j: mite.MeasurementCounter() for j in range(1, n + 1)}
+    series = {j: [] for j in range(1, n + 1)}
+    rec = mite.TrajectoryRecord(
+        n=n, mode=mode, seed=config.seed, rounds_executed=0,
+        f_tot=[statevec.fidelity(state, chain.reference.state)], partial=[], e_peak=[],
+        corrections=[], measurements=[], converged_round=None, bond_series=series,
+    )
+    odd, even = chain.bonds()
+    for r in range(1, config.r_max + 1):
+        if config.noise_axis is not None:
+            state = mite.apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
+        by_bond = {}
+        for j in odd + even:
+            state, by_bond[j] = reference_visit(
+                state, j, chain, config, rng, counters[j], series[j], len(series[j])
+            )
+            if by_bond[j].corrections > 0:
+                counters[1 + (j - 2) % n].reset()
+                counters[1 + j % n].reset()
+        rec.rounds_executed = r
+        rec.f_tot.append(statevec.fidelity(state, chain.reference.state))
+        rec.e_peak.append([by_bond[j].e_peak_last for j in range(1, n + 1)])
+        rec.corrections.append(sum(st.corrections for st in by_bond.values()))
+        rec.measurements.append([by_bond[j].measurements for j in range(1, n + 1)])
+        if config.early_stop is not None and rec.f_tot[-1] > 1.0 - config.early_stop:
+            rec.converged_round = r
+            break
+    return rec
+
+
+TWO_LEVEL_CASES = ((4, "spin1"), (6, "spin1"), (5, "qubit"))
+
+
+def check_two_level_kernel(cases=TWO_LEVEL_CASES, seeds=(0,), r_max: int = 10):
+    """``mite.prepare`` against ``reference_trajectory``, noiseless and with
+    z-noise sigma2 = 1e-2, bond series on: identical outcome, measurement
+    and correction records, fidelities and bond series within 1e-12."""
+    tol = 1e-12
+    worst_f = worst_series = 0.0
+    diverged = []
+    for n, mode in cases:
+        for sigma2 in (0.0, 1e-2):
+            for seed in seeds:
+                config = mite.MiteConfig(
+                    seed=seed, r_max=r_max, record_bond_series=True,
+                    noise_axis="z" if sigma2 else None, noise_sigma2=sigma2,
+                )
+                got = mite.prepare(config, n, mode)
+                want = reference_trajectory(config, n, mode)
+                same = (
+                    got.e_peak == want.e_peak
+                    and got.measurements == want.measurements
+                    and got.corrections == want.corrections
+                    and got.converged_round == want.converged_round
+                    and all(
+                        [t for t, _ in got.bond_series[j]] == [t for t, _ in want.bond_series[j]]
+                        for j in want.bond_series
+                    )
+                )
+                if not same:
+                    diverged.append(f"{mode} N={n} sigma2={sigma2} seed={seed}")
+                    continue
+                worst_f = max(worst_f, _maxabs(np.subtract(got.f_tot, want.f_tot)))
+                for j, pairs in want.bond_series.items():
+                    diff = np.subtract([f for _, f in got.bond_series[j]], [f for _, f in pairs])
+                    worst_series = max(worst_series, _maxabs(diff))
+    detail = f"worst |dF| {worst_f:.2e}, worst bond-series diff {worst_series:.2e}"
+    if diverged:
+        detail = f"records diverge: {', '.join(diverged)}; " + detail
+    return not diverged and worst_f <= tol and worst_series <= tol, detail
+
+
 def all_checks(defect_mode: str | None = None) -> list[tuple[str, bool, str]]:
     """Run every named check; ``defect_mode`` injects deliberate faults."""
     checks = [
@@ -257,6 +368,7 @@ def all_checks(defect_mode: str | None = None) -> list[tuple[str, bool, str]]:
         ("ansatz_circuit_unitarity", check_circuit_unitarity),
         ("gradient_finite_difference", check_gradient_finite_difference),
         ("born_rule_frequencies", check_born_frequencies),
+        ("two_level_kernel_matches_full_state", check_two_level_kernel),
     ]
     results = []
     for name, fn in checks:

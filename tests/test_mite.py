@@ -6,8 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from aklt_mite import mite, spin_ops
-from aklt_mite.statevec import StateVector, apply_two_site, born_sample, fidelity, product_state
+from aklt_mite import mite, spin_ops, statevec, verify
+from aklt_mite.statevec import (
+    StateVector,
+    apply_two_site,
+    born_sample,
+    fidelity,
+    partial_fidelity,
+    product_state,
+)
 
 from conftest import random_unit_vector
 
@@ -142,18 +149,18 @@ def record_visits(monkeypatch):
     """Log what the subroutine does, in order: each measurement outcome q
     (0 or 1) and ``"fire"`` for each correction."""
     events = []
-    sample, correction = mite.born_sample, mite.correction_unitary
+    sample, correction = mite.two_level_sample, mite.correction_unitary
 
     def logged_sample(*args):
-        q, state = sample(*args)
+        q = sample(*args)
         events.append(q)
-        return q, state
+        return q
 
     def logged_correction(*args):
         events.append("fire")
         return correction(*args)
 
-    monkeypatch.setattr(mite, "born_sample", logged_sample)
+    monkeypatch.setattr(mite, "two_level_sample", logged_sample)
     monkeypatch.setattr(mite, "correction_unitary", logged_correction)
     return events
 
@@ -166,8 +173,7 @@ class TestSubroutine:
         cfg = mite.MiteConfig(seed=0)
         chain = mite.build_chain(3, "spin1")
         two_site = mite.ChainOps(
-            n=2, mode="spin1", epsilon=0.5, projector=chain.projector,
-            kraus=chain.kraus, site=chain.site, reference=None,
+            n=2, mode="spin1", projector=chain.projector, site=chain.site, reference=None,
         )
         events = record_visits(monkeypatch)
         fired = 0
@@ -186,6 +192,8 @@ class TestSubroutine:
                     first_fire_meas.append(events.index("fire"))
                     break
         assert fired / runs > 0.99
+        # the log holds the outcomes: every trigger follows a complete excited run
+        assert min(first_fire_meas) >= cfg.fire_window
         # the trigger needs one clean run of excited outcomes: tens, not hundreds
         assert np.median(first_fire_meas) <= 3 * cfg.fire_window
 
@@ -252,6 +260,68 @@ class TestSubroutine:
         assert np.array_equal(out[0][2], out[1][2])
 
 
+class TestTwoLevelKernel:
+    @pytest.mark.parametrize("case", verify.TWO_LEVEL_CASES, ids=lambda c: f"{c[1]}-n{c[0]}")
+    def test_matches_full_state_reference(self, case):
+        passed, detail = verify.check_two_level_kernel(cases=[case], seeds=(0, 1, 2), r_max=30)
+        assert passed, detail
+
+    def test_reference_check_catches_a_wrong_collapse(self, monkeypatch):
+        # the kernel collapses with epsilon off by 1e-9; the invariants still hold
+        gains = mite.measurement_gains
+        monkeypatch.setattr(mite, "measurement_gains", lambda eps: gains(eps + 1e-9))
+        passed, detail = verify.check_two_level_kernel(cases=[(4, "spin1")], r_max=5)
+        assert not passed, detail
+
+    def test_one_projector_application_per_stretch(self, monkeypatch):
+        chain = mite.build_chain(3, "spin1")
+        calls = []
+        apply = mite.apply_two_site
+
+        def counted(op, j, state):
+            calls.append(op is chain.projector)
+            return apply(op, j, state)
+
+        def forbidden(*args):
+            raise AssertionError("the job path called the full-state sampler")
+
+        monkeypatch.setattr(mite, "apply_two_site", counted)
+        monkeypatch.setattr(statevec, "born_sample", forbidden)
+        rng = np.random.default_rng(1)
+        counter = mite.MeasurementCounter()
+        corrections = 0
+        for visit in range(6):
+            calls.clear()
+            state, stats = mite.mite_subroutine(
+                chain.initial_state(), 1 + visit % 3, chain, mite.MiteConfig(), rng, counter
+            )
+            corrections += stats.corrections
+            assert calls.count(True) == 1 + stats.corrections
+            assert calls.count(False) == stats.corrections  # the kicks
+        assert corrections > 0
+
+    def test_sampling_matches_the_full_state_collapse(self, proj9, rng):
+        state = StateVector(random_unit_vector(rng, 81), 4, 3)
+        kraus = mite.measurement_kraus(0.5, proj9)
+        bond = mite.TwoLevelBond.open(state, 2, proj9)
+        gains = mite.measurement_gains(0.5)
+        for seed in range(20):
+            q = mite.two_level_sample(bond, gains, np.random.default_rng(seed))
+            q_full, state = born_sample(kraus, 2, state, np.random.default_rng(seed))
+            assert q == q_full
+            assert abs(1 - bond.w - partial_fidelity(state, 2, proj9)) <= 1e-12
+        assert np.max(np.abs(bond.state().amps - state.amps)) <= 1e-12
+
+    @pytest.mark.parametrize("field, value", [("alpha", 1.1), ("beta", 0.9), ("w", 1.01), ("w", -0.01)])
+    def test_corrupted_scalars_raise_naming_the_bond(self, proj9, rng, field, value):
+        state = StateVector(random_unit_vector(rng, 81), 4, 3)
+        bond = mite.TwoLevelBond.open(state, 3, proj9)
+        mite.two_level_sample(bond, mite.measurement_gains(0.5), rng)
+        setattr(bond, field, value if field == "w" else value * getattr(bond, field))
+        with pytest.raises(RuntimeError, match="bond 3"):
+            bond.state()
+
+
 class TestSweepRound:
     def test_bond_order_n6(self):
         cfg = mite.MiteConfig(seed=0)
@@ -305,19 +375,19 @@ class TestNoise:
         state = product_state(3, d=3, local=1)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        out = mite.apply_noise(state, "x", 0.0, rng)
+        out = mite.apply_noise(state, "x", 0.0, rng, spin_ops.site_matrices("spin1"))
         assert np.array_equal(out.amps, state.amps)
         assert rng.bit_generator.state == before
 
     def test_z_noise_preserves_amplitude_magnitudes(self):
         # diagonal generator: only phases move on an Sz-basis product state
         state = product_state(3, d=3, local=0)
-        out = mite.apply_noise(state, "z", 0.01, np.random.default_rng(4))
+        out = mite.apply_noise(state, "z", 0.01, np.random.default_rng(4), spin_ops.site_matrices("spin1"))
         assert np.allclose(np.abs(out.amps), np.abs(state.amps), atol=1e-12)
 
     def test_norm_preserved(self, rng):
         state = StateVector(random_unit_vector(rng, 81), 4, 3)
-        out = mite.apply_noise(state, "x", 0.05, rng)
+        out = mite.apply_noise(state, "x", 0.05, rng, spin_ops.site_matrices("spin1"))
         assert abs(out.norm() - 1.0) <= 1e-12
 
     def test_noiseless_config_matches_noise_free_run(self):
