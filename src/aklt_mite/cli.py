@@ -68,7 +68,6 @@ def _build_parser() -> _Parser:
     rec.add_argument("--hops", type=int, help="restart hops per repetition")
     ver = sub.add_parser("verify", help="run the operator-identity check suite")
     ver.add_argument("--out", type=Path, help="JSON report path (default stdout)")
-    ver.add_argument("--defect", help=argparse.SUPPRESS)  # fault injection, tests only
     return p
 
 
@@ -345,8 +344,8 @@ def run_recompile(cfg: dict, out: Path) -> int:
     return 0
 
 
-def run_verify(out: Path | None, defect: str | None) -> int:
-    results = verify.all_checks(defect_mode=defect)
+def run_verify(out: Path | None) -> int:
+    results = verify.all_checks()
     payload = {
         "version": __version__,
         "checks": [
@@ -369,7 +368,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify":
-            return run_verify(getattr(args, "out", None), getattr(args, "defect", None))
+            return run_verify(getattr(args, "out", None))
         cfg = resolve_config(args)
         cfg = validate(cfg, args.command)
         out = getattr(args, "out", None)

@@ -40,14 +40,20 @@ Counters persist across sweep rounds otherwise.  The iteration cap
 subroutine visit resolves its bond (kick, re-collapse, re-check) instead
 of carrying half-finished repairs into the next round.
 
-A sweep round runs the subroutine over all odd bonds, then all even bonds.
+A sweep round runs the subroutine over all odd bonds, then all even bonds
+(``sweep_order``).
 
 Between corrections a visit never leaves the plane span{P psi, (1 - P) psi}
 of its bond: both measurement operators are (1 + (g_q - 1) P) / sqrt(2).
 ``two_level_sample`` therefore samples and collapses on the excited weight
 w = <psi|P|psi> alone, and the full state is built only before a correction
-and at the end of the visit.  ``statevec.born_sample`` on the matrix
-Kraus pair is its full-state oracle (``verify``).
+and at the end of the visit.  This bond kernel is the one part of the loop
+a caller can swap: ``prepare``, ``sweep_round`` and ``mite_subroutine`` take
+a ``kernel`` (default ``TwoLevelBond``), and ``verify`` runs the same loop
+with a full-state kernel that collapses with ``statevec.born_sample`` on the
+matrix Kraus pair.  A kernel provides ``open(state, j, projector)``, which
+returns a bond with ``sample(gains, rng) -> q``, ``state()`` and the excited
+weight ``w``.
 
 RNG discipline (one trajectory = one ``numpy`` Generator): each round
 first draws per-site noise angles (sites 1..N, only when noise is active),
@@ -223,7 +229,8 @@ class TwoLevelBond:
     The state is alpha P psi0 + beta (1 - P) psi0 for the state psi0 the
     stretch started from, with ``excited`` = P psi0, and ``w`` is its
     excited weight <psi|P|psi>.  ``open`` pays the stretch's one projector
-    application; ``state`` builds the full vector back.
+    application; ``sample`` is ``two_level_sample``; ``state`` builds the
+    full vector back.
     """
 
     j: int
@@ -243,6 +250,9 @@ class TwoLevelBond:
     def _check_weight(self):
         if not -_WEIGHT_TOL <= self.w <= 1.0 + _WEIGHT_TOL:
             raise RuntimeError(f"bond {self.j}: excited weight {self.w!r} outside [0, 1]")
+
+    def sample(self, gains: tuple[float, float], rng: np.random.Generator) -> int:
+        return two_level_sample(self, gains, rng)
 
     def state(self) -> StateVector:
         """alpha P psi0 + beta (1 - P) psi0, renormalized by its own norm.
@@ -323,6 +333,11 @@ def correction_unitary(site: SpinMatrices, rng: np.random.Generator) -> np.ndarr
     return np.kron(left, right)
 
 
+def sweep_order(n: int) -> list[int]:
+    """Bonds in the order one sweep visits them: all odd, then all even."""
+    return list(range(1, n + 1, 2)) + list(range(2, n + 1, 2))
+
+
 @dataclass(frozen=True)
 class ChainOps:
     """Operators and reference state for one (n, mode) chain."""
@@ -335,11 +350,6 @@ class ChainOps:
 
     def initial_state(self) -> StateVector:
         return product_state(self.n, d=self.site.dim, local=0)
-
-    def bonds(self) -> tuple[list[int], list[int]]:
-        odd = list(range(1, self.n + 1, 2))
-        even = list(range(2, self.n + 1, 2))
-        return odd, even
 
 
 def build_chain(n: int, mode: str = "spin1") -> ChainOps:
@@ -372,7 +382,7 @@ def mite_subroutine(
     rng: np.random.Generator,
     counter: MeasurementCounter | None = None,
     bond_series: list[tuple[int, float]] | None = None,
-    bond_t0: int = 0,
+    kernel=TwoLevelBond,
 ) -> tuple[StateVector, SubroutineStats]:
     """Run one measure-and-correct subroutine on bond ``j``.
 
@@ -384,24 +394,26 @@ def mite_subroutine(
     visit may fire several times (each backed by its own complete run)
     before it converges or gives up.
 
-    Measurements run on the two-level kernel: one projector application
-    opens the visit and one follows each correction.
+    Measurements run on ``kernel``: it opens the bond at the start of the
+    visit and again after each correction, and samples every outcome.  The
+    default two-level kernel pays one projector application per opening.
 
     ``counter`` carries the bond's record across invocations; a fresh one
-    is used when omitted.  When ``bond_series`` is given, (cumulative
-    measurement count, partial fidelity) pairs are appended after every
-    measurement, with counts offset by ``bond_t0``.
+    is used when omitted.  When ``bond_series`` is given, one (measurement
+    index, partial fidelity) pair is appended after every measurement; the
+    index counts the bond's measurements over all visits, so it is
+    ``len(bond_series)`` after the append.
     """
     if counter is None:
         counter = MeasurementCounter()
     e_th = config.e_th(chain.mode)
     gains = measurement_gains(config.epsilon)
     stats = SubroutineStats(bond=j)
-    bond = TwoLevelBond.open(state, j, chain.projector)
+    bond = kernel.open(state, j, chain.projector)
     streak = 0
     t = 0
     while t < config.n_iter:
-        q = two_level_sample(bond, gains, rng)
+        q = bond.sample(gains, rng)
         t += 1
         stats.measurements += 1
         counter.record(q)
@@ -411,7 +423,7 @@ def mite_subroutine(
         stats.e_peak_last = e_peak
         if counter.run1 >= config.fire_window and e_peak >= e_th:
             kick = correction_unitary(chain.site, rng)
-            bond = TwoLevelBond.open(apply_two_site(kick, j, bond.state()), j, chain.projector)
+            bond = kernel.open(apply_two_site(kick, j, bond.state()), j, chain.projector)
             stats.corrections += 1
             counter.reset()
             streak = 0
@@ -419,7 +431,7 @@ def mite_subroutine(
         else:
             streak = streak + 1 if e_peak < e_th else 0
         if bond_series is not None:
-            bond_series.append((bond_t0 + stats.measurements, min(1.0, max(0.0, 1.0 - bond.w))))
+            bond_series.append((len(bond_series) + 1, min(1.0, max(0.0, 1.0 - bond.w))))
         if streak >= config.window:
             stats.converged = True
             break
@@ -433,23 +445,19 @@ def sweep_round(
     rng: np.random.Generator,
     counters: dict[int, MeasurementCounter] | None = None,
     bond_series: dict[int, list] | None = None,
-    bond_t0: dict[int, int] | None = None,
+    kernel=TwoLevelBond,
 ) -> tuple[StateVector, list[SubroutineStats]]:
     """One full sweep: subroutines on all odd bonds, then all even bonds."""
     if counters is None:
         counters = {j: MeasurementCounter() for j in range(1, chain.n + 1)}
-    odd, even = chain.bonds()
     stats: list[SubroutineStats] = []
-    for j in odd + even:
+    for j in sweep_order(chain.n):
         series = bond_series.get(j) if bond_series is not None else None
-        t0 = bond_t0.get(j, 0) if bond_t0 is not None else 0
-        state, st = mite_subroutine(state, j, chain, config, rng, counters[j], series, t0)
+        state, st = mite_subroutine(state, j, chain, config, rng, counters[j], series, kernel)
         if st.corrections > 0:
             # neighbors' evidence refers to a state the correction destroyed
             counters[1 + (j - 2) % chain.n].reset()
             counters[1 + j % chain.n].reset()
-        if bond_t0 is not None:
-            bond_t0[j] = t0 + st.measurements
         stats.append(st)
     return state, stats
 
@@ -505,12 +513,15 @@ class TrajectoryRecord:
     bond_series: dict[int, list[tuple[int, float]]] | None = None
 
 
-def prepare(config: MiteConfig, n: int, mode: str = "spin1") -> TrajectoryRecord:
+def prepare(
+    config: MiteConfig, n: int, mode: str = "spin1", kernel=TwoLevelBond
+) -> TrajectoryRecord:
     """Run one full preparation trajectory and record it.
 
     Starts from the all-(m=1) product state (spin1) or the all-|00> state
     (qubit), optionally applies noise at the top of each round, and sweeps
-    until ``r_max`` rounds or the early-stop fidelity is reached.
+    until ``r_max`` rounds or the early-stop fidelity is reached.  Every
+    measurement goes through ``kernel`` (see ``mite_subroutine``).
     """
     chain = build_chain(n, mode)
     config.e_th(mode)  # validate threshold up front
@@ -522,7 +533,6 @@ def prepare(config: MiteConfig, n: int, mode: str = "spin1") -> TrajectoryRecord
 
     counters = {j: MeasurementCounter() for j in range(1, n + 1)}
     bond_series = {j: [] for j in range(1, n + 1)} if config.record_bond_series else None
-    bond_t0 = {j: 0 for j in range(1, n + 1)} if config.record_bond_series else None
 
     def all_partials(s):
         return [partial_fidelity(s, j, chain.projector) for j in range(1, n + 1)]
@@ -539,7 +549,7 @@ def prepare(config: MiteConfig, n: int, mode: str = "spin1") -> TrajectoryRecord
     for r in range(1, config.r_max + 1):
         if noisy:
             state = apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
-        state, stats = sweep_round(state, chain, config, rng, counters, bond_series, bond_t0)
+        state, stats = sweep_round(state, chain, config, rng, counters, bond_series, kernel)
         rounds_executed = r
         by_bond = {st.bond: st for st in stats}
         f_tot.append(fidelity(state, chain.reference.state))
@@ -645,7 +655,7 @@ def direct_projection_converge(
     state = twisted_sx_product(n, twist)
     series = [fidelity(state, reference.state)]
     for _ in range(r_max):
-        for j in list(range(1, n + 1, 2)) + list(range(2, n + 1, 2)):
+        for j in sweep_order(n):
             state = apply_two_site(comp, j, state)
         nrm = state.norm()
         if nrm < 1e-15:

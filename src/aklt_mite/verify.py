@@ -1,19 +1,24 @@
 """Named self-checks covering every operator identity the method relies on.
 
-Each check returns (passed, detail).  The suite is what ``aklt-mite verify``
-runs; it is deliberately redundant with the test suite so a deployed build
-can be validated without a test harness present.  The ``expm`` oracles
-import scipy inside their checks, so importing this module (and with it the
-CLI) does not load scipy.
+Each check returns (passed, detail); ``CHECKS`` names them in the order
+``aklt-mite verify`` runs them.  The suite is deliberately redundant with
+the test suite so a deployed build can be validated without a test harness
+present.  The ``expm`` oracles import scipy inside their checks, so
+importing this module (and with it the CLI) does not load scipy.
+
+The two-level bond kernel's oracle is ``FullStateKernel``: ``mite.prepare``
+runs with it in place of ``mite.TwoLevelBond``, so both sides share every
+rule of the loop and differ only in how one measurement collapses the
+state.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import mite, qubit_map, recompile, spin_ops, statevec
-
-Check = tuple[str, "callable"]
 
 
 def _maxabs(x) -> float:
@@ -90,23 +95,14 @@ def check_adjacent_projectors_noncommute():
     return norm > 1e-6, f"commutator norm {norm:.3f} (must be nonzero)"
 
 
-def check_kraus_completeness(defect_mode: str | None = None):
-    tol = 1e-12
+def check_kraus_completeness():
     worst = 0.0
     for mode in ("spin1", "qubit"):
         p = spin_ops.bond_projector(mode)
-        if defect_mode == "kraus-half":
-            # deliberately corrupted normalization: 1/2 instead of 1/sqrt(2)
-            eye = np.eye(p.shape[0])
-            c, s = np.cos(0.5), np.sin(0.5)
-            m0 = (eye + (c - 1 - s) * p) / 2
-            m1 = (eye + (c - 1 + s) * p) / 2
-            comp = m0.conj().T @ m0 + m1.conj().T @ m1 - eye
-        else:
-            k = mite.measurement_kraus(0.5, p)
-            comp = k.m0.conj().T @ k.m0 + k.m1.conj().T @ k.m1 - np.eye(p.shape[0])
+        k = mite.measurement_kraus(0.5, p)
+        comp = k.m0.conj().T @ k.m0 + k.m1.conj().T @ k.m1 - np.eye(p.shape[0])
         worst = max(worst, _maxabs(comp))
-    return worst <= tol, f"completeness defect {worst:.2e}"
+    return worst <= 1e-12, f"completeness defect {worst:.2e}"
 
 
 def check_aklt_zero_energy():
@@ -232,84 +228,69 @@ def check_born_frequencies():
     return dev <= 3.0, f"empirical p0 {hits / n:.4f} vs {p0:.4f} ({dev:.2f} sigma)"
 
 
-def reference_visit(state, j, chain, config, rng, counter, bond_series, bond_t0):
-    """``mite.mite_subroutine`` on the full state: every measurement is one
-    ``statevec.born_sample`` with the matrix Kraus pair, under the same
-    trigger logic, and the bond series reads ``statevec.partial_fidelity``."""
-    kraus = mite.measurement_kraus(config.epsilon, chain.projector)
-    e_th = config.e_th(chain.mode)
-    stats = mite.SubroutineStats(bond=j)
-    streak = t = 0
-    while t < config.n_iter:
-        q, state = statevec.born_sample(kraus, j, state, rng)
-        t += 1
-        stats.measurements += 1
-        counter.record(q)
-        if counter.total > config.counter_cap:
-            counter.rescale()
-        e_peak = mite.peak_energy(counter.k0, counter.k1, config.epsilon)
-        stats.e_peak_last = e_peak
-        if counter.run1 >= config.fire_window and e_peak >= e_th:
-            state = statevec.apply_two_site(mite.correction_unitary(chain.site, rng), j, state)
-            stats.corrections += 1
-            counter.reset()
-            streak = t = 0
+@dataclasses.dataclass(frozen=True)
+class FullStateKernel:
+    """Bond kernel for ``mite.prepare`` that keeps the full state: each
+    measurement is one ``statevec.born_sample`` with the matrix Kraus pair
+    of ``epsilon``, and the excited weight is read back from the collapsed
+    vector."""
+
+    epsilon: float
+
+    def open(self, state, j, projector):
+        return FullStateBond(j, state, projector, mite.measurement_kraus(self.epsilon, projector))
+
+
+@dataclasses.dataclass
+class FullStateBond:
+    j: int
+    psi: statevec.StateVector
+    projector: np.ndarray
+    kraus: statevec.KrausPair
+
+    @property
+    def w(self) -> float:
+        return 1.0 - statevec.partial_fidelity(self.psi, self.j, self.projector)
+
+    def sample(self, gains, rng) -> int:
+        # ``gains`` feed the two-level kernel; this one collapses with its own pair
+        q, self.psi = statevec.born_sample(self.kraus, self.j, self.psi, rng)
+        return q
+
+    def state(self):
+        return self.psi
+
+
+# float series of a TrajectoryRecord; every other field must match exactly
+_FLOAT_FIELDS = ("f_tot", "partial", "sym_weight")
+
+
+def _split_record(record):
+    """A record as (exact fields, float arrays): bond-series indices go to
+    the exact part and their values to the float part."""
+    exact, floats = {}, {}
+    for field in dataclasses.fields(record):
+        name, value = field.name, getattr(record, field.name)
+        if value is not None and name in _FLOAT_FIELDS:
+            exact[name] = np.shape(value)
+            floats[name] = np.ravel(value)
+        elif value is not None and name == "bond_series":
+            exact[name] = {j: [t for t, _ in pairs] for j, pairs in value.items()}
+            floats[name] = np.array([f for pairs in value.values() for _, f in pairs])
         else:
-            streak = streak + 1 if e_peak < e_th else 0
-        bond_series.append(
-            (bond_t0 + stats.measurements, statevec.partial_fidelity(state, j, chain.projector))
-        )
-        if streak >= config.window:
-            stats.converged = True
-            break
-    return state, stats
-
-
-def reference_trajectory(config, n: int, mode: str) -> mite.TrajectoryRecord:
-    """``mite.prepare`` with every visit run by ``reference_visit``; fills
-    the record fields the two-level kernel must reproduce."""
-    chain = mite.build_chain(n, mode)
-    rng = np.random.default_rng(config.seed)
-    state = chain.initial_state()
-    counters = {j: mite.MeasurementCounter() for j in range(1, n + 1)}
-    series = {j: [] for j in range(1, n + 1)}
-    rec = mite.TrajectoryRecord(
-        n=n, mode=mode, seed=config.seed, rounds_executed=0,
-        f_tot=[statevec.fidelity(state, chain.reference.state)], partial=[], e_peak=[],
-        corrections=[], measurements=[], converged_round=None, bond_series=series,
-    )
-    odd, even = chain.bonds()
-    for r in range(1, config.r_max + 1):
-        if config.noise_axis is not None:
-            state = mite.apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
-        by_bond = {}
-        for j in odd + even:
-            state, by_bond[j] = reference_visit(
-                state, j, chain, config, rng, counters[j], series[j], len(series[j])
-            )
-            if by_bond[j].corrections > 0:
-                counters[1 + (j - 2) % n].reset()
-                counters[1 + j % n].reset()
-        rec.rounds_executed = r
-        rec.f_tot.append(statevec.fidelity(state, chain.reference.state))
-        rec.e_peak.append([by_bond[j].e_peak_last for j in range(1, n + 1)])
-        rec.corrections.append(sum(st.corrections for st in by_bond.values()))
-        rec.measurements.append([by_bond[j].measurements for j in range(1, n + 1)])
-        if config.early_stop is not None and rec.f_tot[-1] > 1.0 - config.early_stop:
-            rec.converged_round = r
-            break
-    return rec
+            exact[name] = value
+    return exact, floats
 
 
 TWO_LEVEL_CASES = ((4, "spin1"), (6, "spin1"), (5, "qubit"))
 
 
 def check_two_level_kernel(cases=TWO_LEVEL_CASES, seeds=(0,), r_max: int = 10):
-    """``mite.prepare`` against ``reference_trajectory``, noiseless and with
-    z-noise sigma2 = 1e-2, bond series on: identical outcome, measurement
-    and correction records, fidelities and bond series within 1e-12."""
-    tol = 1e-12
-    worst_f = worst_series = 0.0
+    """``mite.prepare`` against itself on ``FullStateKernel``, noiseless and
+    with z-noise sigma2 = 1e-2, bond series on: every integer and ``None``
+    field of the records identical (outcome, measurement and correction
+    records, bond-series indices), the float series within 1e-12."""
+    worst = dict.fromkeys(_FLOAT_FIELDS + ("bond_series",), 0.0)
     diverged = []
     for n, mode in cases:
         for sigma2 in (0.0, 1e-2):
@@ -318,60 +299,53 @@ def check_two_level_kernel(cases=TWO_LEVEL_CASES, seeds=(0,), r_max: int = 10):
                     seed=seed, r_max=r_max, record_bond_series=True,
                     noise_axis="z" if sigma2 else None, noise_sigma2=sigma2,
                 )
-                got = mite.prepare(config, n, mode)
-                want = reference_trajectory(config, n, mode)
-                same = (
-                    got.e_peak == want.e_peak
-                    and got.measurements == want.measurements
-                    and got.corrections == want.corrections
-                    and got.converged_round == want.converged_round
-                    and all(
-                        [t for t, _ in got.bond_series[j]] == [t for t, _ in want.bond_series[j]]
-                        for j in want.bond_series
-                    )
+                got, got_floats = _split_record(mite.prepare(config, n, mode))
+                want, want_floats = _split_record(
+                    mite.prepare(config, n, mode, kernel=FullStateKernel(config.epsilon))
                 )
-                if not same:
-                    diverged.append(f"{mode} N={n} sigma2={sigma2} seed={seed}")
+                differ = [name for name in want if got[name] != want[name]]
+                if differ:
+                    diverged.append(f"{mode} N={n} sigma2={sigma2} seed={seed} ({', '.join(differ)})")
                     continue
-                worst_f = max(worst_f, _maxabs(np.subtract(got.f_tot, want.f_tot)))
-                for j, pairs in want.bond_series.items():
-                    diff = np.subtract([f for _, f in got.bond_series[j]], [f for _, f in pairs])
-                    worst_series = max(worst_series, _maxabs(diff))
-    detail = f"worst |dF| {worst_f:.2e}, worst bond-series diff {worst_series:.2e}"
+                for name, values in want_floats.items():
+                    worst[name] = max(worst[name], _maxabs(got_floats[name] - values))
+    detail = "worst diff " + ", ".join(f"{name} {gap:.2e}" for name, gap in worst.items())
     if diverged:
-        detail = f"records diverge: {', '.join(diverged)}; " + detail
-    return not diverged and worst_f <= tol and worst_series <= tol, detail
+        detail = f"records diverge: {'; '.join(diverged)}; " + detail
+    return not diverged and max(worst.values()) <= 1e-12, detail
 
 
-def all_checks(defect_mode: str | None = None) -> list[tuple[str, bool, str]]:
-    """Run every named check; ``defect_mode`` injects deliberate faults."""
-    checks = [
-        ("spin1_su2_algebra", check_spin1_algebra),
-        ("spin1_casimir", check_spin1_casimir),
-        ("spin_half_algebra", check_spin_half_algebra),
-        ("bond_projector_idempotent", check_projector_idempotent),
-        ("bond_projector_hermitian_trace5", check_projector_hermitian_trace),
-        ("bond_projector_spectrum_0x4_1x5", check_projector_spectrum),
-        ("bond_projector_forms_agree", check_projector_forms_agree),
-        ("coupled_basis_projector_action", check_coupled_basis_action),
-        ("adjacent_projectors_noncommute", check_adjacent_projectors_noncommute),
-        ("kraus_completeness", lambda: check_kraus_completeness(defect_mode)),
-        ("aklt_zero_energy", check_aklt_zero_energy),
-        ("aklt_closed_form_matches_ed", check_aklt_closed_form_matches_ed),
-        ("aklt_common_projector", check_aklt_common_projector),
-        ("correction_unitarity", check_correction_unitarity),
-        ("mapped_projector_swap_symmetry", check_mapped_swap_symmetry),
-        ("mapped_projector_isometry_pullback", check_mapped_isometry_pullback),
-        ("qubit_reference_equivalence", check_qubit_reference_equivalence),
-        ("symmetric_weight_initial_state", check_symmetric_weight_initial),
-        ("target_unitary_closed_form", check_target_unitary_closed_form),
-        ("ansatz_circuit_unitarity", check_circuit_unitarity),
-        ("gradient_finite_difference", check_gradient_finite_difference),
-        ("born_rule_frequencies", check_born_frequencies),
-        ("two_level_kernel_matches_full_state", check_two_level_kernel),
-    ]
+CHECKS = [
+    ("spin1_su2_algebra", check_spin1_algebra),
+    ("spin1_casimir", check_spin1_casimir),
+    ("spin_half_algebra", check_spin_half_algebra),
+    ("bond_projector_idempotent", check_projector_idempotent),
+    ("bond_projector_hermitian_trace5", check_projector_hermitian_trace),
+    ("bond_projector_spectrum_0x4_1x5", check_projector_spectrum),
+    ("bond_projector_forms_agree", check_projector_forms_agree),
+    ("coupled_basis_projector_action", check_coupled_basis_action),
+    ("adjacent_projectors_noncommute", check_adjacent_projectors_noncommute),
+    ("kraus_completeness", check_kraus_completeness),
+    ("aklt_zero_energy", check_aklt_zero_energy),
+    ("aklt_closed_form_matches_ed", check_aklt_closed_form_matches_ed),
+    ("aklt_common_projector", check_aklt_common_projector),
+    ("correction_unitarity", check_correction_unitarity),
+    ("mapped_projector_swap_symmetry", check_mapped_swap_symmetry),
+    ("mapped_projector_isometry_pullback", check_mapped_isometry_pullback),
+    ("qubit_reference_equivalence", check_qubit_reference_equivalence),
+    ("symmetric_weight_initial_state", check_symmetric_weight_initial),
+    ("target_unitary_closed_form", check_target_unitary_closed_form),
+    ("ansatz_circuit_unitarity", check_circuit_unitarity),
+    ("gradient_finite_difference", check_gradient_finite_difference),
+    ("born_rule_frequencies", check_born_frequencies),
+    ("two_level_kernel_matches_full_state", check_two_level_kernel),
+]
+
+
+def all_checks() -> list[tuple[str, bool, str]]:
+    """Run every check in ``CHECKS``; a check that raises counts as failed."""
     results = []
-    for name, fn in checks:
+    for name, fn in CHECKS:
         try:
             passed, detail = fn()
         except Exception as exc:  # a crashed check is a failed check

@@ -1,15 +1,19 @@
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from aklt_mite import cli
+from aklt_mite import cli, mite, verify
 from aklt_mite.cli import main
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(args):
@@ -191,11 +195,52 @@ class TestVerify:
         assert report["total"] >= 12
         assert report["failures"] == []
 
-    def test_fault_injection_fails_named_check(self, tmp_path):
+    def test_fault_injection_fails_named_check(self, tmp_path, monkeypatch):
+        # a pair normalized by 1/2 instead of 1/sqrt(2), seen by a two-check suite
+        kraus = verify.mite.measurement_kraus
+
+        def half_normalized(epsilon, projector):
+            k = kraus(epsilon, projector)
+            return SimpleNamespace(m0=k.m0 / math.sqrt(2), m1=k.m1 / math.sqrt(2))
+
+        monkeypatch.setattr(verify.mite, "measurement_kraus", half_normalized)
+        monkeypatch.setattr(verify, "CHECKS", [
+            check for check in verify.CHECKS if check[0] in ("kraus_completeness", "spin1_casimir")
+        ])
         out = tmp_path / "verify_bad.json"
-        assert run(["verify", "--defect", "kraus-half", "--out", out]) == 3
+        assert run(["verify", "--out", out]) == 3
         report = json.loads(out.read_text())
+        assert report["total"] == 2
         assert report["failures"] == ["kraus_completeness"]
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer wraps package functions by name; a renamed
+    function or a changed return shape must fail here, not in a traced run."""
+
+    @pytest.fixture
+    def tracer_module(self):
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_traced_functions_exist(self, tracer_module):
+        for mod_name, fn_name, _, _ in tracer_module.TRACED:
+            module = importlib.import_module(f"aklt_mite.{mod_name}")
+            assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+
+    def test_prepare_records_visit_spans_and_cap_hook(self, tracer_module):
+        original = mite.mite_subroutine
+        tracer = tracer_module.Tracer()
+        tracer.install()  # needs every traced module loaded, as importing cli does
+        try:
+            mite.prepare(mite.MiteConfig(seed=1, r_max=3), 4, "spin1")
+        finally:
+            tracer.restore()
+        assert mite.mite_subroutine is original
+        assert tracer.calls["mite.mite_subroutine"] >= 4
+        assert "mite.cap_visits" in tracer.counts
 
 
 class TestThreadsEnv:

@@ -331,10 +331,7 @@ class TestSweepRound:
         assert [s.bond for s in stats] == [1, 3, 5, 2, 4, 6]
 
     def test_bond_partition_n4(self):
-        chain = mite.build_chain(4, "spin1")
-        odd, even = chain.bonds()
-        assert odd == [1, 3]
-        assert even == [2, 4]
+        assert mite.sweep_order(4) == [1, 3, 2, 4]
 
 
 class TestPrepare:
