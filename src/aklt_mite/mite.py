@@ -124,10 +124,11 @@ class MiteConfig:
     record_bond_series: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive")
+        # written so that NaN fails them: NaN compares false with everything
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if self.eta is not None and not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
         if not 1 <= self.window <= self.n_iter:
             raise ValueError("need n_iter >= window >= 1")
         if self.fire_window < 1:
@@ -138,8 +139,8 @@ class MiteConfig:
             raise ValueError("r_max must be nonnegative")
         if self.noise_axis not in (None, "x", "z"):
             raise ValueError("noise axis must be 'x' or 'z'")
-        if self.noise_sigma2 < 0:
-            raise ValueError("noise variance parameter must be nonnegative")
+        if not 0 <= self.noise_sigma2 < math.inf:
+            raise ValueError("noise variance parameter must be nonnegative and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

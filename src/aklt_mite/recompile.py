@@ -20,6 +20,7 @@ random-restart hops around the best point found.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,9 @@ def cnot_moment(parity: str) -> np.ndarray:
     raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
+_CNOT_MOMENTS = (cnot_moment("even"), cnot_moment("odd"))  # indexed by layer % 2
+
+
 def n_params(n_layers: int) -> int:
     return PARAMS_PER_MOMENT * (n_layers + 1)
 
@@ -91,28 +95,43 @@ class ParamCircuit:
             )
 
 
-def _gate_moment(block: np.ndarray) -> np.ndarray:
-    """Kron together five single-qubit gates, qubit 1 slowest."""
-    out = block[0]
-    for g in block[1:]:
-        out = np.kron(out, g)
+def _kron_gates(gates: np.ndarray) -> np.ndarray:
+    """Kron each row of a ``(B, 5, 2, 2)`` gate stack into a ``(B, 32, 32)``
+    moment, qubit 1 slowest.
+
+    One broadcast product per factor, multiplied left to right with the
+    accumulated kron on the left of each ``a * b``, which is the order and
+    operand order of a chain of ``np.kron`` calls: the entries are
+    bit-identical to ``np.kron(np.kron(g0, g1), ...)`` per row.
+    """
+    out = gates[:, 0]
+    for k in range(1, gates.shape[1]):
+        batch, dim = out.shape[0], 2 * out.shape[1]
+        out = (out[:, :, None, :, None] * gates[:, k, None, :, None, :]).reshape(batch, dim, dim)
     return out
 
 
-def _moments(circ: ParamCircuit) -> list[np.ndarray]:
-    """Circuit moments in application order (first applied first)."""
-    p = circ.params.reshape(-1, GATES_PER_MOMENT, 3)
-    moments = [_gate_moment([u3(*angles) for angles in p[0]])]
-    for layer in range(1, circ.n_layers + 1):
-        moments.append(cnot_moment("odd" if layer % 2 == 1 else "even"))
-        moments.append(_gate_moment([u3(*angles) for angles in p[layer]]))
+def _gate_stack(params: np.ndarray) -> np.ndarray:
+    """The ``u3`` gates of every gate moment, shape ``(n_layers + 1, 5, 2, 2)``."""
+    return np.array([[u3(*angles) for angles in block]
+                     for block in params.reshape(-1, GATES_PER_MOMENT, 3)])
+
+
+def _moments(gates: np.ndarray) -> list[np.ndarray]:
+    """Circuit moments in application order (first applied first): gate
+    moment 0, then a CNOT moment and a gate moment per layer."""
+    moments = []
+    for layer, moment in enumerate(_kron_gates(gates)):
+        if layer:
+            moments.append(_CNOT_MOMENTS[layer % 2])
+        moments.append(moment)
     return moments
 
 
 def circuit_unitary(circ: ParamCircuit) -> np.ndarray:
     """Evaluate the ansatz to its 32x32 unitary."""
     out = np.eye(DIM, dtype=complex)
-    for m in _moments(circ):
+    for m in _moments(_gate_stack(circ.params)):
         out = m @ out
     return out
 
@@ -141,11 +160,15 @@ def loss_and_grad(
     """Loss 1 - |Tr(V'U)|/d and its analytic gradient.
 
     The gradient differentiates one gate moment at a time against cached
-    prefix/suffix products; cross-checked against central finite differences
-    in the test suite.
+    prefix/suffix products: one batched kron builds the moment's 15
+    derivative moments (gate q replaced by d u3 / d angle a), and each angle
+    is one ``np.vdot`` with the moment's core.  Cross-checked against
+    central finite differences, and bit for bit against a per-angle
+    ``np.kron`` oracle, in the test suite.
     """
-    circ = ParamCircuit(n_layers, params)
-    moments = _moments(circ)
+    params = ParamCircuit(n_layers, params).params
+    gates = _gate_stack(params)
+    moments = _moments(gates)
     n_mom = len(moments)
 
     suffix = [np.eye(DIM, dtype=complex)]  # suffix[i] = M_{i-1} ... M_0
@@ -169,16 +192,43 @@ def loss_and_grad(
     for block in range(n_layers + 1):
         mom_idx = 2 * block  # gate moments sit at even positions
         core = prefix[mom_idx].conj().T @ target @ suffix[mom_idx].conj().T
-        gates = [u3(*angles) for angles in p[block]]
+        # row 3 q + a: this moment's gates with gate q replaced by d u3 / d angle a
+        dgates = np.repeat(gates[block, None], PARAMS_PER_MOMENT, axis=0)
         for q in range(GATES_PER_MOMENT):
             for a in range(3):
-                dgates = list(gates)
-                dgates[q] = _du3(*p[block, q], a)
-                dt = np.vdot(_gate_moment(dgates), core)
-                grad[block * PARAMS_PER_MOMENT + 3 * q + a] = (
-                    -(t.conjugate() * dt).real / (mag * DIM)
-                )
+                dgates[3 * q + a, q] = _du3(*p[block, q], a)
+        for k, dmoment in enumerate(_kron_gates(dgates)):
+            dt = np.vdot(dmoment, core)
+            grad[block * PARAMS_PER_MOMENT + k] = -(t.conjugate() * dt).real / (mag * DIM)
     return loss, grad
+
+
+def schmidt_fidelity_bound(target: np.ndarray, n_layers: int) -> float:
+    """Upper bound on ``unitary_fidelity(circuit_unitary(c), target)`` over
+    every depth-``n_layers`` ansatz ``c``, from operator Schmidt ranks.
+
+    Across the cut between qubits k and k+1 only the CNOTs on that pair
+    cross: odd layers cross cuts 1|2 and 3|4, even layers 2|3 and 4|5.  A
+    CNOT has operator Schmidt rank 2 and single-qubit gates rank 1, so the
+    ansatz V has rank at most r = 2^(layers crossing the cut).  With
+    ``target`` U reshaped across the cut and s_i its singular values,
+    Cauchy-Schwarz against the best rank-r approximation gives
+    |Tr(V'U)| <= ||V||_F sqrt(sum_{i<=r} s_i^2), and ||V||_F = sqrt(d) for
+    a unitary V, so the fidelity is at most sqrt(sum_{i<=r} s_i^2 / d) on
+    every cut.  The bound is the minimum over the four cuts.
+    """
+    if n_layers < 0:
+        raise ValueError("n_layers must be nonnegative")
+    tensor = target.reshape((2,) * (2 * N_QUBITS))  # row qubits, then column qubits
+    bound = math.inf
+    for cut in range(1, N_QUBITS):
+        left = [*range(cut), *range(N_QUBITS, N_QUBITS + cut)]
+        right = [*range(cut, N_QUBITS), *range(N_QUBITS + cut, 2 * N_QUBITS)]
+        matrix = tensor.transpose(left + right).reshape(4**cut, -1)
+        weights = np.linalg.svd(matrix, compute_uv=False) ** 2 / DIM
+        rank = 2 ** ((n_layers + cut % 2) // 2)  # odd cuts cross on odd layers
+        bound = min(bound, math.sqrt(weights[:rank].sum()))
+    return bound
 
 
 @dataclass
@@ -220,7 +270,8 @@ def optimize_once(
 
     Each hop jitters the best parameters by uniform noise of amplitude
     ``hop_size`` (clipped to the box) and re-runs the local optimizer.
-    Non-finite losses abort the repetition, which is recorded as failed.
+    A non-finite loss, from the first run or any hop, aborts the repetition,
+    which is recorded as failed.
     """
     from scipy.optimize import minimize  # imported here so that no other job loads scipy
 
@@ -242,14 +293,19 @@ def optimize_once(
         iterations += res.nit
         return res
 
+    def failed(hops_used):
+        return RepetitionResult(n_layers, -1, float("nan"), hops_used, iterations, failed=True)
+
     best = local(rng.uniform(0.0, 2 * np.pi, npar))
+    if not np.isfinite(best.fun):
+        return failed(0)
     hops_used = 0
     for _ in range(cfg.n_hops):
         jitter = rng.uniform(-cfg.hop_size, cfg.hop_size, npar)
         res = local(np.clip(best.x + jitter, 0.0, 2 * np.pi))
         hops_used += 1
         if not np.isfinite(res.fun):
-            return RepetitionResult(n_layers, -1, float("nan"), hops_used, iterations, failed=True)
+            return failed(hops_used)
         if res.fun < best.fun:
             best = res
     return RepetitionResult(

@@ -215,6 +215,29 @@ def check_gradient_finite_difference():
     return worst <= 1e-4, f"max relative error {worst:.2e}"
 
 
+def check_schmidt_fidelity_bound():
+    """Random depth-L ansatz unitaries meet their own Schmidt bound at
+    depth L (the layer-to-cut rank count is not too small) and miss it at
+    depth L - 1 (nor too large); their fidelities to the target stay below
+    the target's bound, which stays below 0.9999 up to depth 7."""
+    rng = np.random.default_rng(7)
+    target = recompile.target_unitary(0.5)
+    own, below, over = 1.0, 0.0, 0.0
+    for n_layers in range(1, 5):
+        params = rng.uniform(0, 2 * np.pi, recompile.n_params(n_layers))
+        u = recompile.circuit_unitary(recompile.ParamCircuit(n_layers, params))
+        own = min(own, recompile.schmidt_fidelity_bound(u, n_layers))
+        below = max(below, recompile.schmidt_fidelity_bound(u, n_layers - 1))
+        over = max(over, recompile.unitary_fidelity(u, target)
+                   - recompile.schmidt_fidelity_bound(target, n_layers))
+    ceiling = max(recompile.schmidt_fidelity_bound(target, n) for n in range(8))
+    passed = own >= 1 - 1e-12 and below <= 0.99 and over <= 0 and ceiling < 0.9999
+    return passed, (
+        f"ansatz at own depth {own:.15f}, one layer less {below:.4f}; "
+        f"target bound up to depth 7 {ceiling:.5f}"
+    )
+
+
 def check_born_frequencies():
     p = spin_ops.bond_projector("spin1")
     kraus = mite.measurement_kraus(0.5, p)
@@ -337,6 +360,7 @@ CHECKS = [
     ("target_unitary_closed_form", check_target_unitary_closed_form),
     ("ansatz_circuit_unitarity", check_circuit_unitarity),
     ("gradient_finite_difference", check_gradient_finite_difference),
+    ("recompile_schmidt_fidelity_bound", check_schmidt_fidelity_bound),
     ("born_rule_frequencies", check_born_frequencies),
     ("two_level_kernel_matches_full_state", check_two_level_kernel),
 ]

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from aklt_mite import cli, mite, verify
+from aklt_mite import cli, mite, recompile, verify
 from aklt_mite.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -133,6 +133,14 @@ class TestNoise:
         assert run(["noise", "--n", 3, "--runs", 1, "--sigma2", 0.01,
                     "--out", tmp_path / "x.csv"]) == 1
 
+    @pytest.mark.parametrize("flags", [["--eta", "nan"], ["--sigma2", "nan"]])
+    def test_nonfinite_values_rejected_without_output(self, tmp_path, capsys, flags):
+        out = tmp_path / "never.csv"
+        assert run(["noise", "--n", 3, "--runs", 1, "--rounds", 3, "--noise-axis", "z",
+                    "--sigma2", 1e-2, *flags, "--out", out]) == 1
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_noise_smoke(self, tmp_path):
         out = tmp_path / "noise.csv"
         assert run(["noise", "--n", 3, "--runs", 1, "--rounds", 3, "--seed", 0,
@@ -177,6 +185,8 @@ class TestRecompile:
         ["--maxiter", 0],
         ["--hops", -1],
         ["--seed", -1],
+        ["--epsilon", "nan"],
+        ["--epsilon", "inf"],
     ])
     def test_bad_inputs_rejected_without_output(self, tmp_path, capsys, flags):
         out = tmp_path / "never.csv"
@@ -241,6 +251,23 @@ class TestBenchmarkTracer:
         assert mite.mite_subroutine is original
         assert tracer.calls["mite.mite_subroutine"] >= 4
         assert "mite.cap_visits" in tracer.counts
+
+    def test_recompile_records_gradient_spans_and_iterations(self, tracer_module):
+        # the per-layer recompile metrics need the gradient looked up by its
+        # global name at call time; one bound when the module loads (a
+        # default argument, a closure) escapes the tracer and reads 0
+        original = recompile.loss_and_grad
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            recompile.recompile_scan(0.5, [1], recompile.OptimizerConfig(
+                maxiter=5, n_hops=1, repetitions=1, seed=0))
+        finally:
+            tracer.restore()
+        assert recompile.loss_and_grad is original
+        assert tracer.calls["recompile.loss_and_grad"] > 0
+        assert tracer.calls["recompile.optimize_once"] == 1
+        assert tracer.counts["recompile.iterations"] > 0
 
 
 class TestThreadsEnv:

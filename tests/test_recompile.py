@@ -117,18 +117,93 @@ class TestTargetUnitary:
         assert np.allclose(rc.target_unitary(0.0), np.eye(32), atol=1e-14)
 
 
+def _kron_moment(gates):
+    out = gates[0]
+    for g in gates[1:]:
+        out = np.kron(out, g)
+    return out
+
+
+def _oracle_moments(params, n_layers):
+    p = params.reshape(-1, 5, 3)
+    moments = [_kron_moment([rc.u3(*angles) for angles in p[0]])]
+    for layer in range(1, n_layers + 1):
+        moments.append(rc.cnot_moment("odd" if layer % 2 == 1 else "even"))
+        moments.append(_kron_moment([rc.u3(*angles) for angles in p[layer]]))
+    return moments
+
+
+def _oracle_unitary(params, n_layers):
+    out = np.eye(32, dtype=complex)
+    for m in _oracle_moments(params, n_layers):
+        out = m @ out
+    return out
+
+
+def _oracle_loss_and_grad(params, n_layers, target):
+    """The per-angle ``np.kron`` gradient: for every angle, the gate moment
+    with that gate differentiated is built by its own chain of krons."""
+    moments = _oracle_moments(params, n_layers)
+    suffix = [np.eye(32, dtype=complex)]
+    for m in moments:
+        suffix.append(m @ suffix[-1])
+    v = suffix[-1]
+    prefix = [np.eye(32, dtype=complex)] * len(moments)
+    acc = np.eye(32, dtype=complex)
+    for i in range(len(moments) - 1, -1, -1):
+        prefix[i] = acc
+        acc = acc @ moments[i]
+    t = np.vdot(v, target)
+    mag = abs(t)
+    grad = np.zeros_like(params)
+    p = params.reshape(-1, 5, 3)
+    for block in range(n_layers + 1):
+        core = prefix[2 * block].conj().T @ target @ suffix[2 * block].conj().T
+        gates = [rc.u3(*angles) for angles in p[block]]
+        for q in range(5):
+            for a in range(3):
+                dgates = list(gates)
+                dgates[q] = rc._du3(*p[block, q], a)
+                dt = np.vdot(_kron_moment(dgates), core)
+                grad[block * 15 + 3 * q + a] = -(t.conjugate() * dt).real / (mag * 32)
+    return 1.0 - mag / 32, grad
+
+
 class TestGradient:
-    def test_finite_difference_crosscheck(self, rng):
+    @pytest.mark.parametrize("n_layers", [0, 2, 4])
+    def test_finite_difference_crosscheck(self, rng, n_layers):
         target = rc.target_unitary(0.5)
-        x = rng.uniform(0, 2 * np.pi, rc.n_params(2))
-        _, grad = rc.loss_and_grad(x, 2, target)
+        x = rng.uniform(0, 2 * np.pi, rc.n_params(n_layers))
+        _, grad = rc.loss_and_grad(x, n_layers, target)
         h = 1e-5
         for k in range(len(x)):
             xp, xm = x.copy(), x.copy()
             xp[k] += h
             xm[k] -= h
-            fd = (rc.loss_and_grad(xp, 2, target)[0] - rc.loss_and_grad(xm, 2, target)[0]) / (2 * h)
+            fd = (rc.loss_and_grad(xp, n_layers, target)[0]
+                  - rc.loss_and_grad(xm, n_layers, target)[0]) / (2 * h)
             assert abs(grad[k] - fd) / max(abs(fd), 1e-8) <= 1e-4
+
+    @pytest.mark.parametrize("n_layers", range(8))
+    def test_bit_identical_to_kron_oracle(self, rng, n_layers):
+        # the batched kron multiplies in np.kron's order, so no bit may move
+        for epsilon in (0.5, 1.3):
+            target = rc.target_unitary(epsilon)
+            for _ in range(4):
+                x = rng.uniform(0, 2 * np.pi, rc.n_params(n_layers))
+                loss, grad = rc.loss_and_grad(x, n_layers, target)
+                want_loss, want_grad = _oracle_loss_and_grad(x, n_layers, target)
+                assert loss == want_loss
+                assert np.array_equal(grad, want_grad)
+                assert np.array_equal(rc.circuit_unitary(rc.ParamCircuit(n_layers, x)),
+                                      _oracle_unitary(x, n_layers))
+
+    def test_batched_kron_matches_np_kron(self, rng):
+        gates = rng.standard_normal((7, 5, 2, 2)) + 1j * rng.standard_normal((7, 5, 2, 2))
+        got = rc._kron_gates(gates)
+        assert got.shape == (7, 32, 32)
+        for row, want in zip(got, gates):
+            assert np.array_equal(row, _kron_moment(list(want)))
 
     def test_descent_direction(self, rng):
         target = rc.target_unitary(0.5)
@@ -175,6 +250,14 @@ class TestOptimize:
             assert summary[nl]["cnot_count"] == 2 * nl
         assert rc.cnot_count(6) == 12
 
+    def test_first_run_nonfinite_loss_fails_without_hops(self):
+        target = np.full((32, 32), np.nan, dtype=complex)
+        cfg = rc.OptimizerConfig(maxiter=5, n_hops=0, repetitions=1, seed=0)
+        result = rc.optimize_once(target, 0, np.random.default_rng(0), cfg)
+        assert result.failed
+        assert np.isnan(result.fidelity)
+        assert result.hops_used == 0
+
     def test_zero_depth_cannot_reach_entangling_target(self):
         # single-qubit gates alone cannot produce the projector coupling
         target = rc.target_unitary(0.5)
@@ -184,3 +267,32 @@ class TestOptimize:
             for seed in range(4)
         )
         assert best < 0.999
+
+
+class TestSchmidtBound:
+    def test_bound_values(self):
+        # re-derived by hand: target ranks 4, 10, 5, 2 across cuts 1|2 .. 4|5
+        target = rc.target_unitary(0.5)
+        expected = {1: 0.97360, 2: 0.98286, 3: 0.98286, 4: 0.99361,
+                    5: 0.99361, 6: 0.99957, 7: 0.99957}
+        for n_layers, bound in expected.items():
+            assert rc.schmidt_fidelity_bound(target, n_layers) == pytest.approx(bound, abs=1e-5)
+
+    def test_ansatz_meets_its_own_bound_only_at_its_depth(self, rng):
+        for n_layers in range(1, 6):
+            x = rng.uniform(0, 2 * np.pi, rc.n_params(n_layers))
+            u = rc.circuit_unitary(rc.ParamCircuit(n_layers, x))
+            assert rc.schmidt_fidelity_bound(u, n_layers) >= 1 - 1e-12
+            assert rc.schmidt_fidelity_bound(u, n_layers - 1) < 0.99
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError):
+            rc.schmidt_fidelity_bound(rc.target_unitary(0.5), -1)
+
+    def test_optimizer_results_stay_under_bound(self):
+        cfg = rc.OptimizerConfig(maxiter=40, n_hops=1, repetitions=2, seed=0)
+        report = rc.recompile_scan(0.5, [0, 1, 2, 3, 4], cfg)
+        target = rc.target_unitary(0.5)
+        for entry in report.entries:
+            assert not entry.failed
+            assert entry.fidelity <= rc.schmidt_fidelity_bound(target, entry.n_layers) + 1e-12
