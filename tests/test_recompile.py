@@ -170,19 +170,20 @@ def _oracle_loss_and_grad(params, n_layers, target):
 
 
 class TestGradient:
-    @pytest.mark.parametrize("n_layers", [0, 2, 4])
-    def test_finite_difference_crosscheck(self, rng, n_layers):
+    def test_finite_difference_crosscheck(self, rng):
+        # depth 4 is the benchmarked depth
         target = rc.target_unitary(0.5)
-        x = rng.uniform(0, 2 * np.pi, rc.n_params(n_layers))
-        _, grad = rc.loss_and_grad(x, n_layers, target)
-        h = 1e-5
-        for k in range(len(x)):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += h
-            xm[k] -= h
-            fd = (rc.loss_and_grad(xp, n_layers, target)[0]
-                  - rc.loss_and_grad(xm, n_layers, target)[0]) / (2 * h)
-            assert abs(grad[k] - fd) / max(abs(fd), 1e-8) <= 1e-4
+        for n_layers in (0, 2, 4):
+            x = rng.uniform(0, 2 * np.pi, rc.n_params(n_layers))
+            _, grad = rc.loss_and_grad(x, n_layers, target)
+            h = 1e-5
+            for k in range(len(x)):
+                xp, xm = x.copy(), x.copy()
+                xp[k] += h
+                xm[k] -= h
+                fd = (rc.loss_and_grad(xp, n_layers, target)[0]
+                      - rc.loss_and_grad(xm, n_layers, target)[0]) / (2 * h)
+                assert abs(grad[k] - fd) / max(abs(fd), 1e-8) <= 1e-4, (n_layers, k)
 
     @pytest.mark.parametrize("n_layers", range(8))
     def test_bit_identical_to_kron_oracle(self, rng, n_layers):
