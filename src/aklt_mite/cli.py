@@ -1,9 +1,11 @@
 """Command-line harness: every experiment as a subcommand.
 
-Subcommands: prepare | project | noise | recompile | verify.  A JSON config
-file (``--config``) supplies defaults; flags override file values.  All
-data files start with a header block (version, config hash, base seed) so
-any output can be replayed exactly.
+Subcommands: prepare | project | noise | recompile | verify.  Each
+experiment's parser lists exactly the settings its driver reads, besides
+``--threads`` on the one-process project and recompile.  A setting is a
+flag or the same key in a JSON config file (``--config``; flags override
+file values); any other is an invalid configuration.  Every data file
+opens with a header block (version, config hash, base seed) for exact replay.
 
 Exit codes: 0 success, 1 invalid configuration, 2 runtime failure,
 3 verify-suite failure.
@@ -39,29 +41,32 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="aklt-mite", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, runs_default=None):
-        sp.add_argument("--config", type=Path, help="JSON config file (flags override)")
-        sp.add_argument("--seed", type=int, help="base RNG seed")
-        sp.add_argument("--runs", type=int, default=runs_default, help="trajectory count")
-        sp.add_argument("--n", type=str, help="chain length (project: comma list)")
-        sp.add_argument("--mode", choices=["spin1", "qubit"], help="site representation")
-        sp.add_argument("--epsilon", type=float, help="measurement interaction time")
-        sp.add_argument("--eta", type=float, help="threshold modification factor")
-        sp.add_argument("--rounds", type=int, help="max sweep rounds")
-        sp.add_argument("--n-iter", type=int, help="iteration cap per subroutine stretch")
-        sp.add_argument("--window", type=int, help="convergence window")
-        sp.add_argument("--threads", type=int, help="worker pool size")
-        sp.add_argument("--out", type=Path, help="output file path")
-        sp.add_argument("--format", choices=["csv", "jsonl"], help="output format")
+    shared = argparse.ArgumentParser(add_help=False)  # every experiment
+    shared.add_argument("--config", type=Path, help="JSON config file (flags override)")
+    shared.add_argument("--seed", type=int, help="base RNG seed")
+    shared.add_argument("--threads", type=int, help="trajectory workers (no effect on project, recompile)")
+    shared.add_argument("--out", type=Path, help="output file path")
+    shared.add_argument("--format", choices=["csv", "jsonl"], help="output format")
+    trajectory = argparse.ArgumentParser(add_help=False, parents=[shared])  # prepare, noise
+    trajectory.add_argument("--runs", type=int, help="trajectory count")
+    trajectory.add_argument("--n", type=str, help="chain length")
+    trajectory.add_argument("--mode", choices=["spin1", "qubit"], help="site representation")
+    trajectory.add_argument("--epsilon", type=float, help="measurement interaction time")
+    trajectory.add_argument("--eta", type=float, help="threshold modification factor")
+    trajectory.add_argument("--rounds", type=int, help="max sweep rounds")
+    trajectory.add_argument("--n-iter", type=int, help="iteration cap per subroutine stretch")
+    trajectory.add_argument("--window", type=int, help="convergence window")
+    trajectory.set_defaults(fire_window=None)  # a config-file key, no flag
 
-    common(sub.add_parser("prepare", help="MITE state-preparation trajectories"))
-    common(sub.add_parser("project", help="deterministic projection-cascade convergence"))
-    noise = sub.add_parser("noise", help="preparation under per-round random rotations")
-    common(noise)
+    sub.add_parser("prepare", parents=[trajectory], help="MITE state-preparation trajectories")
+    proj = sub.add_parser("project", parents=[shared], help="deterministic projection-cascade convergence")
+    proj.add_argument("--n", type=str, help="comma list of chain lengths")
+    proj.add_argument("--rounds", type=int, help="projection rounds")
+    noise = sub.add_parser("noise", parents=[trajectory], help="preparation under per-round random rotations")
     noise.add_argument("--noise-axis", choices=["x", "z"], help="rotation axis")
     noise.add_argument("--sigma2", type=float, help="noise variance parameter")
-    rec = sub.add_parser("recompile", help="variational recompilation fidelity scan")
-    common(rec)
+    rec = sub.add_parser("recompile", parents=[shared], help="variational recompilation fidelity scan")
+    rec.add_argument("--epsilon", type=float, help="measurement interaction time")
     rec.add_argument("--layers", type=str, help="comma list of circuit depths")
     rec.add_argument("--reps", type=int, help="repetitions per depth")
     rec.add_argument("--maxiter", type=int, help="inner optimizer iteration cap")
@@ -69,6 +74,12 @@ def _build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="run the operator-identity check suite")
     ver.add_argument("--out", type=Path, help="JSON report path (default stdout)")
     return p
+
+
+def accepted_keys(args: argparse.Namespace) -> set[str]:
+    """The settings the subcommand of ``args`` reads, as flags or config-file
+    keys: every destination of its parser but the command, config and output."""
+    return set(vars(args)) - {"command", "config", "out"}
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +104,6 @@ _DEFAULTS = {
     "n": "4",
     "runs": 20,
     "layers": "1,2,3,4,5,6",
-    "threads": None,
     "format": "csv",
     **{key: getattr(recompile.OptimizerConfig(), f) for key, f in OPTIMIZER_FIELDS.items()},
     **{key: getattr(mite.MiteConfig(), f) for key, f in MITE_FIELDS.items()},
@@ -105,28 +115,25 @@ _DEFAULTS = {
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, and flags (flags win)."""
+    """Merge defaults, config file, and flags (flags win).  Only the keys
+    the subcommand reads may be set; every other key keeps its default."""
     cfg = dict(_DEFAULTS)
-    path = getattr(args, "config", None)
-    if path is not None:
+    accepted = accepted_keys(args)
+    if args.config is not None:
         try:
-            loaded = json.loads(Path(path).read_text())
+            loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}")
+            raise ConfigError(f"cannot read config {args.config}: {exc}")
         if loaded.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {loaded.get('schema_version')}")
-        noise_sub = loaded.pop("noise", None)
-        if isinstance(noise_sub, dict):
-            loaded.setdefault("noise_axis", noise_sub.get("axis"))
-            loaded.setdefault("sigma2", noise_sub.get("sigma2"))
         for key, val in loaded.items():
             if key in ("schema_version", "experiment", "out"):
                 continue
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r}")
+            if key not in accepted:
+                raise ConfigError(f"{args.command} takes no config key {key!r}")
             cfg[key] = val
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
+    for key in accepted:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     if cfg.get("threads") in (None, 0):
@@ -167,25 +174,31 @@ def _build_config(cfg: dict, cls, fields: dict):
 
 
 def validate(cfg: dict, kind: str) -> dict:
-    ns = _parse_n_list(cfg["n"])
-    if kind != "project" and len(ns) != 1:
-        raise ConfigError("a single --n is required for this experiment")
-    _require_int(cfg, "runs", 1)
+    """Check the settings experiment ``kind`` reads; the others hold their
+    defaults.  The run-parameter fields that own a setting validate it."""
     _require_int(cfg, "threads", 1)
-    if kind == "recompile":
-        layers = _parse_n_list(cfg["layers"])
-        if not layers or min(layers) < 0:
-            raise ConfigError(f"layers must list depths >= 0, got {cfg['layers']!r}")
     try:
-        for n in ns:
-            spin_ops.check_chain_size(n, cfg["mode"])
-        _build_config(cfg, mite.MiteConfig, MITE_FIELDS)
         if kind == "recompile":
+            layers = _parse_n_list(cfg["layers"])
+            if not layers or min(layers) < 0:
+                raise ConfigError(f"layers must list depths >= 0, got {cfg['layers']!r}")
             _build_config(cfg, recompile.OptimizerConfig, OPTIMIZER_FIELDS)
+            _build_config(cfg, mite.MiteConfig, {"epsilon": "epsilon"})
+        elif kind == "project":
+            for n in _parse_n_list(cfg["n"]):
+                spin_ops.check_chain_size(n)
+            _build_config(cfg, mite.MiteConfig, {"seed": "seed", "rounds": "r_max"})
+        else:
+            ns = _parse_n_list(cfg["n"])
+            if len(ns) != 1:
+                raise ConfigError("a single --n is required for this experiment")
+            spin_ops.check_chain_size(ns[0], cfg["mode"])
+            _require_int(cfg, "runs", 1)
+            _build_config(cfg, mite.MiteConfig, MITE_FIELDS).e_th(cfg["mode"])
+            if cfg["noise_axis"] is None and float(cfg["sigma2"]) > 0:
+                raise ConfigError("noise experiment needs --noise-axis")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
-    if kind == "noise" and cfg["noise_axis"] is None and float(cfg["sigma2"]) > 0:
-        raise ConfigError("noise experiment needs --noise-axis")
     return cfg
 
 

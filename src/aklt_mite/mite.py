@@ -28,7 +28,7 @@ the trigger matter:
   mid-repair.
 
 Two bookkeeping rules keep the threshold half responsive.  Counters are
-rescaled (both counts halved) above ``counter_cap`` accumulated outcomes,
+rescaled (both counts halved) above ``COUNTER_CAP`` accumulated outcomes,
 bounding how much history a fresh excitation must outvote.  And a
 correction resets the counters of the two bonds sharing a site with it:
 their evidence describes a state that no longer exists, and fresh counters
@@ -95,6 +95,7 @@ _IDEMPOTENT_TOL = 1e-10
 _BUILT_NORM_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
 DEFAULT_ETA = {"spin1": 4.0, "qubit": 2.0}
+COUNTER_CAP = 256  # bond counters rescale above this; fire_window may be at most a quarter of it
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,6 @@ class MiteConfig:
     r_max: int = 100
     window: int = 10
     fire_window: int = 10
-    counter_cap: int = 256
     noise_axis: str | None = None
     noise_sigma2: float = 0.0
     seed: int = 0
@@ -131,10 +131,8 @@ class MiteConfig:
             raise ValueError("eta must be positive and finite")
         if not 1 <= self.window <= self.n_iter:
             raise ValueError("need n_iter >= window >= 1")
-        if self.fire_window < 1:
-            raise ValueError("fire_window must be at least 1")
-        if self.counter_cap < 4 * self.fire_window:
-            raise ValueError("counter_cap must be at least 4x fire_window")
+        if not 1 <= self.fire_window <= COUNTER_CAP // 4:
+            raise ValueError(f"need 1 <= fire_window <= {COUNTER_CAP // 4}")
         if self.r_max < 0:
             raise ValueError("r_max must be nonnegative")
         if self.noise_axis not in (None, "x", "z"):
@@ -418,7 +416,7 @@ def mite_subroutine(
         t += 1
         stats.measurements += 1
         counter.record(q)
-        if counter.total > config.counter_cap:
+        if counter.total > COUNTER_CAP:
             counter.rescale()
         e_peak = peak_energy(counter.k0, counter.k1, config.epsilon)
         stats.e_peak_last = e_peak
@@ -503,13 +501,11 @@ class TrajectoryRecord:
     n: int
     mode: str
     seed: int
-    rounds_executed: int
     f_tot: list[float]
     partial: list[list[float]]
     e_peak: list[list[float]]
     corrections: list[int]
     measurements: list[list[int]]
-    converged_round: int | None
     sym_weight: list[float] | None = None
     bond_series: dict[int, list[tuple[int, float]]] | None = None
 
@@ -545,13 +541,10 @@ def prepare(
     measurements: list[list[int]] = []
     sym_weight = [qubit_map.symmetric_weight(state)] if track_sym else None
 
-    rounds_executed = 0
-    converged_round = None
-    for r in range(1, config.r_max + 1):
+    for _ in range(config.r_max):
         if noisy:
             state = apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
         state, stats = sweep_round(state, chain, config, rng, counters, bond_series, kernel)
-        rounds_executed = r
         by_bond = {st.bond: st for st in stats}
         f_tot.append(fidelity(state, chain.reference.state))
         partial.append(all_partials(state))
@@ -561,20 +554,17 @@ def prepare(
         if track_sym:
             sym_weight.append(qubit_map.symmetric_weight(state))
         if config.early_stop is not None and f_tot[-1] > 1.0 - config.early_stop:
-            converged_round = r
             break
 
     return TrajectoryRecord(
         n=n,
         mode=mode,
         seed=config.seed,
-        rounds_executed=rounds_executed,
         f_tot=f_tot,
         partial=partial,
         e_peak=e_peak,
         corrections=corrections,
         measurements=measurements,
-        converged_round=converged_round,
         sym_weight=sym_weight,
         bond_series=bond_series,
     )
@@ -666,18 +656,14 @@ def direct_projection_converge(
     return np.array(series)
 
 
-def critical_rounds(series, level: float = 0.9, rounds=None) -> float:
-    """Interpolated round count at which the series first reaches ``level``."""
+def critical_rounds(series, level: float = 0.9) -> float:
+    """Interpolated round at which the round-indexed ``series`` first reaches ``level``."""
     series = np.asarray(series, dtype=float)
-    rounds = np.arange(len(series)) if rounds is None else np.asarray(rounds, dtype=float)
-    if series.shape != rounds.shape:
-        raise ValueError("series and rounds must have equal length")
     above = np.nonzero(series >= level)[0]
     if above.size == 0:
         raise ValueError(f"series never reaches level {level}")
     i = int(above[0])
     if i == 0:
-        return float(rounds[0])
-    r0, r1 = rounds[i - 1], rounds[i]
+        return 0.0
     s0, s1 = series[i - 1], series[i]
-    return float(r0 + (level - s0) * (r1 - r0) / (s1 - s0))
+    return float(i - 1 + (level - s0) / (s1 - s0))

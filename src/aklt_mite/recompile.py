@@ -31,6 +31,7 @@ N_QUBITS = 5
 DIM = 2**N_QUBITS
 GATES_PER_MOMENT = N_QUBITS
 PARAMS_PER_MOMENT = 3 * GATES_PER_MOMENT
+HOP_SIZE = 0.3  # amplitude of the uniform jitter a restart hop adds to every angle
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -175,11 +176,12 @@ def loss_and_grad(
     for m in moments:
         suffix.append(m @ suffix[-1])
     v = suffix[-1]
-    prefix = [np.eye(DIM, dtype=complex)] * n_mom  # prefix[i] = M_{T-1} ... M_{i+1}
+    prefix = [None] * n_mom  # prefix[i] = M_{T-1} ... M_{i+1}
     acc = np.eye(DIM, dtype=complex)
-    for i in range(n_mom - 1, -1, -1):
+    for i in range(n_mom - 1, 0, -1):
         prefix[i] = acc
         acc = acc @ moments[i]
+    prefix[0] = acc
 
     t = np.vdot(v, target)
     mag = abs(t)
@@ -237,7 +239,6 @@ class OptimizerConfig:
 
     maxiter: int = 100
     n_hops: int = 5
-    hop_size: float = 0.3
     repetitions: int = 20
     seed: int = 0
 
@@ -269,7 +270,7 @@ def optimize_once(
     """One repetition: random start, local optimization, then hop restarts.
 
     Each hop jitters the best parameters by uniform noise of amplitude
-    ``hop_size`` (clipped to the box) and re-runs the local optimizer.
+    ``HOP_SIZE`` (clipped to the box) and re-runs the local optimizer.
     A non-finite loss, from the first run or any hop, aborts the repetition,
     which is recorded as failed.
     """
@@ -301,7 +302,7 @@ def optimize_once(
         return failed(0)
     hops_used = 0
     for _ in range(cfg.n_hops):
-        jitter = rng.uniform(-cfg.hop_size, cfg.hop_size, npar)
+        jitter = rng.uniform(-HOP_SIZE, HOP_SIZE, npar)
         res = local(np.clip(best.x + jitter, 0.0, 2 * np.pi))
         hops_used += 1
         if not np.isfinite(res.fun):

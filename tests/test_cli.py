@@ -66,6 +66,12 @@ class TestPrepare:
         assert not out.exists()
         assert "invalid configuration" in capsys.readouterr().err
 
+    def test_threshold_above_midpoint_rejected_without_output(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run(["prepare", "--n", 3, "--runs", 1, "--epsilon", 3, "--out", out]) == 1
+        assert not out.exists()
+        assert "midpoint" in capsys.readouterr().err
+
     def test_negative_seed_rejected_without_output(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         assert run(["prepare", "--n", 3, "--runs", 1, "--seed", -1, "--out", out]) == 1
@@ -305,6 +311,53 @@ class TestQubitMode:
     def test_qubit_bounds(self, tmp_path):
         assert run(["prepare", "--mode", "qubit", "--n", 9, "--runs", 1,
                     "--out", tmp_path / "x.csv"]) == 1
+
+
+TRAJECTORY_SETTINGS = {"seed", "threads", "format", "runs", "n", "mode", "epsilon", "eta",
+                       "rounds", "n_iter", "window", "fire_window"}
+
+
+class TestSettings:
+    """Each subcommand takes exactly the settings its driver reads."""
+
+    def test_accepted_settings_pinned(self):
+        parser = cli._build_parser()
+        assert {cmd: cli.accepted_keys(parser.parse_args([cmd]))
+                for cmd in ("prepare", "noise", "project", "recompile")} == {
+            "prepare": TRAJECTORY_SETTINGS,
+            "noise": TRAJECTORY_SETTINGS | {"noise_axis", "sigma2"},
+            "project": {"seed", "threads", "format", "n", "rounds"},
+            "recompile": {"seed", "threads", "format", "epsilon", "layers", "reps",
+                          "maxiter", "hops"},
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["project", "--n", 3, "--mode", "qubit"],
+        ["project", "--n", 3, "--epsilon", 0.3],
+        ["project", "--n", 3, "--runs", 2],
+        ["recompile", "--layers", 1, "--window", 40],
+        ["recompile", "--layers", 1, "--n", 9],
+        ["recompile", "--layers", 1, "--rounds", 5],
+    ])
+    def test_unread_flag_rejected_without_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "never.csv"
+        assert run([*argv, "--out", out]) == 1
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, val", [
+        ("project", "epsilon", 0.3),
+        ("prepare", "sigma2", 1e-2),
+        ("prepare", "layers", "1"),
+        ("prepare", "fire_window", 65),  # above COUNTER_CAP // 4
+    ])
+    def test_config_key_rejected_without_output(self, tmp_path, capsys, command, key, val):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3, "rounds": 2, key: val}))
+        out = tmp_path / "never.csv"
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
 
 
 SCIPY_PROBE = """

@@ -143,6 +143,9 @@ class TestConfig:
             mite.MiteConfig(window=31, n_iter=30)
         with pytest.raises(ValueError):
             mite.MiteConfig(noise_axis="y")
+        mite.MiteConfig(fire_window=mite.COUNTER_CAP // 4)
+        with pytest.raises(ValueError):
+            mite.MiteConfig(fire_window=mite.COUNTER_CAP // 4 + 1)
 
 
 def record_visits(monkeypatch):
@@ -337,14 +340,13 @@ class TestSweepRound:
 class TestPrepare:
     def test_zero_rounds_records_initial_fidelity_only(self):
         rec = mite.prepare(mite.MiteConfig(seed=0, r_max=0), 3, "spin1")
-        assert rec.rounds_executed == 0
         assert len(rec.f_tot) == 1
         assert rec.e_peak == []
 
     def test_series_lengths_consistent(self):
         rec = mite.prepare(mite.MiteConfig(seed=3, r_max=12, early_stop=None), 4, "spin1")
-        r = rec.rounds_executed
-        assert len(rec.f_tot) == r + 1
+        r = len(rec.f_tot) - 1
+        assert r == 12
         assert len(rec.partial) == r + 1
         assert len(rec.e_peak) == r
         assert len(rec.corrections) == r
@@ -441,7 +443,7 @@ class TestDirectProjection:
 
 class TestCriticalRounds:
     def test_linear_interpolation(self):
-        assert mite.critical_rounds([0.5, 0.95], rounds=[1, 2]) == pytest.approx(
+        assert mite.critical_rounds([0.2, 0.5, 0.95]) == pytest.approx(
             1.0 + 0.4 / 0.45, abs=1e-12
         )
 
@@ -451,7 +453,3 @@ class TestCriticalRounds:
     def test_never_crossing_signals(self):
         with pytest.raises(ValueError):
             mite.critical_rounds([0.1, 0.2, 0.3])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mite.critical_rounds([0.1, 0.95], rounds=[0, 1, 2])
