@@ -33,6 +33,10 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)  # a prefix of a flag is no flag
+        super().__init__(*args, **kwargs)
+
     def error(self, message):  # argparse would exit(2); config errors are exit 1
         raise ConfigError(message)
 
@@ -116,7 +120,10 @@ _DEFAULTS = {
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and flags (flags win).  Only the keys
-    the subcommand reads may be set; every other key keeps its default."""
+    the subcommand reads may be set; every other key keeps its default.
+    A file may also name its ``schema_version`` and the ``experiment`` it
+    is for, which must be this subcommand; the output path is ``--out``'s
+    alone."""
     cfg = dict(_DEFAULTS)
     accepted = accepted_keys(args)
     if args.config is not None:
@@ -126,10 +133,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         if loaded.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {loaded.get('schema_version')}")
+        if loaded.get("experiment", args.command) != args.command:
+            raise ConfigError(f"config is for experiment {loaded['experiment']!r}, not {args.command}")
         for key, val in loaded.items():
-            if key in ("schema_version", "experiment", "out"):
+            if key in ("schema_version", "experiment"):
                 continue
-            if key not in accepted:
+            if key not in accepted:  # also "out": the output path is the --out flag's
                 raise ConfigError(f"{args.command} takes no config key {key!r}")
             cfg[key] = val
     for key in accepted:

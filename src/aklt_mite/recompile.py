@@ -32,30 +32,53 @@ DIM = 2**N_QUBITS
 GATES_PER_MOMENT = N_QUBITS
 PARAMS_PER_MOMENT = 3 * GATES_PER_MOMENT
 HOP_SIZE = 0.3  # amplitude of the uniform jitter a restart hop adds to every angle
+# Derivative moments finished per kron step.  In a depth-4 job a buffer of
+# all 15 (240 KB) beside the shared heads cost 188 minor page faults per
+# loss_and_grad call; a buffer of five (80 KB) costs none.
+_DMOMENT_CHUNK = 5
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
-def u3(theta: float, phi: float, lam: float) -> np.ndarray:
-    """Three-angle single-qubit gate, standard parameterization."""
-    ct, st = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array(
-        [
-            [ct, -np.exp(1j * lam) * st],
-            [np.exp(1j * phi) * st, np.exp(1j * (phi + lam)) * ct],
-        ]
-    )
+def u3_and_derivatives(angles: np.ndarray) -> np.ndarray:
+    """The three-angle gate u3(theta, phi, lambda) and its angle derivatives
+    for every angle triple on the last axis of ``angles``: shape
+    ``(..., 4, 2, 2)``, index 0 the gate and 1 + a its derivative in angle a.
 
+        u3 = [[cos(theta/2), -e^{i lambda} sin(theta/2)],
+              [e^{i phi} sin(theta/2), e^{i (phi + lambda)} cos(theta/2)]]
 
-def _du3(theta: float, phi: float, lam: float, which: int) -> np.ndarray:
-    """Derivative of :func:`u3` with respect to angle ``which`` (0, 1, 2)."""
-    ct, st = np.cos(theta / 2), np.sin(theta / 2)
-    ep, el = np.exp(1j * phi), np.exp(1j * lam)
-    if which == 0:
-        return 0.5 * np.array([[-st, -el * ct], [ep * ct, -ep * el * st]])
-    if which == 1:
-        return np.array([[0, 0], [1j * ep * st, 1j * ep * el * ct]])
-    return np.array([[0, -1j * el * st], [0, 1j * ep * el * ct]])
+    Every entry is written from its real and imaginary parts, each one real
+    product of e^{i phi}, e^{i lambda}, e^{i (phi + lambda)} or
+    e^{i phi} e^{i lambda} (taken as numpy's scalar complex product,
+    ``(ar br - ai bi, ar bi + ai br)``) with a cosine or sine of theta/2.
+    So the entries have the bits of the scalar complex expressions, which
+    a complex array product would not keep.
+    """
+    angles = np.asarray(angles, dtype=float)
+    theta, phi, lam = (angles[..., k] for k in range(3))
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    ep, el, epl = np.exp(1j * phi), np.exp(1j * lam), np.exp(1j * (phi + lam))
+    er, ei, lr, li = ep.real, ep.imag, el.real, el.imag
+    pr, pi = er * lr - ei * li, er * li + ei * lr  # e^{i phi} e^{i lambda}
+    out = np.zeros(theta.shape + (4, 2, 2), dtype=complex)
+    re, im = out.real, out.imag
+    re[..., 0, 0, 0] = c
+    re[..., 0, 0, 1], im[..., 0, 0, 1] = -(lr * s), -(li * s)
+    re[..., 0, 1, 0], im[..., 0, 1, 0] = er * s, ei * s
+    re[..., 0, 1, 1], im[..., 0, 1, 1] = epl.real * c, epl.imag * c
+    # d/d theta = [[-s, -e^{i lambda} c], [e^{i phi} c, -e^{i phi} e^{i lambda} s]] / 2
+    re[..., 1, 0, 0] = 0.5 * -s
+    re[..., 1, 0, 1], im[..., 1, 0, 1] = 0.5 * -(lr * c), 0.5 * -(li * c)
+    re[..., 1, 1, 0], im[..., 1, 1, 0] = 0.5 * (er * c), 0.5 * (ei * c)
+    re[..., 1, 1, 1], im[..., 1, 1, 1] = 0.5 * -(pr * s), 0.5 * -(pi * s)
+    # d/d phi = [[0, 0], [i e^{i phi} s, i e^{i phi} e^{i lambda} c]]
+    re[..., 2, 1, 0], im[..., 2, 1, 0] = -(ei * s), er * s
+    re[..., 2, 1, 1], im[..., 2, 1, 1] = -(pi * c), pr * c
+    # d/d lambda = [[0, -i e^{i lambda} s], [0, i e^{i phi} e^{i lambda} c]]
+    re[..., 3, 0, 1], im[..., 3, 0, 1] = li * s, -(lr * s)
+    re[..., 3, 1, 1], im[..., 3, 1, 1] = -(pi * c), pr * c
+    return out
 
 
 _CX = np.array(
@@ -73,7 +96,15 @@ def cnot_moment(parity: str) -> np.ndarray:
     raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
-_CNOT_MOMENTS = (cnot_moment("even"), cnot_moment("odd"))  # indexed by layer % 2
+def cnot_gathers(parity: str) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables ``rows, cols`` of the permutation ``m = cnot_moment(parity)``:
+    ``m @ x`` is ``x[rows]`` and ``x @ m`` is ``x.take(cols, axis=1)``, with
+    the bits of the matrix products (each sum has one term times 1)."""
+    m = cnot_moment(parity).real
+    return m.argmax(axis=1), m.argmax(axis=0)
+
+
+_CNOT_GATHERS = (cnot_gathers("even"), cnot_gathers("odd"))  # indexed by layer % 2
 
 
 def n_params(n_layers: int) -> int:
@@ -96,45 +127,58 @@ class ParamCircuit:
             )
 
 
-def _kron_gates(gates: np.ndarray) -> np.ndarray:
-    """Kron each row of a ``(B, 5, 2, 2)`` gate stack into a ``(B, 32, 32)``
-    moment, qubit 1 slowest.
-
-    One broadcast product per factor, multiplied left to right with the
-    accumulated kron on the left of each ``a * b``, which is the order and
-    operand order of a chain of ``np.kron`` calls: the entries are
-    bit-identical to ``np.kron(np.kron(g0, g1), ...)`` per row.
-    """
-    out = gates[:, 0]
-    for k in range(1, gates.shape[1]):
-        batch, dim = out.shape[0], 2 * out.shape[1]
-        out = (out[:, :, None, :, None] * gates[:, k, None, :, None, :]).reshape(batch, dim, dim)
+def _kron_step(head: np.ndarray, gate: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise ``np.kron(head, gate)`` of a ``(B, d, d)`` and a ``(B, 2, 2)``
+    stack: four strided products ``head * gate[k, l]`` into rows k::2 and
+    columns l::2, the products and operand order of ``np.kron``."""
+    if out is None:
+        out = np.empty((len(head), 2 * head.shape[1], 2 * head.shape[2]), dtype=complex)
+    for k in range(2):
+        for l in range(2):
+            np.multiply(head, gate[:, k, l, None, None], out=out[:, k::2, l::2])
     return out
 
 
-def _gate_stack(params: np.ndarray) -> np.ndarray:
-    """The ``u3`` gates of every gate moment, shape ``(n_layers + 1, 5, 2, 2)``."""
-    return np.array([[u3(*angles) for angles in block]
-                     for block in params.reshape(-1, GATES_PER_MOMENT, 3)])
+def _kron_gates(gates: np.ndarray) -> np.ndarray:
+    """Kron each row of a ``(B, k, 2, 2)`` gate stack into a ``(B, 2^k, 2^k)``
+    moment, the first gate slowest, factor by factor from the left: the
+    entries are bit-identical to ``np.kron(np.kron(g0, g1), ...)`` per row."""
+    out = gates[:, 0]
+    for f in range(1, gates.shape[1]):
+        out = _kron_step(out, gates[:, f])
+    return out
 
 
-def _moments(gates: np.ndarray) -> list[np.ndarray]:
-    """Circuit moments in application order (first applied first): gate
-    moment 0, then a CNOT moment and a gate moment per layer."""
-    moments = []
-    for layer, moment in enumerate(_kron_gates(gates)):
-        if layer:
-            moments.append(_CNOT_MOMENTS[layer % 2])
-        moments.append(moment)
-    return moments
+def _factor_rows(gd: np.ndarray) -> np.ndarray:
+    """The kron factors of every gate moment and its 15 derivative moments,
+    shape ``(n_layers + 1, 16, 5, 2, 2)``, from ``u3_and_derivatives`` of the
+    angles: row 0 holds the moment's gates, row 1 + 3 q + a the same gates
+    with gate q replaced by its derivative in angle a."""
+    q = np.repeat(np.arange(GATES_PER_MOMENT), 3)
+    a = np.tile(np.arange(1, 4), GATES_PER_MOMENT)
+    rows = np.repeat(gd[:, None, :, 0], 1 + PARAMS_PER_MOMENT, axis=1)
+    rows[:, 1 + np.arange(PARAMS_PER_MOMENT), q] = gd[:, q, a]
+    return rows
+
+
+def _forward(moments: np.ndarray) -> tuple[list, np.ndarray]:
+    """Apply gate moment 0, then a CNOT moment and gate moment ``moments[b]``
+    per layer b.  Returns ``before``, where ``before[b]`` is the product of
+    everything applied before gate moment b (``None``, the identity, for
+    b = 0), and the circuit's unitary."""
+    before = [None]
+    acc = moments[0]
+    for layer in range(1, len(moments)):
+        acc = acc[_CNOT_GATHERS[layer % 2][0]]
+        before.append(acc)
+        acc = moments[layer] @ acc
+    return before, acc
 
 
 def circuit_unitary(circ: ParamCircuit) -> np.ndarray:
     """Evaluate the ansatz to its 32x32 unitary."""
-    out = np.eye(DIM, dtype=complex)
-    for m in _moments(_gate_stack(circ.params)):
-        out = m @ out
-    return out
+    gates = u3_and_derivatives(circ.params.reshape(-1, GATES_PER_MOMENT, 3))[:, :, 0]
+    return _forward(_kron_gates(gates))[1]
 
 
 def unitary_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -161,48 +205,54 @@ def loss_and_grad(
     """Loss 1 - |Tr(V'U)|/d and its analytic gradient.
 
     The gradient differentiates one gate moment at a time against cached
-    prefix/suffix products: one batched kron builds the moment's 15
-    derivative moments (gate q replaced by d u3 / d angle a), and each angle
-    is one ``np.vdot`` with the moment's core.  Cross-checked against
-    central finite differences, and bit for bit against a per-angle
-    ``np.kron`` oracle, in the test suite.
+    products of the moments before and after it; CNOT moments enter those
+    products as row or column gathers, and identity factors are skipped.
+    The 16 x 16 kron of the first four factors of every gate moment and of
+    its 15 derivative moments (gate q replaced by d u3 / d angle a) is
+    built in one batch; the derivative moments are finished by one more
+    kron step, ``_DMOMENT_CHUNK`` at a time, and each angle is one
+    ``np.vdot`` with its moment's core.  Cross-checked against central
+    finite differences, and bit for bit against a per-angle ``np.kron``
+    oracle, in the test suite.
     """
     params = ParamCircuit(n_layers, params).params
-    gates = _gate_stack(params)
-    moments = _moments(gates)
-    n_mom = len(moments)
-
-    suffix = [np.eye(DIM, dtype=complex)]  # suffix[i] = M_{i-1} ... M_0
-    for m in moments:
-        suffix.append(m @ suffix[-1])
-    v = suffix[-1]
-    prefix = [None] * n_mom  # prefix[i] = M_{T-1} ... M_{i+1}
-    acc = np.eye(DIM, dtype=complex)
-    for i in range(n_mom - 1, 0, -1):
-        prefix[i] = acc
-        acc = acc @ moments[i]
-    prefix[0] = acc
+    rows = _factor_rows(u3_and_derivatives(params.reshape(-1, GATES_PER_MOMENT, 3)))
+    heads = _kron_gates(rows[:, :, :-1].reshape(-1, GATES_PER_MOMENT - 1, 2, 2))
+    heads = heads.reshape(rows.shape[:2] + heads.shape[1:])
+    moments = _kron_step(heads[:, 0], rows[:, 0, -1])
+    before, v = _forward(moments)
 
     t = np.vdot(v, target)
     mag = abs(t)
     loss = 1.0 - mag / DIM
-    grad = np.zeros_like(params)
     if mag < 1e-15:
-        return loss, grad
+        return loss, np.zeros_like(params)
 
-    p = params.reshape(-1, GATES_PER_MOMENT, 3)
+    # after[b]: the product of everything applied after gate moment b
+    after = [None] * (n_layers + 1)
+    acc = moments[n_layers]
+    for layer in range(n_layers, 0, -1):
+        acc = acc.take(_CNOT_GATHERS[layer % 2][1], axis=1)
+        after[layer - 1] = acc
+        if layer > 1:
+            acc = acc @ moments[layer - 1]
+
+    dt = np.empty(len(params), dtype=complex)
+    dmoments = np.empty((_DMOMENT_CHUNK, DIM, DIM), dtype=complex)
     for block in range(n_layers + 1):
-        mom_idx = 2 * block  # gate moments sit at even positions
-        core = prefix[mom_idx].conj().T @ target @ suffix[mom_idx].conj().T
-        # row 3 q + a: this moment's gates with gate q replaced by d u3 / d angle a
-        dgates = np.repeat(gates[block, None], PARAMS_PER_MOMENT, axis=0)
-        for q in range(GATES_PER_MOMENT):
-            for a in range(3):
-                dgates[3 * q + a, q] = _du3(*p[block, q], a)
-        for k, dmoment in enumerate(_kron_gates(dgates)):
-            dt = np.vdot(dmoment, core)
-            grad[block * PARAMS_PER_MOMENT + k] = -(t.conjugate() * dt).real / (mag * DIM)
-    return loss, grad
+        core = target
+        if after[block] is not None:
+            core = after[block].conj().T @ core
+        if before[block] is not None:
+            core = core @ before[block].conj().T
+        for r in range(1, 1 + PARAMS_PER_MOMENT, _DMOMENT_CHUNK):
+            chunk = slice(r, r + _DMOMENT_CHUNK)
+            _kron_step(heads[block, chunk], rows[block, chunk, -1], out=dmoments)
+            for k, dmoment in enumerate(dmoments, start=block * PARAMS_PER_MOMENT + r - 1):
+                dt[k] = np.vdot(dmoment, core)
+    # -Re(conj(t) dt) / (|t| d), with numpy's scalar complex product
+    tc = t.conjugate()
+    return loss, -(tc.real * dt.real - tc.imag * dt.imag) / (mag * DIM)
 
 
 def schmidt_fidelity_bound(target: np.ndarray, n_layers: int) -> float:

@@ -15,6 +15,7 @@ state.
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -251,6 +252,32 @@ def check_born_frequencies():
     return dev <= 3.0, f"empirical p0 {hits / n:.4f} vs {p0:.4f} ({dev:.2f} sigma)"
 
 
+def check_own_measurements_preserve_mean_weight():
+    """Both Kraus operators commute with P, so sum_q m_q' P m_q = P and a
+    bond's own measurements keep its expected excited weight: each outcome
+    of ``mite.two_level_sample``, weighted by its Born probability
+    p_q = |m_q psi|^2 under the matrix pair on the two-level model
+    psi = (sqrt w, sqrt(1 - w)), P = diag(1, 0), averages back to w.  A
+    stub generator picks the outcome: a draw of 0 gives q = 0, and of
+    1 - 2**-53, the largest value ``Generator.random`` returns, q = 1."""
+    proj = np.diag([1.0, 0.0])
+    worst = 0.0
+    outcomes_ok = True
+    for eps in (0.1, 0.5, 0.75, 1.0):
+        gains = mite.measurement_gains(eps)
+        kraus = mite.measurement_kraus(eps, proj)
+        for w in np.linspace(0.0, 1.0, 101):
+            psi = np.array([np.sqrt(w), np.sqrt(1.0 - w)])
+            mean = 0.0
+            for q, (m, u) in enumerate(((kraus.m0, 0.0), (kraus.m1, 1.0 - 2.0**-53))):
+                bond = mite.TwoLevelBond(0, None, None, float(w))
+                stub = SimpleNamespace(random=lambda: u)
+                outcomes_ok &= mite.two_level_sample(bond, gains, stub) == q
+                mean += np.linalg.norm(m @ psi) ** 2 * bond.w
+            worst = max(worst, float(abs(mean - w)))
+    return outcomes_ok and worst <= 1e-15, f"max |p0 w0' + p1 w1' - w| {worst:.2e}"
+
+
 @dataclasses.dataclass(frozen=True)
 class FullStateKernel:
     """Bond kernel for ``mite.prepare`` that keeps the full state: each
@@ -362,6 +389,7 @@ CHECKS = [
     ("gradient_finite_difference", check_gradient_finite_difference),
     ("recompile_schmidt_fidelity_bound", check_schmidt_fidelity_bound),
     ("born_rule_frequencies", check_born_frequencies),
+    ("own_measurements_preserve_mean_weight", check_own_measurements_preserve_mean_weight),
     ("two_level_kernel_matches_full_state", check_two_level_kernel),
 ]
 

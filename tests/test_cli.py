@@ -125,6 +125,22 @@ class TestPrepare:
         cfg.write_text(json.dumps({"n": 3, "wibble": True}))
         assert run(["prepare", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
 
+    @pytest.mark.parametrize("extra", [{"experiment": "project"}, {"out": "elsewhere.csv"}])
+    def test_foreign_experiment_or_out_in_config_rejected(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3, "runs": 1, "rounds": 2, **extra}))
+        out = tmp_path / "here.csv"
+        assert run(["prepare", "--config", cfg, "--out", out]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_own_experiment_in_config_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "prepare", "n": 3, "runs": 1, "rounds": 2}))
+        out = tmp_path / "here.csv"
+        assert run(["prepare", "--config", cfg, "--out", out]) == 0
+        assert "# experiment: prepare" in out.read_text()
+
 
 class TestNoise:
     def test_zero_variance_reduces_to_prepare(self, tmp_path):
@@ -146,6 +162,14 @@ class TestNoise:
                     "--sigma2", 1e-2, *flags, "--out", out]) == 1
         assert not out.exists()
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--sigma", 0.01, "--noise-axis", "z"],
+                                       ["--sigma2", 0.01, "--noise-ax", "z"]])
+    def test_flag_prefix_rejected_without_output(self, tmp_path, capsys, flags):
+        out = tmp_path / "never.csv"
+        assert run(["noise", "--n", 3, "--runs", 1, "--rounds", 3, *flags, "--out", out]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_noise_smoke(self, tmp_path):
         out = tmp_path / "noise.csv"
@@ -228,6 +252,20 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["total"] == 2
         assert report["failures"] == ["kraus_completeness"]
+
+
+    def test_mean_weight_check_sees_a_biased_collapse(self, monkeypatch):
+        # a collapse that leaves w too high by 1e-12 (relative) on outcome 1 breaks lemma 2
+        sample = verify.mite.two_level_sample
+
+        def biased(bond, gains, rng):
+            q = sample(bond, gains, rng)
+            bond.w *= 1 + 1e-12 * q
+            return q
+
+        assert verify.check_own_measurements_preserve_mean_weight()[0] is True
+        monkeypatch.setattr(verify.mite, "two_level_sample", biased)
+        assert verify.check_own_measurements_preserve_mean_weight()[0] is False
 
 
 class TestBenchmarkTracer:

@@ -12,24 +12,65 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _u3(theta, phi, lam):
+    """Scalar oracle: the three-angle gate, standard parameterization."""
+    ct, st = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array(
+        [
+            [ct, -np.exp(1j * lam) * st],
+            [np.exp(1j * phi) * st, np.exp(1j * (phi + lam)) * ct],
+        ]
+    )
+
+
+def _du3(theta, phi, lam, which):
+    """Scalar oracle: derivative of :func:`_u3` in angle ``which`` (0, 1, 2)."""
+    ct, st = np.cos(theta / 2), np.sin(theta / 2)
+    ep, el = np.exp(1j * phi), np.exp(1j * lam)
+    if which == 0:
+        return 0.5 * np.array([[-st, -el * ct], [ep * ct, -ep * el * st]])
+    if which == 1:
+        return np.array([[0, 0], [1j * ep * st, 1j * ep * el * ct]])
+    return np.array([[0, -1j * el * st], [0, 1j * ep * el * ct]])
+
+
+def _gate(theta, phi, lam):
+    """The gate as the production builder defines it."""
+    return rc.u3_and_derivatives([theta, phi, lam])[0]
+
+
 class TestU3:
     def test_identity(self):
-        assert np.allclose(rc.u3(0, 0, 0), np.eye(2), atol=1e-14)
+        assert np.allclose(_gate(0, 0, 0), np.eye(2), atol=1e-14)
 
     def test_pauli_x(self):
         x = np.array([[0, 1], [1, 0]])
-        assert np.allclose(rc.u3(np.pi, 0, np.pi), x, atol=1e-14)
+        assert np.allclose(_gate(np.pi, 0, np.pi), x, atol=1e-14)
 
     def test_determinant(self, rng):
         for _ in range(25):
             th, ph, la = rng.uniform(0, 2 * np.pi, 3)
-            det = np.linalg.det(rc.u3(th, ph, la))
+            det = np.linalg.det(_gate(th, ph, la))
             assert det == pytest.approx(np.exp(1j * (ph + la)), abs=1e-12)
 
     def test_unitary(self, rng):
         for _ in range(25):
-            u = rc.u3(*rng.uniform(0, 2 * np.pi, 3))
+            u = _gate(*rng.uniform(0, 2 * np.pi, 3))
             assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-14
+
+    def test_builder_matches_scalar_formulas_bitwise(self, rng):
+        special = [0.0, np.pi / 2, np.pi, 2 * np.pi]
+        grid = np.array(np.meshgrid(special, special, special)).reshape(3, -1).T
+        angles = np.concatenate([rng.uniform(0, 2 * np.pi, (200, 3)), grid])
+        got = rc.u3_and_derivatives(angles)
+        assert got.shape == (len(angles), 4, 2, 2)
+        # the builder's batch layout, (moments, gates, angles), must not matter
+        assert np.array_equal(rc.u3_and_derivatives(angles[:50].reshape(10, 5, 3)),
+                              got[:50].reshape(10, 5, 4, 2, 2))
+        for row, (th, ph, la) in zip(got, angles):
+            assert np.array_equal(row[0], _u3(th, ph, la))
+            for a in range(3):
+                assert np.array_equal(row[1 + a], _du3(th, ph, la, a)), (th, ph, la, a)
 
 
 def _cx_permutation_oracle(bonds):
@@ -51,6 +92,15 @@ class TestCircuit:
     def test_cnot_moments_match_permutation_oracle(self):
         assert np.array_equal(rc.cnot_moment("odd"), _cx_permutation_oracle([(1, 2), (3, 4)]))
         assert np.array_equal(rc.cnot_moment("even"), _cx_permutation_oracle([(2, 3), (4, 5)]))
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_gathers_match_cnot_products_bitwise(self, rng, parity):
+        m = rc.cnot_moment(parity)
+        rows, cols = rc.cnot_gathers(parity)
+        for _ in range(5):
+            x = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+            assert np.array_equal(x[rows], m @ x)
+            assert np.array_equal(x.take(cols, axis=1), x @ m)
 
     def test_bad_parity(self):
         with pytest.raises(ValueError):
@@ -126,10 +176,10 @@ def _kron_moment(gates):
 
 def _oracle_moments(params, n_layers):
     p = params.reshape(-1, 5, 3)
-    moments = [_kron_moment([rc.u3(*angles) for angles in p[0]])]
+    moments = [_kron_moment([_u3(*angles) for angles in p[0]])]
     for layer in range(1, n_layers + 1):
         moments.append(rc.cnot_moment("odd" if layer % 2 == 1 else "even"))
-        moments.append(_kron_moment([rc.u3(*angles) for angles in p[layer]]))
+        moments.append(_kron_moment([_u3(*angles) for angles in p[layer]]))
     return moments
 
 
@@ -159,11 +209,11 @@ def _oracle_loss_and_grad(params, n_layers, target):
     p = params.reshape(-1, 5, 3)
     for block in range(n_layers + 1):
         core = prefix[2 * block].conj().T @ target @ suffix[2 * block].conj().T
-        gates = [rc.u3(*angles) for angles in p[block]]
+        gates = [_u3(*angles) for angles in p[block]]
         for q in range(5):
             for a in range(3):
                 dgates = list(gates)
-                dgates[q] = rc._du3(*p[block, q], a)
+                dgates[q] = _du3(*p[block, q], a)
                 dt = np.vdot(_kron_moment(dgates), core)
                 grad[block * 15 + 3 * q + a] = -(t.conjugate() * dt).real / (mag * 32)
     return 1.0 - mag / 32, grad
