@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, mite, recompile, spin_ops, verify
+from . import __version__, mite, recompile, spin_ops
 
 SCHEMA_VERSION = 1
 
@@ -131,6 +131,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {args.config} does not hold a JSON object")
         if loaded.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {loaded.get('schema_version')}")
         if loaded.get("experiment", args.command) != args.command:
@@ -162,22 +164,30 @@ def _parse_n_list(text: str) -> list[int]:
         raise ConfigError(f"cannot parse integer list from {text!r}")
 
 
+def _check_int(key: str, val) -> None:
+    """An integer setting must be an integer, not a bool or a float that
+    ``int`` would truncate."""
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise ConfigError(f"{key} must be an integer, got {val!r}")
+
+
 def _require_int(cfg: dict, key: str, lo: int) -> None:
-    try:
-        val = int(cfg[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+    val = cfg[key]
+    _check_int(key, val)
     if val < lo:
         raise ConfigError(f"{key} must be at least {lo}, got {val}")
 
 
 def _build_config(cfg: dict, cls, fields: dict):
     """Build ``cls`` (``MiteConfig`` or ``OptimizerConfig``) from the config
-    keys in ``fields``; a value is read as the type of its field's default."""
+    keys in ``fields``; a value is read as the type of its field's default,
+    and an integer field takes integers only."""
     defaults = cls()
     kwargs = {}
     for key, name in fields.items():
         default = getattr(defaults, name)
+        if isinstance(default, int):
+            _check_int(key, cfg[key])
         kwargs[name] = cfg[key] if default is None else type(default)(cfg[key])
     return cls(**kwargs)
 
@@ -367,6 +377,8 @@ def run_recompile(cfg: dict, out: Path) -> int:
 
 
 def run_verify(out: Path | None) -> int:
+    from . import verify  # the oracles load for this subcommand only, off every job's start-up
+
     results = verify.all_checks()
     payload = {
         "version": __version__,

@@ -56,15 +56,15 @@ returns a bond with ``sample(gains, rng) -> q``, ``state()`` and the excited
 weight ``w``.
 
 RNG discipline (one trajectory = one ``numpy`` Generator): each round
-first draws per-site noise angles (sites 1..N, only when noise is active),
-then per measurement one uniform variate, and per correction six uniforms
-(three per site, x/y/z order, lower-numbered site first).
+first draws the per-site noise angles as one ``standard_normal(N)`` (sites
+1..N, only when noise is active), then per measurement one uniform
+variate, and per correction one ``random(6)`` (three per site, x/y/z
+order, lower-numbered site first).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -94,6 +94,7 @@ SQRT2 = math.sqrt(2.0)
 _IDEMPOTENT_TOL = 1e-10
 _BUILT_NORM_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
+_SYM_WEIGHT_TOL = 1e-9
 DEFAULT_ETA = {"spin1": 4.0, "qubit": 2.0}
 COUNTER_CAP = 256  # bond counters rescale above this; fire_window may be at most a quarter of it
 
@@ -299,8 +300,10 @@ def peak_energy(k0: int, k1: int, epsilon: float) -> float:
     return math.asin((k1 - k0) / total) / (2.0 * epsilon)
 
 
-def site_rotation(v, site: SpinMatrices) -> np.ndarray:
-    """exp(i v.S) for one site, in closed form.
+def site_rotations(vs, site: SpinMatrices) -> np.ndarray:
+    """exp(i v.S) for each rotation vector v of the (k, 3) stack ``vs``, in
+    closed form (one vector is a stack of one); returns the (k, d, d)
+    stack of site matrices.
 
     For a unit vector n, n.S has spectrum in {-1, 0, 1} in both encodings
     (spin 1; triplet plus singlet of a qubit pair), so (n.S)^3 = n.S and
@@ -309,15 +312,24 @@ def site_rotation(v, site: SpinMatrices) -> np.ndarray:
 
     In terms of G = v.S the coefficients are sin t / t and
     (cos t - 1) / t^2 = -2 (sin(t/2) / t)^2, the latter free of
-    cancellation at small t; v = 0 gives the identity exactly.
+    cancellation at small t; v = 0 gives the identity exactly.  The
+    coefficients come from ``math`` row by row (numpy's vectorised sin
+    does not promise libm's bits), so every matrix is bit for bit the one
+    the formula gives for its vector alone.
     """
-    vx, vy, vz = map(float, v)
-    t = math.hypot(vx, vy, vz)
-    if t == 0.0:
-        return np.eye(site.dim, dtype=complex)
+    vs = np.asarray(vs, dtype=float).reshape(-1, 3)
+    coef = []
+    for vx, vy, vz in vs.tolist():
+        t = math.hypot(vx, vy, vz)
+        if t == 0.0:
+            coef.append((0j, 0.0))
+        else:
+            half = math.sin(t / 2) / t
+            coef.append((1j * math.sin(t) / t, 2 * half * half))
+    lin, quad = np.array(coef).T[:, :, None, None]
+    vx, vy, vz = vs.T[:, :, None, None]
     gen = vx * site.sx + vy * site.sy + vz * site.sz
-    half = math.sin(t / 2) / t
-    return np.eye(site.dim) + (1j * math.sin(t) / t) * gen - (2 * half * half) * (gen @ gen)
+    return np.eye(site.dim) + lin * gen - quad * (gen @ gen)
 
 
 def correction_unitary(site: SpinMatrices, rng: np.random.Generator) -> np.ndarray:
@@ -325,11 +337,13 @@ def correction_unitary(site: SpinMatrices, rng: np.random.Generator) -> np.ndarr
     a bond.
 
     Six uniform [0, 1) draws: x/y/z components of ``a`` for the
-    lower-numbered site, then for its neighbor.
+    lower-numbered site, then for its neighbor.  The kron of the two site
+    matrices is one broadcast product, the same single products as
+    ``np.kron``.
     """
-    left = site_rotation(2 * np.pi * rng.random(3), site)
-    right = site_rotation(2 * np.pi * rng.random(3), site)
-    return np.kron(left, right)
+    left, right = site_rotations(2 * np.pi * rng.random(6).reshape(2, 3), site)
+    d2 = site.dim * site.dim
+    return (left[:, None, :, None] * right[None, :, None, :]).reshape(d2, d2)
 
 
 def sweep_order(n: int) -> list[int]:
@@ -480,11 +494,9 @@ def apply_noise(
     """
     if sigma2 == 0.0:
         return state
-    unit = _AXES[axis]
-    scale = math.sqrt(sigma2 / 2.0)
-    for j in range(1, state.n_sites + 1):
-        xi = scale * rng.standard_normal()
-        state = apply_one_site(site_rotation(xi * unit, site), j, state)
+    xi = math.sqrt(sigma2 / 2.0) * rng.standard_normal(state.n_sites)
+    for j, rot in enumerate(site_rotations(xi[:, None] * _AXES[axis], site), start=1):
+        state = apply_one_site(rot, j, state)
     return state
 
 
@@ -508,6 +520,15 @@ class TrajectoryRecord:
     measurements: list[list[int]]
     sym_weight: list[float] | None = None
     bond_series: dict[int, list[tuple[int, float]]] | None = None
+
+
+def _checked_symmetric_weight(state: StateVector, seed: int, r: int) -> float:
+    """A qubit trajectory's symmetric-sector weight, which every operation of
+    the loop keeps at 1; a weight that left it means a broken operator."""
+    w = qubit_map.symmetric_weight(state)
+    if abs(w - 1.0) > _SYM_WEIGHT_TOL:
+        raise RuntimeError(f"seed {seed}, round {r}: symmetric-sector weight {w!r} left 1")
+    return w
 
 
 def prepare(
@@ -539,9 +560,9 @@ def prepare(
     e_peak: list[list[float]] = []
     corrections: list[int] = []
     measurements: list[list[int]] = []
-    sym_weight = [qubit_map.symmetric_weight(state)] if track_sym else None
+    sym_weight = [_checked_symmetric_weight(state, config.seed, 0)] if track_sym else None
 
-    for _ in range(config.r_max):
+    for r in range(1, config.r_max + 1):
         if noisy:
             state = apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
         state, stats = sweep_round(state, chain, config, rng, counters, bond_series, kernel)
@@ -552,7 +573,7 @@ def prepare(
         corrections.append(sum(st.corrections for st in stats))
         measurements.append([by_bond[j].measurements for j in range(1, n + 1)])
         if track_sym:
-            sym_weight.append(qubit_map.symmetric_weight(state))
+            sym_weight.append(_checked_symmetric_weight(state, config.seed, r))
         if config.early_stop is not None and f_tot[-1] > 1.0 - config.early_stop:
             break
 
@@ -580,6 +601,8 @@ def run_trajectories(
     """
     configs = [replace(config, seed=config.seed + run_id) for run_id in range(runs)]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(prepare, configs, repeat(n), repeat(mode)))
     return [prepare(c, n, mode) for c in configs]
@@ -621,8 +644,8 @@ def twisted_sx_product(n: int, theta: float = 1.0) -> StateVector:
     s1 = spin1_matrices()
     base = sx_stretched_site_ket()
     amps = np.array([1.0 + 0j])
-    for j in range(n):
-        amps = np.kron(amps, site_rotation((0.0, 0.0, -theta * j), s1) @ base)
+    for twist in site_rotations([(0.0, 0.0, -theta * j) for j in range(n)], s1):
+        amps = np.kron(amps, twist @ base)
     return StateVector(amps, n, 3)
 
 

@@ -45,6 +45,10 @@ def symmetric_site_projector() -> np.ndarray:
     return v @ v.conj().T
 
 
+_PI_SYM_SITE = symmetric_site_projector()
+_PI_SYM_SITE.flags.writeable = False
+
+
 def isometry_pullback(op: np.ndarray) -> np.ndarray:
     """(V (x) V)' op (V (x) V): a two-site qubit operator seen from spin-1."""
     v2 = np.kron(triplet_isometry(), triplet_isometry())
@@ -55,10 +59,9 @@ def symmetric_weight(state: StateVector) -> float:
     """<psi| Pi_sym |psi>, the weight in the all-sites-triplet sector."""
     if state.d != 4:
         raise ValueError("symmetric weight is defined for qubit-pair states")
-    pi_site = symmetric_site_projector()
     projected = state
     for j in range(1, state.n_sites + 1):
-        projected = apply_one_site(pi_site, j, projected)
+        projected = apply_one_site(_PI_SYM_SITE, j, projected)
     val = float(np.vdot(state.amps, projected.amps).real)
     return min(1.0, max(0.0, val))
 

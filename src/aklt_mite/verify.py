@@ -4,7 +4,8 @@ Each check returns (passed, detail); ``CHECKS`` names them in the order
 ``aklt-mite verify`` runs them.  The suite is deliberately redundant with
 the test suite so a deployed build can be validated without a test harness
 present.  The ``expm`` oracles import scipy inside their checks, so
-importing this module (and with it the CLI) does not load scipy.
+importing this module does not load scipy; the CLI imports it only for
+``aklt-mite verify``.
 
 The two-level bond kernel's oracle is ``FullStateKernel``: ``mite.prepare``
 runs with it in place of ``mite.TwoLevelBond``, so both sides share every
@@ -141,9 +142,10 @@ def check_correction_unitarity():
             u = mite.correction_unitary(mats, rng)
             worst = max(worst, _maxabs(u @ u.conj().T - np.eye(u.shape[0])))
             # correction-sized and noise-sized rotation vectors
-            for v in (2 * np.pi * rng.random(3), 0.1 * rng.standard_normal(3)):
+            vs = np.stack([2 * np.pi * rng.random(3), 0.1 * rng.standard_normal(3)])
+            for v, rot in zip(vs, mite.site_rotations(vs, mats)):
                 gen = v[0] * mats.sx + v[1] * mats.sy + v[2] * mats.sz
-                worst_expm = max(worst_expm, _maxabs(mite.site_rotation(v, mats) - expm(1j * gen)))
+                worst_expm = max(worst_expm, _maxabs(rot - expm(1j * gen)))
     passed = worst <= 1e-12 and worst_expm <= 1e-12
     return passed, f"worst unitarity defect {worst:.2e}, closed form vs expm {worst_expm:.2e}"
 

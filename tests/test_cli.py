@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from aklt_mite import cli, mite, recompile, verify
+from aklt_mite import cli, mite, recompile, spin_ops, verify
 from aklt_mite.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -140,6 +141,32 @@ class TestPrepare:
         out = tmp_path / "here.csv"
         assert run(["prepare", "--config", cfg, "--out", out]) == 0
         assert "# experiment: prepare" in out.read_text()
+
+    @pytest.mark.parametrize("command, key, val", [
+        ("prepare", "seed", 1.5),
+        ("prepare", "seed", True),
+        ("noise", "runs", 2.0),
+        ("prepare", "fire_window", 12.0),
+        ("prepare", "threads", True),
+        ("project", "rounds", 15.5),
+        ("recompile", "maxiter", 30.0),
+        ("recompile", "reps", "2"),
+    ])
+    def test_non_integer_setting_rejected_without_output(self, tmp_path, capsys, command, key, val):
+        small = {"n": 3, "runs": 1, "rounds": 2} if command in ("prepare", "noise") else {}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**small, key: val}))
+        assert run([command, "--config", cfg, "--out", tmp_path / "never.csv"]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("loaded", [[1, 2], 3, "x", None])
+    def test_non_object_config_rejected_without_output(self, tmp_path, capsys, loaded):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(loaded))
+        assert run(["prepare", "--config", cfg, "--out", tmp_path / "never.csv"]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 class TestNoise:
@@ -346,6 +373,20 @@ class TestQubitMode:
                     "--rounds", 3, "--seed", 0, "--out", out]) == 0
         assert len(data_rows(out)) == 5  # header + r = 0..3
 
+    def test_out_of_sector_state_fails_without_output(self, tmp_path, capsys, monkeypatch):
+        """Corrections that rotate one sub-spin of a site break the a<->b swap
+        symmetry; the trajectory leaves the symmetric sector and the job
+        stops with exit 2, naming the seed and the round."""
+        half = spin_ops.spin_half_matrices()
+        one_sub_spin = spin_ops.SpinMatrices(*(np.kron(2 * s, np.eye(2)) for s in half.as_tuple()))
+        monkeypatch.setattr(mite, "site_matrices", lambda mode: one_sub_spin)
+        out = tmp_path / "never.csv"
+        assert run(["prepare", "--mode", "qubit", "--n", 3, "--runs", 1, "--rounds", 3,
+                    "--seed", 4, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "RuntimeError: seed 4, round 1: symmetric-sector weight" in err
+        assert not out.exists()
+
     def test_qubit_bounds(self, tmp_path):
         assert run(["prepare", "--mode", "qubit", "--n", 9, "--runs", 1,
                     "--out", tmp_path / "x.csv"]) == 1
@@ -402,10 +443,12 @@ SCIPY_PROBE = """
 import json, sys
 from aklt_mite import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+UNLOADED = ("concurrent.futures.process", "multiprocessing", "aklt_mite.verify")
 
-loaded = {"import": scipy_modules()}
+def unwanted_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy") or m in UNLOADED)
+
+loaded = {"import": unwanted_modules()}
 out = sys.argv[1]
 for argv in (
     "prepare --n 3 --runs 1 --rounds 3 --seed 0",
@@ -414,16 +457,17 @@ for argv in (
     "noise --mode qubit --n 3 --runs 1 --rounds 3 --seed 0 --noise-axis z --sigma2 1e-2",
     "project --n 3,4,9 --rounds 3",
 ):
-    if cli.main([*argv.split(), "--out", out]) != 0:
+    if cli.main([*argv.split(), "--threads", "1", "--out", out]) != 0:
         sys.exit(f"job failed: {argv}")
-    loaded[argv] = scipy_modules()
+    loaded[argv] = unwanted_modules()
 print(json.dumps(loaded))
 """
 
 
 def test_jobs_load_no_scipy(tmp_path):
-    """The CLI import and the prepare/noise/project jobs run without scipy;
-    only recompile and the expm/diagonalization oracles import it."""
+    """The CLI import and the one-process prepare/noise/project jobs run
+    without scipy, the process pool or the verify oracles; only recompile,
+    ``--threads`` above 1 and ``verify`` load them."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

@@ -92,12 +92,28 @@ class TestAmplitudeDiagnostic:
         assert chi_star / eps == pytest.approx(mite.peak_energy(k0, k1, eps), abs=1e-3)
 
 
+def _site_rotation(v, site):
+    """The scalar closed form exp(i v.S) for one vector, kept as the oracle
+    of ``mite.site_rotations``."""
+    vx, vy, vz = map(float, v)
+    t = math.hypot(vx, vy, vz)
+    if t == 0.0:
+        return np.eye(site.dim, dtype=complex)
+    gen = vx * site.sx + vy * site.sy + vz * site.sz
+    half = math.sin(t / 2) / t
+    return np.eye(site.dim) + (1j * math.sin(t) / t) * gen - (2 * half * half) * (gen @ gen)
+
+
+SITES = [spin_ops.spin1_matrices, spin_ops.paired_site_matrices]
+
+
 class TestCorrectionUnitary:
     def test_zero_angles_identity(self):
         s1 = spin_ops.spin1_matrices()
-        assert np.allclose(mite.site_rotation([0, 0, 0], s1), np.eye(3), atol=1e-14)
+        rots = mite.site_rotations([[0, 0, 0], [1.0, 2.0, 3.0], [0, 0, 0]], s1)
+        assert np.array_equal(rots[0], np.eye(3)) and np.array_equal(rots[2], np.eye(3))
 
-    @pytest.mark.parametrize("maker", [spin_ops.spin1_matrices, spin_ops.paired_site_matrices])
+    @pytest.mark.parametrize("maker", SITES)
     def test_unitarity(self, maker):
         site = maker()
         rng = np.random.default_rng(3)
@@ -108,24 +124,73 @@ class TestCorrectionUnitary:
     def test_full_z_turn_is_identity_for_integer_spin(self):
         # 2 pi rotation of a spin-1: exp(2 pi i Sz) = diag(e^{2pi i}, 1, e^{-2pi i})
         s1 = spin_ops.spin1_matrices()
-        assert np.allclose(mite.site_rotation([0, 0, 2 * np.pi], s1), np.eye(3), atol=1e-12)
+        assert np.allclose(mite.site_rotations([0, 0, 2 * np.pi], s1)[0], np.eye(3), atol=1e-12)
 
-    @pytest.mark.parametrize("maker", [spin_ops.spin1_matrices, spin_ops.paired_site_matrices])
+    @pytest.mark.parametrize("maker", SITES)
     def test_closed_form_matches_expm(self, maker):
         site = maker()
         rng = np.random.default_rng(8)
         vectors = [np.zeros(3), [0.0, 0.0, 1e-9]]
         vectors += [2 * np.pi * rng.random(3) for _ in range(50)]  # correction-sized
         vectors += [0.1 * rng.standard_normal(3) for _ in range(50)]  # noise-sized
-        for v in vectors:
+        for v, rot in zip(vectors, mite.site_rotations(vectors, site)):
             gen = v[0] * site.sx + v[1] * site.sy + v[2] * site.sz
-            assert np.max(np.abs(mite.site_rotation(v, site) - expm(1j * gen))) <= 1e-12
+            assert np.max(np.abs(rot - expm(1j * gen))) <= 1e-12
+
+    @pytest.mark.parametrize("maker", SITES)
+    def test_stack_matches_scalar_formula_bitwise(self, maker):
+        site = maker()
+        rng = np.random.default_rng(12)
+        vectors = [np.zeros(3), [0.0, 0.0, -1e-300], [0.0, 0.0, 1e-9]]
+        vectors += [(0.0, 0.0, -1.0 * j) for j in range(9)]  # cascade twists
+        vectors += [2 * np.pi * rng.random(3) for _ in range(100)]  # correction-sized
+        vectors += [0.07 * rng.standard_normal() * np.array(axis)  # noise-sized
+                    for axis in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]) for _ in range(50)]
+        vectors += [rng.standard_normal(3) * 10.0 ** rng.integers(-12, 3) for _ in range(100)]
+        vectors = np.array(vectors, dtype=float)
+        for k in (1, 2, 5, 9, len(vectors)):
+            for start in range(0, len(vectors) - k + 1, max(k, 37)):
+                rots = mite.site_rotations(vectors[start:start + k], site)
+                assert rots.shape == (k, site.dim, site.dim)
+                for v, rot in zip(vectors[start:start + k], rots):
+                    assert np.array_equal(rot, _site_rotation(v, site))
+
+    @pytest.mark.parametrize("maker", SITES)
+    def test_correction_matches_kron_of_scalar_rotations_bitwise(self, maker):
+        site = maker()
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            left = _site_rotation(2 * np.pi * rng.random(3), site)
+            right = _site_rotation(2 * np.pi * rng.random(3), site)
+            u = mite.correction_unitary(site, np.random.default_rng(seed))
+            assert np.array_equal(u, np.kron(left, right))
 
     def test_six_draw_reproducibility(self):
         s1 = spin_ops.spin1_matrices()
         u1 = mite.correction_unitary(s1, np.random.default_rng(5))
         u2 = mite.correction_unitary(s1, np.random.default_rng(5))
         assert np.array_equal(u1, u2)
+
+
+class TestRngStreams:
+    """The batched draws consume the generator exactly as the scalar draws
+    they replace, value for value and state for state."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 21, 12345])
+    def test_random_six_is_two_random_three(self, seed):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            six = batched.random(6)
+            assert np.array_equal(six, np.concatenate([scalar.random(3), scalar.random(3)]))
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 21, 12345])
+    def test_standard_normal_n_is_n_scalar_draws(self, seed):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in range(3, 10):
+            xs = batched.standard_normal(n)
+            assert np.array_equal(xs, [scalar.standard_normal() for _ in range(n)])
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 class TestConfig:
@@ -389,6 +454,21 @@ class TestNoise:
         out = mite.apply_noise(state, "x", 0.05, rng, spin_ops.site_matrices("spin1"))
         assert abs(out.norm() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("mode", ["spin1", "qubit"])
+    @pytest.mark.parametrize("axis", ["x", "z"])
+    def test_matches_per_site_scalar_rotations_bitwise(self, mode, axis):
+        site = spin_ops.site_matrices(mode)
+        unit = np.array([1.0, 0.0, 0.0]) if axis == "x" else np.array([0.0, 0.0, 1.0])
+        rng = np.random.default_rng(9)
+        state = StateVector(random_unit_vector(rng, site.dim**4), 4, site.dim)
+        for seed in range(10):
+            expected, oracle_rng = state, np.random.default_rng(seed)
+            for j in range(1, 5):
+                xi = math.sqrt(0.05 / 2.0) * oracle_rng.standard_normal()
+                expected = statevec.apply_one_site(_site_rotation(xi * unit, site), j, expected)
+            out = mite.apply_noise(state, axis, 0.05, np.random.default_rng(seed), site)
+            assert np.array_equal(out.amps, expected.amps)
+
     def test_noiseless_config_matches_noise_free_run(self):
         plain = mite.prepare(mite.MiteConfig(seed=2, r_max=6), 3, "spin1")
         zeroed = mite.prepare(
@@ -428,6 +508,16 @@ class TestDirectProjection:
             series = mite.direct_projection_converge(n, r_max=12, reference=aklt[n])
             diffs = np.diff(series[1:])
             assert np.all(diffs >= -1e-12)
+
+    @pytest.mark.parametrize("theta", [1.0, 0.3])
+    def test_twisted_product_matches_scalar_twists_bitwise(self, theta):
+        s1 = spin_ops.spin1_matrices()
+        base = mite.sx_stretched_site_ket()
+        for n in range(3, 10):
+            amps = np.array([1.0 + 0j])
+            for j in range(n):
+                amps = np.kron(amps, _site_rotation((0.0, 0.0, -theta * j), s1) @ base)
+            assert np.array_equal(mite.twisted_sx_product(n, theta).amps, amps)
 
     def test_untwisted_product_is_annihilated(self, aklt):
         """The stretched x-product is a pure total-spin-2 pair on every bond,
