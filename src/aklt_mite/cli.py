@@ -4,8 +4,9 @@ Subcommands: prepare | project | noise | recompile | verify.  Each
 experiment's parser lists exactly the settings its driver reads, besides
 ``--threads`` on the one-process project and recompile.  A setting is a
 flag or the same key in a JSON config file (``--config``; flags override
-file values); any other is an invalid configuration.  Every data file
-opens with a header block (version, config hash, base seed) for exact replay.
+file values), read alike by the flag's type and choices; any other is an
+invalid configuration.  Every data file opens with a header block
+(version, config hash, base seed) for exact replay.
 
 Exit codes: 0 success, 1 invalid configuration, 2 runtime failure,
 3 verify-suite failure.
@@ -109,6 +110,7 @@ _DEFAULTS = {
     "runs": 20,
     "layers": "1,2,3,4,5,6",
     "format": "csv",
+    "threads": None,  # AKLT_MITE_THREADS, else 1
     **{key: getattr(recompile.OptimizerConfig(), f) for key, f in OPTIMIZER_FIELDS.items()},
     **{key: getattr(mite.MiteConfig(), f) for key, f in MITE_FIELDS.items()},
     # The one override of a library default: the library and the acceptance
@@ -117,19 +119,41 @@ _DEFAULTS = {
     "fire_window": 12,
 }
 
+# the JSON values a flag's type reads from a config file; a bool is none of them
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str, int), "a string or an integer")}  # str: the lists --n, --layers
+
+
+def _read_setting(key: str, val, action: argparse.Action | None):
+    """A config-file value, read by its flag's choices or type from its text,
+    as the flag reads a word, so it is the value the flag would give.
+    ``fire_window``, the one key with no flag, reads as an integer; ``null``
+    only where the default is ``None``."""
+    if val is None and _DEFAULTS[key] is None:
+        return None
+    if action is not None and action.choices is not None:
+        if val not in action.choices:
+            raise ConfigError(f"{key} must be one of {action.choices}, got {val!r}")
+        return val
+    kind = int if action is None else action.type
+    kinds, name = _JSON_KINDS[kind]
+    if isinstance(val, bool) or not isinstance(val, kinds):
+        raise ConfigError(f"{key} must be {name}, got {val!r}")
+    return kind(str(val))  # a float's str reads back exactly
+
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and flags (flags win).  Only the keys
-    the subcommand reads may be set; every other key keeps its default.
-    A file may also name its ``schema_version`` and the ``experiment`` it
-    is for, which must be this subcommand; the output path is ``--out``'s
-    alone."""
+    the subcommand reads may be set, a file's as its flag reads them; every
+    other key keeps its default.  A file may also name its ``schema_version``
+    and the ``experiment`` it is for, which must be this subcommand; the
+    output path is ``--out``'s alone."""
     cfg = dict(_DEFAULTS)
     accepted = accepted_keys(args)
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {args.config} does not hold a JSON object")
@@ -137,88 +161,73 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"unsupported schema_version {loaded.get('schema_version')}")
         if loaded.get("experiment", args.command) != args.command:
             raise ConfigError(f"config is for experiment {loaded['experiment']!r}, not {args.command}")
+        commands = {a.dest: a for a in _build_parser()._actions}["command"].choices
+        actions = {a.dest: a for a in commands[args.command]._actions}  # by setting name
         for key, val in loaded.items():
             if key in ("schema_version", "experiment"):
                 continue
             if key not in accepted:  # also "out": the output path is the --out flag's
                 raise ConfigError(f"{args.command} takes no config key {key!r}")
-            cfg[key] = val
+            cfg[key] = _read_setting(key, val, actions.get(key))
     for key in accepted:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    if cfg.get("threads") in (None, 0):
+    if cfg["threads"] in (None, 0):
         env = os.environ.get("AKLT_MITE_THREADS", "1")
         try:
             cfg["threads"] = int(env)
         except ValueError:
             raise ConfigError(f"AKLT_MITE_THREADS must be an integer, got {env!r}")
-    cfg["n"] = str(cfg["n"])
     return cfg
 
 
-def _parse_n_list(text: str) -> list[int]:
+def _parse_list(key: str, text: str) -> list[int]:
+    """The integers of the comma list ``--n`` or ``--layers``, at least one."""
     try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse integer list from {text!r}")
-
-
-def _check_int(key: str, val) -> None:
-    """An integer setting must be an integer, not a bool or a float that
-    ``int`` would truncate."""
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(f"{key} must be an integer, got {val!r}")
-
-
-def _require_int(cfg: dict, key: str, lo: int) -> None:
-    val = cfg[key]
-    _check_int(key, val)
-    if val < lo:
-        raise ConfigError(f"{key} must be at least {lo}, got {val}")
+        raise ConfigError(f"cannot parse integer list {key} from {text!r}")
+    if not values:
+        raise ConfigError(f"{key} must list at least one integer, got {text!r}")
+    return values
 
 
 def _build_config(cfg: dict, cls, fields: dict):
-    """Build ``cls`` (``MiteConfig`` or ``OptimizerConfig``) from the config
-    keys in ``fields``; a value is read as the type of its field's default,
-    and an integer field takes integers only."""
-    defaults = cls()
-    kwargs = {}
-    for key, name in fields.items():
-        default = getattr(defaults, name)
-        if isinstance(default, int):
-            _check_int(key, cfg[key])
-        kwargs[name] = cfg[key] if default is None else type(default)(cfg[key])
-    return cls(**kwargs)
+    """``cls`` built from the config keys in ``fields``, each to its field."""
+    return cls(**{name: cfg[key] for key, name in fields.items()})
 
 
-def validate(cfg: dict, kind: str) -> dict:
-    """Check the settings experiment ``kind`` reads; the others hold their
-    defaults.  The run-parameter fields that own a setting validate it."""
-    _require_int(cfg, "threads", 1)
+def validate(cfg: dict, kind: str) -> tuple[list[int], object]:
+    """Check the settings experiment ``kind`` reads and build its job's
+    inputs from them: the chain lengths and ``MiteConfig``, or for recompile
+    the depths and ``OptimizerConfig``.  The run-parameter fields that own a
+    setting validate it."""
+    for key in ("threads", "runs"):  # runs keeps its valid default where unread
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     try:
         if kind == "recompile":
-            layers = _parse_n_list(cfg["layers"])
-            if not layers or min(layers) < 0:
+            layers = _parse_list("layers", cfg["layers"])
+            if min(layers) < 0:
                 raise ConfigError(f"layers must list depths >= 0, got {cfg['layers']!r}")
-            _build_config(cfg, recompile.OptimizerConfig, OPTIMIZER_FIELDS)
             _build_config(cfg, mite.MiteConfig, {"epsilon": "epsilon"})
-        elif kind == "project":
-            for n in _parse_n_list(cfg["n"]):
+            return layers, _build_config(cfg, recompile.OptimizerConfig, OPTIMIZER_FIELDS)
+        ns = _parse_list("n", cfg["n"])
+        if kind == "project":
+            for n in ns:
                 spin_ops.check_chain_size(n)
-            _build_config(cfg, mite.MiteConfig, {"seed": "seed", "rounds": "r_max"})
-        else:
-            ns = _parse_n_list(cfg["n"])
-            if len(ns) != 1:
-                raise ConfigError("a single --n is required for this experiment")
-            spin_ops.check_chain_size(ns[0], cfg["mode"])
-            _require_int(cfg, "runs", 1)
-            _build_config(cfg, mite.MiteConfig, MITE_FIELDS).e_th(cfg["mode"])
-            if cfg["noise_axis"] is None and float(cfg["sigma2"]) > 0:
-                raise ConfigError("noise experiment needs --noise-axis")
-    except (TypeError, ValueError) as exc:
+            return ns, _build_config(cfg, mite.MiteConfig, {"seed": "seed", "rounds": "r_max"})
+        if len(ns) != 1:
+            raise ConfigError("a single --n is required for this experiment")
+        spin_ops.check_chain_size(ns[0], cfg["mode"])
+        config = _build_config(cfg, mite.MiteConfig, MITE_FIELDS)
+        config.e_th(cfg["mode"])
+        if config.noise_axis is None and config.noise_sigma2 > 0:
+            raise ConfigError("noise experiment needs --noise-axis")
+        return ns, config
+    except ValueError as exc:
         raise ConfigError(str(exc))
-    return cfg
 
 
 def science_hash(cfg: dict, kind: str) -> str:
@@ -300,12 +309,9 @@ def summary_path(out: Path) -> Path:
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def run_prepare(cfg: dict, out: Path, kind: str = "prepare") -> int:
-    n = _parse_n_list(cfg["n"])[0]
-    config = _build_config(cfg, mite.MiteConfig, MITE_FIELDS)
-    records = mite.run_trajectories(
-        config, n, cfg["mode"], int(cfg["runs"]), int(cfg["threads"])
-    )
+def run_prepare(cfg: dict, ns: list[int], config: mite.MiteConfig, out: Path, kind: str) -> int:
+    (n,) = ns
+    records = mite.run_trajectories(config, n, cfg["mode"], cfg["runs"], cfg["threads"])
 
     header = _header(cfg, kind)
     rows = []
@@ -339,14 +345,12 @@ def run_prepare(cfg: dict, out: Path, kind: str = "prepare") -> int:
     return 0
 
 
-def run_project(cfg: dict, out: Path) -> int:
-    ns = _parse_n_list(cfg["n"])
-    r_max = int(cfg["rounds"])
-    header = _header(cfg, "project")
+def run_project(cfg: dict, ns: list[int], config: mite.MiteConfig, out: Path, kind: str) -> int:
+    header = _header(cfg, kind)
     rows = []
     r_c = {}
     for n in ns:
-        series = mite.direct_projection_converge(n, r_max)
+        series = mite.direct_projection_converge(n, config.r_max)
         for r, f in enumerate(series):
             rows.append((n, r, float(f)))
         try:
@@ -358,19 +362,15 @@ def run_project(cfg: dict, out: Path) -> int:
     return 0
 
 
-def run_recompile(cfg: dict, out: Path) -> int:
-    layers = _parse_n_list(cfg["layers"])
-    opt = _build_config(cfg, recompile.OptimizerConfig, OPTIMIZER_FIELDS)
-    report = recompile.recompile_scan(float(cfg["epsilon"]), layers, opt)
-    header = _header(cfg, "recompile")
-    rows = [
-        (e.n_layers, e.repetition, float(e.fidelity), e.hops_used)
-        for e in report.entries
-    ]
+def run_recompile(cfg: dict, layers: list[int], opt: recompile.OptimizerConfig, out: Path,
+                  kind: str) -> int:
+    report = recompile.recompile_scan(cfg["epsilon"], layers, opt)
+    header = _header(cfg, kind)
+    rows = [(e.n_layers, e.repetition, float(e.fidelity), e.hops_used) for e in report.entries]
     write_rows(out, cfg["format"], header, ["n_layers", "repetition", "final_fidelity", "hops_used"], rows)
     write_summary(summary_path(out), {
         "header": header,
-        "epsilon": float(cfg["epsilon"]),
+        "epsilon": cfg["epsilon"],
         "per_depth": {str(k): v for k, v in report.summary().items()},
     })
     return 0
@@ -397,6 +397,10 @@ def run_verify(out: Path | None) -> int:
     return 0 if payload["passed"] else 3
 
 
+JOBS = {"prepare": run_prepare, "noise": run_prepare, "project": run_project,
+        "recompile": run_recompile}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -404,7 +408,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify(getattr(args, "out", None))
         cfg = resolve_config(args)
-        cfg = validate(cfg, args.command)
+        inputs = validate(cfg, args.command)
         out = getattr(args, "out", None)
         if out is None:
             raise ConfigError("--out is required for this experiment")
@@ -412,13 +416,7 @@ def main(argv=None) -> int:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command in ("prepare", "noise"):
-            return run_prepare(cfg, out, kind=args.command)
-        if args.command == "project":
-            return run_project(cfg, out)
-        if args.command == "recompile":
-            return run_recompile(cfg, out)
-        raise RuntimeError(f"unhandled command {args.command}")
+        return JOBS[args.command](cfg, *inputs, out, args.command)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -160,6 +160,54 @@ class TestPrepare:
         assert "invalid configuration" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("argv, setting", [
+        (["prepare"], {"format": "xml"}),
+        (["prepare"], {"epsilon": True}),
+        (["prepare"], {"epsilon": "0.5"}),
+        (["prepare"], {"epsilon": 0.3, "eta": True}),
+        (["noise", "--noise-axis", "z"], {"sigma2": "1e-2"}),
+        (["noise"], {"noise_axis": "y"}),
+        (["prepare"], {"mode": "qutrit"}),
+        (["recompile"], {"layers": True}),
+    ], ids=["format-xml", "epsilon-bool", "epsilon-string", "eta-bool", "sigma2-string",
+            "noise_axis-y", "mode-qutrit", "layers-bool"])
+    def test_value_its_flag_cannot_read_rejected_without_output(self, tmp_path, capsys, argv, setting):
+        """A config-file value goes through its flag's type and choices: a
+        bool is no number, a string no real, and a choice must be listed."""
+        small = {} if argv[0] == "recompile" else {"n": 3, "runs": 1, "rounds": 2}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**small, **setting}))
+        assert run([*argv, "--config", cfg, "--out", tmp_path / "never.csv"]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv, key, val", [
+        (["prepare"], "epsilon", 1),
+        (["prepare"], "eta", 2),
+        (["noise", "--noise-axis", "z"], "sigma2", 0),
+    ], ids=["epsilon", "eta", "sigma2"])
+    def test_file_and_flag_write_the_same_bytes(self, tmp_path, argv, key, val):
+        """A real setting given as a JSON integer is the float its flag
+        reads, so the data, the summary and the config hash all agree."""
+        small = ["--n", 3, "--runs", 2, "--rounds", 3, "--seed", 1]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: val}))
+        viafile, viaflag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert run([*argv, *small, "--config", cfg, "--out", viafile]) == 0
+        assert run([*argv, *small, f"--{key}", val, "--out", viaflag]) == 0
+        assert viafile.read_bytes() == viaflag.read_bytes()
+        assert (tmp_path / "file.csv.summary.json").read_bytes() == \
+            (tmp_path / "flag.csv.summary.json").read_bytes()
+
+    @pytest.mark.parametrize("text", [b"\xff", b'{"seed": 1' + b"0" * 5000 + b"}"],
+                             ids=["not-utf8", "too-many-digits"])
+    def test_unreadable_config_rejected_without_output(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        assert run(["prepare", "--config", cfg, "--out", tmp_path / "never.csv"]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize("loaded", [[1, 2], 3, "x", None])
     def test_non_object_config_rejected_without_output(self, tmp_path, capsys, loaded):
         cfg = tmp_path / "cfg.json"
@@ -221,6 +269,12 @@ class TestProject:
         assert rows[0] == "n,r,f_tot"
         assert len(rows) == 12  # header + r = 0..10
 
+    @pytest.mark.parametrize("n", [",", ""], ids=["comma", "empty"])
+    def test_empty_list_rejected_without_output(self, tmp_path, capsys, n):
+        assert run(["project", "--n", n, "--rounds", 3, "--out", tmp_path / "never.csv"]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRecompile:
     def test_table_and_summary(self, tmp_path):
@@ -281,6 +335,12 @@ class TestVerify:
         assert report["failures"] == ["kraus_completeness"]
 
 
+    @pytest.mark.parametrize("name", [name for name, _ in verify.CHECKS])
+    def test_check_passes(self, name):
+        """Each identity on its own, so a failing one names itself."""
+        passed, detail = dict(verify.CHECKS)[name]()
+        assert passed, detail
+
     def test_mean_weight_check_sees_a_biased_collapse(self, monkeypatch):
         # a collapse that leaves w too high by 1e-12 (relative) on outcome 1 breaks lemma 2
         sample = verify.mite.two_level_sample
@@ -339,6 +399,28 @@ class TestBenchmarkTracer:
         assert tracer.calls["recompile.loss_and_grad"] > 0
         assert tracer.calls["recompile.optimize_once"] == 1
         assert tracer.counts["recompile.iterations"] > 0
+
+
+SPEC = json.loads((PERFBENCH / "spec.json").read_text())
+
+
+class TestBenchmarkSpec:
+    """The benchmark runs its jobs from the argument lists in
+    ``perfbench/spec.json``; a change to argument reading that breaks one
+    must fail here, not in a benchmark run."""
+
+    @pytest.mark.parametrize("workload", sorted(SPEC["workloads"]))
+    @pytest.mark.parametrize("which", ["args", "smoke_args"])
+    def test_job_arguments_are_valid(self, workload, which):
+        args = cli._build_parser().parse_args(SPEC["workloads"][workload][which])
+        cli.validate(cli.resolve_config(args), args.command)
+
+    @pytest.mark.parametrize("workload", sorted(SPEC["workloads"]))
+    def test_smoke_job_runs(self, tmp_path, workload):
+        out = tmp_path / "out.csv"
+        assert run([*SPEC["workloads"][workload]["smoke_args"], "--out", out]) == 0
+        assert data_rows(out)
+        assert (tmp_path / "out.csv.summary.json").exists()
 
 
 class TestThreadsEnv:
@@ -492,5 +574,6 @@ def test_science_hash_pinned(argv, expected):
     """Config hashes in data-file headers stay stable across refactors of
     the defaults (the benchmark's pinned outputs carry these five)."""
     args = cli._build_parser().parse_args(argv.split())
-    cfg = cli.validate(cli.resolve_config(args), args.command)
+    cfg = cli.resolve_config(args)
+    cli.validate(cfg, args.command)
     assert cli.science_hash(cfg, args.command) == expected
