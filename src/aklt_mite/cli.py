@@ -231,15 +231,16 @@ def validate(cfg: dict, kind: str) -> tuple[list[int], object]:
 
 
 def science_hash(cfg: dict, kind: str) -> str:
-    """Stable short hash of the configuration that determines a job's data."""
+    """Stable short hash of the configuration that determines a job's data.
+    A comma list is hashed as the integers it lists, however it is spelled."""
     if kind == "recompile":
         keys = ["epsilon", "layers", *OPTIMIZER_FIELDS]
     else:
         keys = ["mode", "n", "runs", *MITE_FIELDS]
-    canon = json.dumps(
-        {"experiment": kind, **{k: cfg.get(k) for k in keys}},
-        sort_keys=True, separators=(",", ":"),
-    )
+    values = {k: cfg.get(k) for k in keys}
+    for key in {"n", "layers"} & set(values):
+        values[key] = ",".join(map(str, _parse_list(key, values[key])))
+    canon = json.dumps({"experiment": kind, **values}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

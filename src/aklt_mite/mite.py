@@ -43,17 +43,27 @@ of carrying half-finished repairs into the next round.
 A sweep round runs the subroutine over all odd bonds, then all even bonds
 (``sweep_order``).
 
+Layout.  During a round the flat amplitudes hold their site axes rotated
+cyclically (``statevec.rotate_sites``) so that the visited bond j's sites
+come first: j, j+1, ..., n, 1, ..., j-1 (the wrap bond n: site n, then 1).
+Their (d^2, d^(n-2)) view is the bond's *frame*, on which a bond operator
+is one matmul from the left.  The next bond of the sweep is one copy away,
+and the round ends with one rotation back to chain order.  Noise and the
+qubit symmetric weight are ``statevec.map_sites`` chains; ``bond_partials``
+reads every bond's partial fidelity in one rotation pass.
+
 Between corrections a visit never leaves the plane span{P psi, (1 - P) psi}
 of its bond: both measurement operators are (1 + (g_q - 1) P) / sqrt(2).
 ``two_level_sample`` therefore samples and collapses on the excited weight
-w = <psi|P|psi> alone, and the full state is built only before a correction
+w = <psi|P|psi> alone, and the frame is built only before a correction
 and at the end of the visit.  This bond kernel is the one part of the loop
 a caller can swap: ``prepare``, ``sweep_round`` and ``mite_subroutine`` take
 a ``kernel`` (default ``TwoLevelBond``), and ``verify`` runs the same loop
-with a full-state kernel that collapses with ``statevec.born_sample`` on the
-matrix Kraus pair.  A kernel provides ``open(state, j, projector)``, which
-returns a bond with ``sample(gains, rng) -> q``, ``state()`` and the excited
-weight ``w``.
+with a full-state kernel that collapses the frame with the matrix Kraus
+pair.  A kernel provides ``open(frame, j, projector)``, which returns a
+bond with ``sample(gains, rng) -> q``, ``kick(u)`` (apply the correction
+``u`` and return the bond of the new stretch), ``state()`` (the frame) and
+the excited weight ``w``.
 
 RNG discipline (one trajectory = one ``numpy`` Generator): each round
 first draws the per-site noise angles as one ``standard_normal(N)`` (sites
@@ -83,11 +93,11 @@ from .spin_ops import (
 from .statevec import (
     KrausPair,
     StateVector,
-    apply_one_site,
     apply_two_site,
     fidelity,
-    partial_fidelity,
+    map_sites,
     product_state,
+    rotate_sites,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -142,6 +152,8 @@ class MiteConfig:
             raise ValueError("noise variance parameter must be nonnegative and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.early_stop is not None and not 0 <= self.early_stop < 1:
+            raise ValueError("early_stop must be None or in [0, 1)")
 
     def resolved_eta(self, mode: str) -> float:
         if self.eta is not None:
@@ -226,26 +238,31 @@ def measurement_gains(epsilon: float) -> tuple[float, float]:
 class TwoLevelBond:
     """A bond visit's state between corrections, as two real amplitudes.
 
-    The state is alpha P psi0 + beta (1 - P) psi0 for the state psi0 the
+    The state is alpha P psi0 + beta (1 - P) psi0 for the frame psi0 the
     stretch started from, with ``excited`` = P psi0, and ``w`` is its
-    excited weight <psi|P|psi>.  ``open`` pays the stretch's one projector
-    application; ``sample`` is ``two_level_sample``; ``state`` builds the
-    full vector back.
+    excited weight <psi|P|psi>.  ``open`` and ``kick`` pay the stretch's
+    one projector application; ``sample`` is ``two_level_sample``;
+    ``state`` builds the frame back.
     """
 
     j: int
-    base: StateVector
-    excited: StateVector
+    base: np.ndarray
+    excited: np.ndarray
     w: float
+    projector: np.ndarray
     alpha: float = 1.0
     beta: float = 1.0
 
     @classmethod
-    def open(cls, state: StateVector, j: int, projector: np.ndarray) -> "TwoLevelBond":
-        excited = apply_two_site(projector, j, state)
-        bond = cls(j, state, excited, float(np.vdot(excited.amps, excited.amps).real))
+    def open(cls, frame: np.ndarray, j: int, projector: np.ndarray) -> "TwoLevelBond":
+        excited = projector @ frame
+        bond = cls(j, frame, excited, float(np.vdot(excited, excited).real), projector)
         bond._check_weight()
         return bond
+
+    def kick(self, u: np.ndarray) -> "TwoLevelBond":
+        """The correction ``u`` on the built frame, opened as a new stretch."""
+        return self.open(u @ self.state(), self.j, self.projector)
 
     def _check_weight(self):
         if not -_WEIGHT_TOL <= self.w <= 1.0 + _WEIGHT_TOL:
@@ -254,18 +271,21 @@ class TwoLevelBond:
     def sample(self, gains: tuple[float, float], rng: np.random.Generator) -> int:
         return two_level_sample(self, gains, rng)
 
-    def state(self) -> StateVector:
+    def state(self) -> np.ndarray:
         """alpha P psi0 + beta (1 - P) psi0, renormalized by its own norm.
 
         The norm before renormalizing is 1 up to rounding; a larger defect
         means the scalars drifted from the vectors and raises.
         """
         self._check_weight()
-        amps = self.alpha * self.excited.amps + self.beta * (self.base.amps - self.excited.amps)
+        amps = self.base - self.excited
+        amps *= self.beta
+        amps += self.alpha * self.excited
         nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > _BUILT_NORM_TOL:
             raise RuntimeError(f"bond {self.j}: built state has norm {nrm!r}, not 1")
-        return self.base.with_amps(amps / nrm)
+        amps /= nrm
+        return amps
 
 
 def two_level_sample(
@@ -388,7 +408,7 @@ class SubroutineStats:
 
 
 def mite_subroutine(
-    state: StateVector,
+    frame: np.ndarray,
     j: int,
     chain: ChainOps,
     config: MiteConfig,
@@ -396,8 +416,9 @@ def mite_subroutine(
     counter: MeasurementCounter | None = None,
     bond_series: list[tuple[int, float]] | None = None,
     kernel=TwoLevelBond,
-) -> tuple[StateVector, SubroutineStats]:
-    """Run one measure-and-correct subroutine on bond ``j``.
+) -> tuple[np.ndarray, SubroutineStats]:
+    """Run one measure-and-correct subroutine on bond ``j``'s ``frame``
+    (see the module docstring); returns the frame after the visit.
 
     Measures until either ``window`` consecutive in-threshold estimates
     declare convergence or ``n_iter`` measurements pass without a
@@ -408,8 +429,9 @@ def mite_subroutine(
     before it converges or gives up.
 
     Measurements run on ``kernel``: it opens the bond at the start of the
-    visit and again after each correction, and samples every outcome.  The
-    default two-level kernel pays one projector application per opening.
+    visit, kicks it with each correction, and samples every outcome.  The
+    default two-level kernel pays one projector application per opening
+    and per kick.
 
     ``counter`` carries the bond's record across invocations; a fresh one
     is used when omitted.  When ``bond_series`` is given, one (measurement
@@ -422,7 +444,7 @@ def mite_subroutine(
     e_th = config.e_th(chain.mode)
     gains = measurement_gains(config.epsilon)
     stats = SubroutineStats(bond=j)
-    bond = kernel.open(state, j, chain.projector)
+    bond = kernel.open(frame, j, chain.projector)
     streak = 0
     t = 0
     while t < config.n_iter:
@@ -435,8 +457,7 @@ def mite_subroutine(
         e_peak = peak_energy(counter.k0, counter.k1, config.epsilon)
         stats.e_peak_last = e_peak
         if counter.run1 >= config.fire_window and e_peak >= e_th:
-            kick = correction_unitary(chain.site, rng)
-            bond = kernel.open(apply_two_site(kick, j, bond.state()), j, chain.projector)
+            bond = bond.kick(correction_unitary(chain.site, rng))
             stats.corrections += 1
             counter.reset()
             streak = 0
@@ -460,19 +481,25 @@ def sweep_round(
     bond_series: dict[int, list] | None = None,
     kernel=TwoLevelBond,
 ) -> tuple[StateVector, list[SubroutineStats]]:
-    """One full sweep: subroutines on all odd bonds, then all even bonds."""
+    """One full sweep: subroutines on all odd bonds, then all even bonds,
+    each on its bond's frame."""
+    n, d = chain.n, chain.site.dim
     if counters is None:
         counters = {j: MeasurementCounter() for j in range(1, chain.n + 1)}
     stats: list[SubroutineStats] = []
-    for j in sweep_order(chain.n):
+    amps, at = state.amps, 0  # amps holds the sites in the order at+1, ..., n, 1, ..., at
+    for j in sweep_order(n):
+        frame = rotate_sites(amps, d, (j - 1 - at) % n).reshape(d * d, -1)
+        at = j - 1
         series = bond_series.get(j) if bond_series is not None else None
-        state, st = mite_subroutine(state, j, chain, config, rng, counters[j], series, kernel)
+        frame, st = mite_subroutine(frame, j, chain, config, rng, counters[j], series, kernel)
+        amps = frame.reshape(-1)
         if st.corrections > 0:
             # neighbors' evidence refers to a state the correction destroyed
             counters[1 + (j - 2) % chain.n].reset()
             counters[1 + j % chain.n].reset()
         stats.append(st)
-    return state, stats
+    return state.with_amps(rotate_sites(amps, d, -at % n)), stats
 
 
 _AXES = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}
@@ -495,9 +522,17 @@ def apply_noise(
     if sigma2 == 0.0:
         return state
     xi = math.sqrt(sigma2 / 2.0) * rng.standard_normal(state.n_sites)
-    for j, rot in enumerate(site_rotations(xi[:, None] * _AXES[axis], site), start=1):
-        state = apply_one_site(rot, j, state)
-    return state
+    return state.with_amps(map_sites(site_rotations(xi[:, None] * _AXES[axis], site), state.amps))
+
+
+def bond_partials(state: StateVector, projector: np.ndarray) -> list[float]:
+    """Partial fidelity <psi|(1 - P)|psi> of every bond 1..n, clamped to
+    [0, 1], as 1 - |P frame|^2 on each bond's frame: one rotation pass."""
+    partials = []
+    for k in range(state.n_sites):
+        excited = projector @ rotate_sites(state.amps, state.d, k).reshape(len(projector), -1)
+        partials.append(min(1.0, max(0.0, 1.0 - float(np.vdot(excited, excited).real))))
+    return partials
 
 
 @dataclass
@@ -552,11 +587,8 @@ def prepare(
     counters = {j: MeasurementCounter() for j in range(1, n + 1)}
     bond_series = {j: [] for j in range(1, n + 1)} if config.record_bond_series else None
 
-    def all_partials(s):
-        return [partial_fidelity(s, j, chain.projector) for j in range(1, n + 1)]
-
     f_tot = [fidelity(state, chain.reference.state)]
-    partial = [all_partials(state)]
+    partial = [bond_partials(state, chain.projector)]
     e_peak: list[list[float]] = []
     corrections: list[int] = []
     measurements: list[list[int]] = []
@@ -568,7 +600,7 @@ def prepare(
         state, stats = sweep_round(state, chain, config, rng, counters, bond_series, kernel)
         by_bond = {st.bond: st for st in stats}
         f_tot.append(fidelity(state, chain.reference.state))
-        partial.append(all_partials(state))
+        partial.append(bond_partials(state, chain.projector))
         e_peak.append([by_bond[j].e_peak_last for j in range(1, n + 1)])
         corrections.append(sum(st.corrections for st in stats))
         measurements.append([by_bond[j].measurements for j in range(1, n + 1)])
@@ -596,14 +628,16 @@ def run_trajectories(
 ) -> list[TrajectoryRecord]:
     """Independent trajectories with per-run seeds ``config.seed + run_id``.
 
-    ``threads > 1`` spreads the runs over that many worker processes; the
-    records, returned in ``run_id`` order, do not depend on it.
+    ``threads > 1`` spreads the runs over that many worker processes, at
+    most one per run; the records, returned in ``run_id`` order, do not
+    depend on it.
     """
     configs = [replace(config, seed=config.seed + run_id) for run_id in range(runs)]
-    if threads > 1:
+    workers = min(threads, runs)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(prepare, configs, repeat(n), repeat(mode)))
     return [prepare(c, n, mode) for c in configs]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spin_ops
-from .statevec import StateVector, _apply_block, apply_one_site, fidelity
+from .statevec import StateVector, fidelity, map_sites
 
 
 def triplet_isometry() -> np.ndarray:
@@ -59,34 +59,24 @@ def symmetric_weight(state: StateVector) -> float:
     """<psi| Pi_sym |psi>, the weight in the all-sites-triplet sector."""
     if state.d != 4:
         raise ValueError("symmetric weight is defined for qubit-pair states")
-    projected = state
-    for j in range(1, state.n_sites + 1):
-        projected = apply_one_site(_PI_SYM_SITE, j, projected)
-    val = float(np.vdot(state.amps, projected.amps).real)
+    projected = map_sites([_PI_SYM_SITE] * state.n_sites, state.amps)
+    val = float(np.vdot(state.amps, projected).real)
     return min(1.0, max(0.0, val))
-
-
-def _map_sites(op: np.ndarray, state: StateVector) -> StateVector:
-    """Apply the ``(d_out, d_in)`` matrix ``op`` to every site in turn."""
-    d_out = op.shape[0]
-    amps = state.amps
-    for s in range(state.n_sites):
-        amps = _apply_block(op, amps, d_out**s)
-    return StateVector(amps, state.n_sites, d_out)
 
 
 def lift_state(state: StateVector) -> StateVector:
     """Push a spin-1 chain state through the site-wise triplet isometry."""
     if state.d != 3:
         raise ValueError("lift_state expects a spin-1 chain state")
-    return _map_sites(triplet_isometry(), state)
+    return StateVector(map_sites([triplet_isometry()] * state.n_sites, state.amps), state.n_sites, 4)
 
 
 def restrict_state(state: StateVector) -> StateVector:
     """Project a qubit-pair chain state back to spin-1 coordinates (V' per site)."""
     if state.d != 4:
         raise ValueError("restrict_state expects a qubit-pair chain state")
-    return _map_sites(triplet_isometry().conj().T, state)
+    v_dag = triplet_isometry().conj().T
+    return StateVector(map_sites([v_dag] * state.n_sites, state.amps), state.n_sites, 3)
 
 
 def qubit_aklt_state(n: int) -> spin_ops.AkltReference:

@@ -101,50 +101,57 @@ def product_state(n_sites: int, d: int = 3, local=0) -> StateVector:
     return StateVector(amps, n_sites, d)
 
 
-def _apply_block(op: np.ndarray, amps: np.ndarray, left: int, wrap: int = 0) -> np.ndarray:
-    """``op`` (shape ``(d_out, d_in)``) applied to one block of index digits.
-
-    The block is the ``d_in``-dimensional factor that follows ``left``
-    leading index combinations: ``amps`` is viewed as ``(left, d_in, rest)``.
-    With ``wrap = d`` the block is instead (last digit, first digit) of a
-    vector whose end digits have dimension ``d``, the periodic bond; ``left``
-    is then ignored.  The block is moved to the front and hit by one matrix
-    product, so the result is not renormalized.
-    """
-    if wrap:
-        x = amps.reshape(wrap, -1, wrap).transpose(2, 0, 1)
-        back = (1, 2, 0)
-    else:
-        x = amps.reshape(left, op.shape[1], -1).transpose(1, 0, 2)
-        back = (1, 0, 2)
-    y = op @ x.reshape(op.shape[1], -1)
-    return y.reshape(-1, *x.shape[1:]).transpose(back).reshape(-1)
-
-
 def apply_two_site(op: np.ndarray, j: int, state: StateVector) -> StateVector:
     """Apply a bond operator to sites ``(j, j+1)``; bond ``n_sites`` wraps.
 
     ``op`` acts on the combined local space of the two sites
-    (9x9 for spin-1, 16x16 for qubit pairs).  The result is NOT renormalized.
+    (9x9 for spin-1, 16x16 for qubit pairs).  The two sites are moved to
+    the front, the others keeping chain order, hit by one matrix product
+    and moved back.  The result is NOT renormalized.
     """
     if not 1 <= j <= state.n_sites:
         raise ValueError(f"bond index {j} out of range 1..{state.n_sites}")
     d = state.d
     if op.shape != (d * d, d * d):
         raise ValueError(f"operator shape {op.shape} does not match bond dim {d * d}")
-    if j == state.n_sites:
-        return state.with_amps(_apply_block(op, state.amps, 1, wrap=d))
-    return state.with_amps(_apply_block(op, state.amps, d ** (j - 1)))
+    if j == state.n_sites:  # (site n, site 1) of the (site 1, middle, site n) view
+        x, back = state.amps.reshape(d, -1, d).transpose(2, 0, 1), (1, 2, 0)
+    else:
+        x, back = state.amps.reshape(d ** (j - 1), d * d, -1).transpose(1, 0, 2), (1, 0, 2)
+    y = op @ x.reshape(d * d, -1)
+    return state.with_amps(y.reshape(x.shape).transpose(back).reshape(-1))
 
 
 def apply_one_site(op: np.ndarray, j: int, state: StateVector) -> StateVector:
-    """Apply a single-site operator to chain site ``j`` (not renormalized)."""
+    """Apply a single-site operator to chain site ``j`` (not renormalized),
+    as one step of ``map_sites`` with the other sites in its cyclic order
+    (j+1, ..., n, 1, ..., j-1), so that the two agree bit for bit."""
     if not 1 <= j <= state.n_sites:
         raise ValueError(f"site index {j} out of range 1..{state.n_sites}")
     d = state.d
     if op.shape != (d, d):
         raise ValueError(f"operator shape {op.shape} does not match site dim {d}")
-    return state.with_amps(_apply_block(op, state.amps, d ** (j - 1)))
+    left = d ** (j - 1)
+    x = state.amps.reshape(left, d, -1).transpose(1, 2, 0).reshape(d, -1)
+    y = (x.T @ op.T).reshape(-1, left, d).transpose(1, 2, 0)
+    return state.with_amps(y.reshape(-1))
+
+
+def rotate_sites(amps: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Flat amplitudes with their first ``k`` site axes moved behind the
+    others, a cyclic shift of the site order: one copy, none for k = 0.
+    Rotating by k and then by n - k gives the input back exactly."""
+    return amps.reshape(d**k, -1).T.reshape(-1)
+
+
+def map_sites(ops, amps: np.ndarray) -> np.ndarray:
+    """Flat amplitudes with ``ops[i]`` (shape ``(d_out, d_in)``) applied to
+    their i-th site axis, one operator per site.  Each step is one matmul
+    whose output holds its site last, so it also rotates the site order by
+    one without a copy; after the last site the order is restored."""
+    for op in ops:
+        amps = (amps.reshape(op.shape[1], -1).T @ op.T).reshape(-1)
+    return amps
 
 
 def bond_expectation(op: np.ndarray, j: int, state: StateVector) -> complex:

@@ -272,7 +272,7 @@ def check_own_measurements_preserve_mean_weight():
             psi = np.array([np.sqrt(w), np.sqrt(1.0 - w)])
             mean = 0.0
             for q, (m, u) in enumerate(((kraus.m0, 0.0), (kraus.m1, 1.0 - 2.0**-53))):
-                bond = mite.TwoLevelBond(0, None, None, float(w))
+                bond = mite.TwoLevelBond(0, None, None, float(w), None)
                 stub = SimpleNamespace(random=lambda: u)
                 outcomes_ok &= mite.two_level_sample(bond, gains, stub) == q
                 mean += np.linalg.norm(m @ psi) ** 2 * bond.w
@@ -282,32 +282,39 @@ def check_own_measurements_preserve_mean_weight():
 
 @dataclasses.dataclass(frozen=True)
 class FullStateKernel:
-    """Bond kernel for ``mite.prepare`` that keeps the full state: each
-    measurement is one ``statevec.born_sample`` with the matrix Kraus pair
-    of ``epsilon``, and the excited weight is read back from the collapsed
-    vector."""
+    """Bond kernel for ``mite.prepare`` that keeps the whole frame: each
+    measurement collapses it with the matrix Kraus pair of ``epsilon``
+    (outcome q with probability |m_q psi|^2, then m_q psi renormalized),
+    and the excited weight is read back from the collapsed frame."""
 
     epsilon: float
 
-    def open(self, state, j, projector):
-        return FullStateBond(j, state, projector, mite.measurement_kraus(self.epsilon, projector))
+    def open(self, frame, j, projector):
+        return FullStateBond(j, frame, projector, mite.measurement_kraus(self.epsilon, projector))
 
 
 @dataclasses.dataclass
 class FullStateBond:
     j: int
-    psi: statevec.StateVector
+    psi: np.ndarray
     projector: np.ndarray
     kraus: statevec.KrausPair
 
     @property
     def w(self) -> float:
-        return 1.0 - statevec.partial_fidelity(self.psi, self.j, self.projector)
+        excited = self.projector @ self.psi
+        return float(np.vdot(excited, excited).real)
 
     def sample(self, gains, rng) -> int:
         # ``gains`` feed the two-level kernel; this one collapses with its own pair
-        q, self.psi = statevec.born_sample(self.kraus, self.j, self.psi, rng)
+        psi0 = self.kraus.m0 @ self.psi
+        q, psi = (0, psi0) if rng.random() < np.vdot(psi0, psi0).real else (1, self.kraus.m1 @ self.psi)
+        self.psi = psi / np.linalg.norm(psi)
         return q
+
+    def kick(self, u):
+        self.psi = u @ self.psi
+        return self
 
     def state(self):
         return self.psi

@@ -422,6 +422,24 @@ class TestBenchmarkSpec:
         assert data_rows(out)
         assert (tmp_path / "out.csv.summary.json").exists()
 
+    @pytest.mark.parametrize("workload", ["prepare-spin1", "noise-qubit"])
+    def test_first_job_matches_its_pinned_outputs(self, tmp_path, workload):
+        """The benchmark's first seeded job, checked by the benchmark's own
+        pinning rule: a change of evaluation order that flips an integer
+        record, or moves a float past 1e-12, fails here."""
+        spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        out = tmp_path / "out.csv"
+        assert run([*SPEC["workloads"][workload]["args"], "--seed", 0, "--out", out]) == 0
+        pinned = PERFBENCH / "pinned" / "full" / workload / "seed0"
+        problems = checks.compare_pinned(
+            out.read_text(), (tmp_path / "out.csv.summary.json").read_text(),
+            checks.read_pinned(pinned.with_suffix(".csv.gz")),
+            checks.read_pinned(pinned.with_suffix(".summary.json.gz")),
+        )
+        assert problems == []
+
 
 class TestThreadsEnv:
     def test_env_var_fallback(self, tmp_path, monkeypatch):
@@ -577,3 +595,12 @@ def test_science_hash_pinned(argv, expected):
     cfg = cli.resolve_config(args)
     cli.validate(cfg, args.command)
     assert cli.science_hash(cfg, args.command) == expected
+
+
+@pytest.mark.parametrize("spelling", ["3,4", "3, 4", "3,,4", "03,4"])
+def test_science_hash_reads_the_parsed_list(spelling):
+    """One list of chain lengths, one hash, however the list is written."""
+    args = cli._build_parser().parse_args(["project", "--n", spelling, "--rounds", "3"])
+    cfg = cli.resolve_config(args)
+    cli.validate(cfg, args.command)
+    assert cli.science_hash(cfg, args.command) == "a1cca55a12500c73"

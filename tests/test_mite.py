@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import math
 
 import numpy as np
@@ -6,17 +8,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from aklt_mite import mite, spin_ops, statevec, verify
+from aklt_mite import mite, qubit_map, spin_ops, statevec, verify
 from aklt_mite.statevec import (
     StateVector,
+    apply_one_site,
     apply_two_site,
     born_sample,
     fidelity,
+    map_sites,
     partial_fidelity,
     product_state,
+    rotate_sites,
 )
 
 from conftest import random_unit_vector
+
+
+def frame_of(state, j):
+    """Bond ``j``'s frame: the amplitudes rotated to start at site j, as a
+    (d^2, d^(n-2)) matrix."""
+    return rotate_sites(state.amps, state.d, j - 1).reshape(state.d**2, -1)
+
+
+def unrotated(frame, j, n, d):
+    """The flat amplitudes of bond ``j``'s frame back in chain order."""
+    return rotate_sites(frame.reshape(-1), d, (n - j + 1) % n)
 
 
 class TestMeasurementKraus:
@@ -212,6 +228,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             mite.MiteConfig(fire_window=mite.COUNTER_CAP // 4 + 1)
 
+    @pytest.mark.parametrize("early_stop", [math.nan, math.inf, -math.inf, -1e-6, 1.0, 2.0])
+    def test_early_stop_outside_unit_interval_rejected(self, early_stop):
+        with pytest.raises(ValueError, match="early_stop"):
+            mite.MiteConfig(early_stop=early_stop)
+
+    @pytest.mark.parametrize("early_stop", [None, 0.0, 1e-6, 0.5])
+    def test_early_stop_accepted(self, early_stop):
+        assert mite.MiteConfig(early_stop=early_stop).early_stop == early_stop
+
 
 def record_visits(monkeypatch):
     """Log what the subroutine does, in order: each measurement outcome q
@@ -250,7 +275,7 @@ class TestSubroutine:
         rng = np.random.default_rng(0)
         for _ in range(runs):
             events.clear()
-            state = product_state(2, d=3, local=0)
+            state = frame_of(product_state(2, d=3, local=0), 1)
             counter = mite.MeasurementCounter()
             for _visit in range(3):  # the loop spans sweep rounds in practice
                 state, stats = mite.mite_subroutine(state, 1, two_site, cfg, rng, counter)
@@ -293,7 +318,7 @@ class TestSubroutine:
     def test_counter_resets_after_each_correction(self, monkeypatch):
         cfg = mite.MiteConfig(seed=0)
         chain = mite.build_chain(3, "spin1")
-        state = chain.initial_state()
+        state = frame_of(chain.initial_state(), 1)
         rng = np.random.default_rng(1)
         counter = mite.MeasurementCounter()
         events = record_visits(monkeypatch)
@@ -319,10 +344,10 @@ class TestSubroutine:
         out = []
         for _ in range(2):
             events.clear()
-            state = chain.initial_state()
+            state = frame_of(chain.initial_state(), 2)
             rng = np.random.default_rng(7)
             state, stats = mite.mite_subroutine(state, 2, chain, cfg, rng)
-            out.append((tuple(events), stats.corrections, state.amps.copy()))
+            out.append((tuple(events), stats.corrections, state.copy()))
         assert out[0][0] == out[1][0]
         assert out[0][1] == out[1][1]
         assert np.array_equal(out[0][2], out[1][2])
@@ -342,48 +367,55 @@ class TestTwoLevelKernel:
         assert not passed, detail
 
     def test_one_projector_application_per_stretch(self, monkeypatch):
-        chain = mite.build_chain(3, "spin1")
         calls = []
-        apply = mite.apply_two_site
 
-        def counted(op, j, state):
-            calls.append(op is chain.projector)
-            return apply(op, j, state)
+        def counted(op, name):
+            class Counted(np.ndarray):
+                def __matmul__(self, other):
+                    calls.append(name)
+                    return np.asarray(self) @ other
+
+            return op.view(Counted)
 
         def forbidden(*args):
-            raise AssertionError("the job path called the full-state sampler")
+            raise AssertionError("the job path called a full-state apply or sampler")
 
-        monkeypatch.setattr(mite, "apply_two_site", counted)
+        chain = mite.build_chain(3, "spin1")
+        chain = dataclasses.replace(chain, projector=counted(chain.projector, "projector"))
+        correction = mite.correction_unitary
+        monkeypatch.setattr(mite, "correction_unitary", lambda *a: counted(correction(*a), "kick"))
+        monkeypatch.setattr(mite, "apply_two_site", forbidden)
         monkeypatch.setattr(statevec, "born_sample", forbidden)
         rng = np.random.default_rng(1)
         counter = mite.MeasurementCounter()
         corrections = 0
         for visit in range(6):
             calls.clear()
+            j = 1 + visit % 3
             state, stats = mite.mite_subroutine(
-                chain.initial_state(), 1 + visit % 3, chain, mite.MiteConfig(), rng, counter
+                frame_of(chain.initial_state(), j), j, chain, mite.MiteConfig(), rng, counter
             )
             corrections += stats.corrections
-            assert calls.count(True) == 1 + stats.corrections
-            assert calls.count(False) == stats.corrections  # the kicks
+            assert calls.count("projector") == 1 + stats.corrections
+            assert calls.count("kick") == stats.corrections
         assert corrections > 0
 
     def test_sampling_matches_the_full_state_collapse(self, proj9, rng):
         state = StateVector(random_unit_vector(rng, 81), 4, 3)
         kraus = mite.measurement_kraus(0.5, proj9)
-        bond = mite.TwoLevelBond.open(state, 2, proj9)
+        bond = mite.TwoLevelBond.open(frame_of(state, 2), 2, proj9)
         gains = mite.measurement_gains(0.5)
         for seed in range(20):
             q = mite.two_level_sample(bond, gains, np.random.default_rng(seed))
             q_full, state = born_sample(kraus, 2, state, np.random.default_rng(seed))
             assert q == q_full
             assert abs(1 - bond.w - partial_fidelity(state, 2, proj9)) <= 1e-12
-        assert np.max(np.abs(bond.state().amps - state.amps)) <= 1e-12
+        assert np.max(np.abs(bond.state() - frame_of(state, 2))) <= 1e-12
 
     @pytest.mark.parametrize("field, value", [("alpha", 1.1), ("beta", 0.9), ("w", 1.01), ("w", -0.01)])
     def test_corrupted_scalars_raise_naming_the_bond(self, proj9, rng, field, value):
         state = StateVector(random_unit_vector(rng, 81), 4, 3)
-        bond = mite.TwoLevelBond.open(state, 3, proj9)
+        bond = mite.TwoLevelBond.open(frame_of(state, 3), 3, proj9)
         mite.two_level_sample(bond, mite.measurement_gains(0.5), rng)
         setattr(bond, field, value if field == "w" else value * getattr(bond, field))
         with pytest.raises(RuntimeError, match="bond 3"):
@@ -428,6 +460,40 @@ class TestPrepare:
     def test_trajectory_seed_layout(self):
         recs = mite.run_trajectories(mite.MiteConfig(seed=5, r_max=2), 3, "spin1", 3)
         assert [r.seed for r in recs] == [5, 6, 7]
+
+    @pytest.mark.parametrize("runs, threads, workers", [(2, 500, 2), (3, 2, 2), (1, 4, None)])
+    def test_at_most_one_worker_per_run(self, monkeypatch, runs, threads, workers):
+        """The pool is sized by the runs it has: a pool forks all its
+        workers at once.  The stand-in pool records its size and runs the
+        jobs here, so no process starts."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        recs = mite.run_trajectories(mite.MiteConfig(seed=5, r_max=1), 3, "spin1", runs, threads)
+        assert [r.seed for r in recs] == list(range(5, 5 + runs))
+        assert sizes == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("mode", ["spin1", "qubit"])
+    def test_job_path_applies_no_chain_order_bond_operator(self, monkeypatch, mode):
+        def forbidden(*args):
+            raise AssertionError("a trajectory moved a bond to the front and back")
+
+        monkeypatch.setattr(mite, "apply_two_site", forbidden)
+        cfg = mite.MiteConfig(seed=1, r_max=3, noise_axis="x", noise_sigma2=1e-2)
+        assert len(mite.prepare(cfg, 4, mode).f_tot) == 4
 
     def test_fidelity_improves_at_small_size(self):
         rec = mite.prepare(mite.MiteConfig(seed=0), 3, "spin1")
@@ -475,6 +541,70 @@ class TestNoise:
             mite.MiteConfig(seed=2, r_max=6, noise_axis="z", noise_sigma2=0.0), 3, "spin1"
         )
         assert plain.f_tot == zeroed.f_tot
+
+
+LAYOUT_CASES = [(d, n) for d in (3, 4) for n in range(3, 7)]
+
+
+def _random_op(rng, dim):
+    op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return op / np.linalg.norm(op, 2)
+
+
+@pytest.mark.parametrize("d, n", LAYOUT_CASES)
+class TestSiteLayout:
+    """The rotating site layout of a sweep against the chain-order oracles
+    of ``statevec``, on every bond, the wrap bond n included."""
+
+    def test_rotation_round_trip_is_exact(self, rng, d, n):
+        amps = random_unit_vector(rng, d**n)
+        for k in range(n + 1):
+            assert np.array_equal(rotate_sites(rotate_sites(amps, d, k), d, n - k), amps)
+
+    def test_frame_matmul_is_the_bond_apply(self, rng, d, n):
+        state = StateVector(random_unit_vector(rng, d**n), n, d)
+        for j in range(1, n + 1):
+            op = _random_op(rng, d * d)
+            got = unrotated(op @ frame_of(state, j), j, n, d)
+            assert np.max(np.abs(got - apply_two_site(op, j, state).amps)) <= 1e-14
+
+    def test_site_chain_is_the_per_site_apply(self, rng, d, n):
+        state = StateVector(random_unit_vector(rng, d**n), n, d)
+        ops = [_random_op(rng, d) for _ in range(n)]
+        expected = state
+        for j, op in enumerate(ops, start=1):
+            expected = apply_one_site(op, j, expected)
+        assert np.array_equal(map_sites(ops, state.amps), expected.amps)
+
+    def test_kick_is_the_rebuilt_bond_apply(self, rng, d, n):
+        proj = spin_ops.bond_projector("spin1" if d == 3 else "qubit")
+        site = spin_ops.site_matrices("spin1" if d == 3 else "qubit")
+        gains = mite.measurement_gains(0.5)
+        state = StateVector(random_unit_vector(rng, d**n), n, d)
+        for j in range(1, n + 1):
+            bond = mite.TwoLevelBond.open(frame_of(state, j), j, proj)
+            for _ in range(5):
+                mite.two_level_sample(bond, gains, rng)
+            u = mite.correction_unitary(site, rng)
+            full = state.with_amps(unrotated(bond.state(), j, n, d))
+            old = mite.TwoLevelBond.open(frame_of(apply_two_site(u, j, full), j), j, proj)
+            new = bond.kick(u)
+            assert np.max(np.abs(new.base - old.base)) <= 1e-14
+            assert np.max(np.abs(new.excited - old.excited)) <= 1e-14
+            assert abs(new.w - old.w) <= 1e-14
+
+    def test_partials_and_symmetric_weight_are_the_per_bond_values(self, rng, d, n):
+        proj = spin_ops.bond_projector("spin1" if d == 3 else "qubit")
+        state = StateVector(random_unit_vector(rng, d**n), n, d)
+        expected = [partial_fidelity(state, j, proj) for j in range(1, n + 1)]
+        assert np.max(np.abs(np.subtract(mite.bond_partials(state, proj), expected))) <= 1e-14
+        if d == 4:  # each site's triplet projector, applied through the transposing bond apply
+            site_proj = np.kron(qubit_map.symmetric_site_projector(), np.eye(4))
+            projected = state
+            for j in range(1, n + 1):
+                projected = apply_two_site(site_proj, j, projected)
+            expected_w = float(np.vdot(state.amps, projected.amps).real)
+            assert abs(qubit_map.symmetric_weight(state) - expected_w) <= 1e-14
 
 
 class TestNoDiagonalization:
