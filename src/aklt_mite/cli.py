@@ -173,7 +173,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    if cfg["threads"] in (None, 0):
+    if cfg["threads"] is None:
         env = os.environ.get("AKLT_MITE_THREADS", "1")
         try:
             cfg["threads"] = int(env)
@@ -183,13 +183,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _parse_list(key: str, text: str) -> list[int]:
-    """The integers of the comma list ``--n`` or ``--layers``, at least one."""
+    """The integers of the comma list ``--n`` or ``--layers``: at least one,
+    none twice."""
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse integer list {key} from {text!r}")
     if not values:
         raise ConfigError(f"{key} must list at least one integer, got {text!r}")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{key} lists an integer twice: {text!r}")
     return values
 
 

@@ -43,14 +43,11 @@ of carrying half-finished repairs into the next round.
 A sweep round runs the subroutine over all odd bonds, then all even bonds
 (``sweep_order``).
 
-Layout.  During a round the flat amplitudes hold their site axes rotated
-cyclically (``statevec.rotate_sites``) so that the visited bond j's sites
-come first: j, j+1, ..., n, 1, ..., j-1 (the wrap bond n: site n, then 1).
-Their (d^2, d^(n-2)) view is the bond's *frame*, on which a bond operator
-is one matmul from the left.  The next bond of the sweep is one copy away,
-and the round ends with one rotation back to chain order.  Noise and the
-qubit symmetric weight are ``statevec.map_sites`` chains; ``bond_partials``
-reads every bond's partial fidelity in one rotation pass.
+Layout.  A round is one ``statevec.walk_bonds`` over ``sweep_order``, so
+each visit works on its bond's *frame* (the rotating site layout), as does
+the projection cascade.  Noise and the qubit symmetric weight are
+``statevec.map_sites`` chains; ``bond_partials`` reads every bond's partial
+fidelity from ``statevec.bond_weights``.
 
 Between corrections a visit never leaves the plane span{P psi, (1 - P) psi}
 of its bond: both measurement operators are (1 + (g_q - 1) P) / sqrt(2).
@@ -93,11 +90,11 @@ from .spin_ops import (
 from .statevec import (
     KrausPair,
     StateVector,
-    apply_two_site,
+    bond_weights,
     fidelity,
     map_sites,
     product_state,
-    rotate_sites,
+    walk_bonds,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -483,23 +480,21 @@ def sweep_round(
 ) -> tuple[StateVector, list[SubroutineStats]]:
     """One full sweep: subroutines on all odd bonds, then all even bonds,
     each on its bond's frame."""
-    n, d = chain.n, chain.site.dim
     if counters is None:
         counters = {j: MeasurementCounter() for j in range(1, chain.n + 1)}
     stats: list[SubroutineStats] = []
-    amps, at = state.amps, 0  # amps holds the sites in the order at+1, ..., n, 1, ..., at
-    for j in sweep_order(n):
-        frame = rotate_sites(amps, d, (j - 1 - at) % n).reshape(d * d, -1)
-        at = j - 1
+
+    def visit(j: int, frame: np.ndarray) -> np.ndarray:
         series = bond_series.get(j) if bond_series is not None else None
         frame, st = mite_subroutine(frame, j, chain, config, rng, counters[j], series, kernel)
-        amps = frame.reshape(-1)
         if st.corrections > 0:
             # neighbors' evidence refers to a state the correction destroyed
             counters[1 + (j - 2) % chain.n].reset()
             counters[1 + j % chain.n].reset()
         stats.append(st)
-    return state.with_amps(rotate_sites(amps, d, -at % n)), stats
+        return frame
+
+    return walk_bonds(state, sweep_order(chain.n), visit), stats
 
 
 _AXES = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}
@@ -526,13 +521,8 @@ def apply_noise(
 
 
 def bond_partials(state: StateVector, projector: np.ndarray) -> list[float]:
-    """Partial fidelity <psi|(1 - P)|psi> of every bond 1..n, clamped to
-    [0, 1], as 1 - |P frame|^2 on each bond's frame: one rotation pass."""
-    partials = []
-    for k in range(state.n_sites):
-        excited = projector @ rotate_sites(state.amps, state.d, k).reshape(len(projector), -1)
-        partials.append(min(1.0, max(0.0, 1.0 - float(np.vdot(excited, excited).real))))
-    return partials
+    """Partial fidelity <psi|(1 - P)|psi> of every bond 1..n, clamped to [0, 1]."""
+    return [min(1.0, max(0.0, 1.0 - w)) for w in bond_weights(state, projector)]
 
 
 @dataclass
@@ -703,8 +693,7 @@ def direct_projection_converge(
     state = twisted_sx_product(n, twist)
     series = [fidelity(state, reference.state)]
     for _ in range(r_max):
-        for j in sweep_order(n):
-            state = apply_two_site(comp, j, state)
+        state = walk_bonds(state, sweep_order(n), lambda j, frame: comp @ frame)
         nrm = state.norm()
         if nrm < 1e-15:
             raise RuntimeError("projection cascade annihilated the state")

@@ -12,6 +12,14 @@ Basis conventions (fixed; stored outputs depend on them):
 
 Bond indices are 1-based: bond ``j`` couples chain sites ``(j, j+1)`` with
 ``j = n_sites`` wrapping around to site 1 (periodic boundary).
+
+The job path works in a rotating site layout: ``rotate_sites`` shifts the
+site order cyclically, ``walk_bonds`` visits a sequence of bonds on their
+(d^2, d^(n-2)) *frames*, ``bond_weights`` reads <psi|P|psi> on every bond in
+one rotation pass, and ``map_sites`` applies one operator per site.  The
+chain-order functions ``apply_two_site``, ``apply_one_site``,
+``partial_fidelity`` and ``born_sample`` are the independent oracles those
+are tested against.
 """
 
 from __future__ import annotations
@@ -144,6 +152,31 @@ def rotate_sites(amps: np.ndarray, d: int, k: int) -> np.ndarray:
     return amps.reshape(d**k, -1).T.reshape(-1)
 
 
+def walk_bonds(state: StateVector, bonds, visit) -> StateVector:
+    """``visit(j, frame)`` on each of ``bonds`` in turn, which returns the
+    frame to go on with; the state comes back in chain order.  Bond j's
+    *frame* is the (d^2, d^(n-2)) view of the amplitudes with its sites
+    first (j, ..., n, 1, ..., j-1), on which a bond operator is one matmul
+    from the left; the next bond is one ``rotate_sites`` copy away."""
+    n, d = state.n_sites, state.d
+    amps, at = state.amps, 0  # amps holds the sites in the order at+1, ..., n, 1, ..., at
+    for j in bonds:
+        frame = rotate_sites(amps, d, (j - 1 - at) % n).reshape(d * d, -1)
+        at = j - 1
+        amps = visit(j, frame).reshape(-1)
+    return state.with_amps(rotate_sites(amps, d, -at % n))
+
+
+def bond_weights(state: StateVector, projector: np.ndarray) -> list[float]:
+    """<psi|P_{j,j+1}|psi> = |P frame_j|^2 for every bond j = 1..n, each
+    frame rotated straight from chain order: one rotation pass."""
+    weights = []
+    for k in range(state.n_sites):
+        excited = projector @ rotate_sites(state.amps, state.d, k).reshape(len(projector), -1)
+        weights.append(float(np.vdot(excited, excited).real))
+    return weights
+
+
 def map_sites(ops, amps: np.ndarray) -> np.ndarray:
     """Flat amplitudes with ``ops[i]`` (shape ``(d_out, d_in)``) applied to
     their i-th site axis, one operator per site.  Each step is one matmul
@@ -152,11 +185,6 @@ def map_sites(ops, amps: np.ndarray) -> np.ndarray:
     for op in ops:
         amps = (amps.reshape(op.shape[1], -1).T @ op.T).reshape(-1)
     return amps
-
-
-def bond_expectation(op: np.ndarray, j: int, state: StateVector) -> complex:
-    """<psi| op_{j,j+1} |psi> without renormalizing."""
-    return complex(np.vdot(state.amps, apply_two_site(op, j, state).amps))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -171,7 +199,7 @@ def partial_fidelity(state: StateVector, j: int, projector: np.ndarray) -> float
 
     Real to numerical precision for a Hermitian projector; clamped to [0, 1].
     """
-    val = 1.0 - bond_expectation(projector, j, state).real
+    val = 1.0 - np.vdot(state.amps, apply_two_site(projector, j, state).amps).real
     return float(min(1.0, max(0.0, val)))
 
 

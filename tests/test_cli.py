@@ -269,9 +269,17 @@ class TestProject:
         assert rows[0] == "n,r,f_tot"
         assert len(rows) == 12  # header + r = 0..10
 
-    @pytest.mark.parametrize("n", [",", ""], ids=["comma", "empty"])
-    def test_empty_list_rejected_without_output(self, tmp_path, capsys, n):
-        assert run(["project", "--n", n, "--rounds", 3, "--out", tmp_path / "never.csv"]) == 1
+    @pytest.mark.parametrize("argv", [
+        ["project", "--n", ",", "--rounds", 3],
+        ["project", "--n", "", "--rounds", 3],
+        ["project", "--n", "3,3", "--rounds", 2],
+        ["project", "--n", "3,03", "--rounds", 2],
+        ["recompile", "--layers", "1,1", "--reps", 1, "--maxiter", 5],
+        ["recompile", "--layers", "1, 01", "--reps", 1, "--maxiter", 5],
+    ], ids=["comma", "empty", "repeat", "repeat-respelled", "layers-repeat", "layers-repeat-respelled"])
+    def test_empty_list_rejected_without_output(self, tmp_path, capsys, argv):
+        """An empty list, or one naming a value twice, is no job to run."""
+        assert run([*argv, "--out", tmp_path / "never.csv"]) == 1
         assert "invalid configuration" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -422,7 +430,7 @@ class TestBenchmarkSpec:
         assert data_rows(out)
         assert (tmp_path / "out.csv.summary.json").exists()
 
-    @pytest.mark.parametrize("workload", ["prepare-spin1", "noise-qubit"])
+    @pytest.mark.parametrize("workload", ["prepare-spin1", "noise-qubit", "cascade"])
     def test_first_job_matches_its_pinned_outputs(self, tmp_path, workload):
         """The benchmark's first seeded job, checked by the benchmark's own
         pinning rule: a change of evaluation order that flips an integer
@@ -455,11 +463,18 @@ class TestThreadsEnv:
         (["--threads", -3], None),
         ([], "x"),
         ([], "-1"),
+        (["--threads", 0], "2"),
+        (["--config", {"threads": 0}], "2"),
     ])
     def test_bad_thread_count_rejected(self, tmp_path, monkeypatch, capsys, flags, env):
-        # validation runs before any pool starts, so no worker is spawned here
+        # validation runs before any pool starts, so no worker is spawned here;
+        # where the setting is 0, the environment holds a valid count to fall back on
         if env is not None:
             monkeypatch.setenv("AKLT_MITE_THREADS", env)
+        if flags and isinstance(flags[-1], dict):  # a config-file setting
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(flags[-1]))
+            flags = [*flags[:-1], cfg]
         out = tmp_path / "never.csv"
         assert run(["prepare", "--n", 3, "--runs", 1, *flags, "--out", out]) == 1
         assert not out.exists()

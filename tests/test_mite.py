@@ -19,6 +19,7 @@ from aklt_mite.statevec import (
     partial_fidelity,
     product_state,
     rotate_sites,
+    walk_bonds,
 )
 
 from conftest import random_unit_vector
@@ -33,6 +34,14 @@ def frame_of(state, j):
 def unrotated(frame, j, n, d):
     """The flat amplitudes of bond ``j``'s frame back in chain order."""
     return rotate_sites(frame.reshape(-1), d, (n - j + 1) % n)
+
+
+def forbid_chain_order_applies(monkeypatch, forbidden):
+    """Replace every binding of the chain-order bond apply and of the
+    Hamiltonian by ``forbidden``."""
+    monkeypatch.setattr(statevec, "apply_two_site", forbidden)
+    monkeypatch.setattr(spin_ops, "apply_two_site", forbidden)
+    monkeypatch.setattr(spin_ops, "hamiltonian_apply", forbidden)
 
 
 class TestMeasurementKraus:
@@ -384,7 +393,7 @@ class TestTwoLevelKernel:
         chain = dataclasses.replace(chain, projector=counted(chain.projector, "projector"))
         correction = mite.correction_unitary
         monkeypatch.setattr(mite, "correction_unitary", lambda *a: counted(correction(*a), "kick"))
-        monkeypatch.setattr(mite, "apply_two_site", forbidden)
+        forbid_chain_order_applies(monkeypatch, forbidden)
         monkeypatch.setattr(statevec, "born_sample", forbidden)
         rng = np.random.default_rng(1)
         counter = mite.MeasurementCounter()
@@ -488,12 +497,18 @@ class TestPrepare:
 
     @pytest.mark.parametrize("mode", ["spin1", "qubit"])
     def test_job_path_applies_no_chain_order_bond_operator(self, monkeypatch, mode):
+        """Trajectories, the chain build with its reference certificate and
+        the projection cascade all work on bond frames; the chain-order bond
+        apply and the Hamiltonian are left to the oracles."""
         def forbidden(*args):
-            raise AssertionError("a trajectory moved a bond to the front and back")
+            raise AssertionError("a job moved a bond to the front and back")
 
-        monkeypatch.setattr(mite, "apply_two_site", forbidden)
+        forbid_chain_order_applies(monkeypatch, forbidden)
+        assert not hasattr(mite, "apply_two_site")
         cfg = mite.MiteConfig(seed=1, r_max=3, noise_axis="x", noise_sigma2=1e-2)
         assert len(mite.prepare(cfg, 4, mode).f_tot) == 4
+        assert mite.build_chain(5, mode).reference.n == 5
+        assert mite.direct_projection_converge(5, 2).shape == (3,)
 
     def test_fidelity_improves_at_small_size(self):
         rec = mite.prepare(mite.MiteConfig(seed=0), 3, "spin1")
@@ -567,6 +582,24 @@ class TestSiteLayout:
             op = _random_op(rng, d * d)
             got = unrotated(op @ frame_of(state, j), j, n, d)
             assert np.max(np.abs(got - apply_two_site(op, j, state).amps)) <= 1e-14
+
+    @pytest.mark.parametrize("order", ["sweep", "repeating"])
+    def test_walk_is_the_chain_of_bond_applies(self, rng, d, n, order):
+        bonds = mite.sweep_order(n) if order == "sweep" else [2, 2, n, 1, 3, 1, n]
+        state = StateVector(random_unit_vector(rng, d**n), n, d)
+        ops = [_random_op(rng, d * d) for _ in bonds]
+        expected = state
+        for j, op in zip(bonds, ops):
+            expected = apply_two_site(op, j, expected)
+        visits = iter(zip(bonds, ops))
+
+        def visit(j, frame):
+            bond, op = next(visits)
+            assert j == bond
+            return op @ frame
+
+        got = walk_bonds(state, bonds, visit)
+        assert np.max(np.abs(got.amps - expected.amps)) <= 1e-14
 
     def test_site_chain_is_the_per_site_apply(self, rng, d, n):
         state = StateVector(random_unit_vector(rng, d**n), n, d)

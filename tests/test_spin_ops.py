@@ -204,6 +204,25 @@ class TestClosedFormReference:
     def test_energy_is_zero(self, n):
         assert abs(spin_ops.aklt_state(n).energy) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_energy_is_the_hamiltonian_expectation(self, n):
+        ref = spin_ops.aklt_state(n)
+        expected = np.vdot(ref.state.amps, spin_ops.hamiltonian_apply(ref.state).amps).real
+        assert ref.energy >= 0.0
+        assert abs(ref.energy - expected) <= 1e-15
+
+    def test_perturbed_state_fails_the_certificate(self, monkeypatch):
+        fix_phase = spin_ops._fix_phase
+
+        def perturbed(vec):
+            vec = fix_phase(vec)
+            vec[0] += 1e-6
+            return vec / np.linalg.norm(vec)
+
+        monkeypatch.setattr(spin_ops, "_fix_phase", perturbed)
+        with pytest.raises(RuntimeError, match="residual"):
+            spin_ops.aklt_state(5)
+
     def test_oracle_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             spin_ops.exact_aklt_state(2)
