@@ -226,8 +226,6 @@ def validate(cfg: dict, kind: str) -> tuple[list[int], object]:
         spin_ops.check_chain_size(ns[0], cfg["mode"])
         config = _build_config(cfg, mite.MiteConfig, MITE_FIELDS)
         config.e_th(cfg["mode"])
-        if config.noise_axis is None and config.noise_sigma2 > 0:
-            raise ConfigError("noise experiment needs --noise-axis")
         return ns, config
     except ValueError as exc:
         raise ConfigError(str(exc))

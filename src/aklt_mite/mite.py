@@ -60,7 +60,7 @@ with a full-state kernel that collapses the frame with the matrix Kraus
 pair.  A kernel provides ``open(frame, j, projector)``, which returns a
 bond with ``sample(gains, rng) -> q``, ``kick(u)`` (apply the correction
 ``u`` and return the bond of the new stretch), ``state()`` (the frame) and
-the excited weight ``w``.
+the excited weight ``w`` (read by ``verify.RecordingKernel``).
 
 RNG discipline (one trajectory = one ``numpy`` Generator): each round
 first draws the per-site noise angles as one ``standard_normal(N)`` (sites
@@ -113,10 +113,6 @@ class MiteConfig:
     ``eta = None`` resolves to the mode default (4 for spin1, 2 for qubit).
     ``early_stop`` ends a trajectory once the total fidelity exceeds
     ``1 - early_stop``; set it to ``None`` to run all ``r_max`` rounds.
-    ``record_bond_series`` additionally stores, per bond, the partial
-    fidelity after every single measurement (indexed by the bond's
-    cumulative measurement count); it is read off the two-level kernel's
-    excited weight, so it costs no state-vector work.
     """
 
     epsilon: float = 0.5
@@ -129,7 +125,6 @@ class MiteConfig:
     noise_sigma2: float = 0.0
     seed: int = 0
     early_stop: float | None = 1e-6
-    record_bond_series: bool = False
 
     def __post_init__(self):
         # written so that NaN fails them: NaN compares false with everything
@@ -147,20 +142,17 @@ class MiteConfig:
             raise ValueError("noise axis must be 'x' or 'z'")
         if not 0 <= self.noise_sigma2 < math.inf:
             raise ValueError("noise variance parameter must be nonnegative and finite")
+        if self.noise_axis is None and self.noise_sigma2 > 0:
+            raise ValueError("noise experiment needs --noise-axis")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.early_stop is not None and not 0 <= self.early_stop < 1:
             raise ValueError("early_stop must be None or in [0, 1)")
 
-    def resolved_eta(self, mode: str) -> float:
-        if self.eta is not None:
-            return self.eta
-        return DEFAULT_ETA[mode]
-
     def e_th(self, mode: str) -> float:
         """Threshold energy epsilon/eta; must sit below the 1/2 midpoint
         between the two bond-energy levels."""
-        e_th = self.epsilon / self.resolved_eta(mode)
+        e_th = self.epsilon / (DEFAULT_ETA[mode] if self.eta is None else self.eta)
         if e_th >= 0.5:
             raise ValueError(f"e_th = {e_th} not below the level midpoint 1/2")
         return e_th
@@ -411,7 +403,6 @@ def mite_subroutine(
     config: MiteConfig,
     rng: np.random.Generator,
     counter: MeasurementCounter | None = None,
-    bond_series: list[tuple[int, float]] | None = None,
     kernel=TwoLevelBond,
 ) -> tuple[np.ndarray, SubroutineStats]:
     """Run one measure-and-correct subroutine on bond ``j``'s ``frame``
@@ -431,10 +422,7 @@ def mite_subroutine(
     and per kick.
 
     ``counter`` carries the bond's record across invocations; a fresh one
-    is used when omitted.  When ``bond_series`` is given, one (measurement
-    index, partial fidelity) pair is appended after every measurement; the
-    index counts the bond's measurements over all visits, so it is
-    ``len(bond_series)`` after the append.
+    is used when omitted.
     """
     if counter is None:
         counter = MeasurementCounter()
@@ -461,8 +449,6 @@ def mite_subroutine(
             t = 0
         else:
             streak = streak + 1 if e_peak < e_th else 0
-        if bond_series is not None:
-            bond_series.append((len(bond_series) + 1, min(1.0, max(0.0, 1.0 - bond.w))))
         if streak >= config.window:
             stats.converged = True
             break
@@ -475,7 +461,6 @@ def sweep_round(
     config: MiteConfig,
     rng: np.random.Generator,
     counters: dict[int, MeasurementCounter] | None = None,
-    bond_series: dict[int, list] | None = None,
     kernel=TwoLevelBond,
 ) -> tuple[StateVector, list[SubroutineStats]]:
     """One full sweep: subroutines on all odd bonds, then all even bonds,
@@ -485,8 +470,7 @@ def sweep_round(
     stats: list[SubroutineStats] = []
 
     def visit(j: int, frame: np.ndarray) -> np.ndarray:
-        series = bond_series.get(j) if bond_series is not None else None
-        frame, st = mite_subroutine(frame, j, chain, config, rng, counters[j], series, kernel)
+        frame, st = mite_subroutine(frame, j, chain, config, rng, counters[j], kernel)
         if st.corrections > 0:
             # neighbors' evidence refers to a state the correction destroyed
             counters[1 + (j - 2) % chain.n].reset()
@@ -544,15 +528,14 @@ class TrajectoryRecord:
     corrections: list[int]
     measurements: list[list[int]]
     sym_weight: list[float] | None = None
-    bond_series: dict[int, list[tuple[int, float]]] | None = None
 
 
-def _checked_symmetric_weight(state: StateVector, seed: int, r: int) -> float:
+def _checked_symmetric_weight(state: StateVector) -> float:
     """A qubit trajectory's symmetric-sector weight, which every operation of
     the loop keeps at 1; a weight that left it means a broken operator."""
     w = qubit_map.symmetric_weight(state)
     if abs(w - 1.0) > _SYM_WEIGHT_TOL:
-        raise RuntimeError(f"seed {seed}, round {r}: symmetric-sector weight {w!r} left 1")
+        raise RuntimeError(f"symmetric-sector weight {w!r} left 1")
     return w
 
 
@@ -564,53 +547,38 @@ def prepare(
     Starts from the all-(m=1) product state (spin1) or the all-|00> state
     (qubit), optionally applies noise at the top of each round, and sweeps
     until ``r_max`` rounds or the early-stop fidelity is reached.  Every
-    measurement goes through ``kernel`` (see ``mite_subroutine``).
+    measurement goes through ``kernel`` (see ``mite_subroutine``).  A
+    ``RuntimeError`` in round r (0: the initial diagnostics) is re-raised
+    prefixed with ``seed {seed}, round {r}: ``, so it can be replayed.
     """
     chain = build_chain(n, mode)
     config.e_th(mode)  # validate threshold up front
     rng = np.random.default_rng(config.seed)
     state = chain.initial_state()
-
-    noisy = config.noise_axis is not None and config.noise_sigma2 > 0.0
-    track_sym = mode == "qubit"
-
+    noisy = config.noise_sigma2 > 0.0
     counters = {j: MeasurementCounter() for j in range(1, n + 1)}
-    bond_series = {j: [] for j in range(1, n + 1)} if config.record_bond_series else None
-
-    f_tot = [fidelity(state, chain.reference.state)]
-    partial = [bond_partials(state, chain.projector)]
-    e_peak: list[list[float]] = []
-    corrections: list[int] = []
-    measurements: list[list[int]] = []
-    sym_weight = [_checked_symmetric_weight(state, config.seed, 0)] if track_sym else None
-
-    for r in range(1, config.r_max + 1):
-        if noisy:
-            state = apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
-        state, stats = sweep_round(state, chain, config, rng, counters, bond_series, kernel)
-        by_bond = {st.bond: st for st in stats}
-        f_tot.append(fidelity(state, chain.reference.state))
-        partial.append(bond_partials(state, chain.projector))
-        e_peak.append([by_bond[j].e_peak_last for j in range(1, n + 1)])
-        corrections.append(sum(st.corrections for st in stats))
-        measurements.append([by_bond[j].measurements for j in range(1, n + 1)])
-        if track_sym:
-            sym_weight.append(_checked_symmetric_weight(state, config.seed, r))
-        if config.early_stop is not None and f_tot[-1] > 1.0 - config.early_stop:
-            break
-
-    return TrajectoryRecord(
-        n=n,
-        mode=mode,
-        seed=config.seed,
-        f_tot=f_tot,
-        partial=partial,
-        e_peak=e_peak,
-        corrections=corrections,
-        measurements=measurements,
-        sym_weight=sym_weight,
-        bond_series=bond_series,
-    )
+    record = TrajectoryRecord(n=n, mode=mode, seed=config.seed, f_tot=[], partial=[], e_peak=[],
+                              corrections=[], measurements=[],
+                              sym_weight=[] if mode == "qubit" else None)
+    try:
+        for r in range(config.r_max + 1):  # round 0 records the initial state
+            if r > 0:
+                if noisy:
+                    state = apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
+                state, stats = sweep_round(state, chain, config, rng, counters, kernel)
+                by_bond = {st.bond: st for st in stats}
+                record.e_peak.append([by_bond[j].e_peak_last for j in range(1, n + 1)])
+                record.corrections.append(sum(st.corrections for st in stats))
+                record.measurements.append([by_bond[j].measurements for j in range(1, n + 1)])
+            record.f_tot.append(fidelity(state, chain.reference.state))
+            record.partial.append(bond_partials(state, chain.projector))
+            if record.sym_weight is not None:
+                record.sym_weight.append(_checked_symmetric_weight(state))
+            if r > 0 and config.early_stop is not None and record.f_tot[-1] > 1.0 - config.early_stop:
+                break
+    except RuntimeError as exc:
+        raise RuntimeError(f"seed {config.seed}, round {r}: {exc}") from exc
+    return record
 
 
 def run_trajectories(

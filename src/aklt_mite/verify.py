@@ -10,7 +10,8 @@ importing this module does not load scipy; the CLI imports it only for
 The two-level bond kernel's oracle is ``FullStateKernel``: ``mite.prepare``
 runs with it in place of ``mite.TwoLevelBond``, so both sides share every
 rule of the loop and differ only in how one measurement collapses the
-state.
+state.  ``RecordingKernel`` wraps either one to record each bond's partial
+fidelity after every one of its measurements.
 """
 
 from __future__ import annotations
@@ -290,12 +291,11 @@ class FullStateKernel:
     epsilon: float
 
     def open(self, frame, j, projector):
-        return FullStateBond(j, frame, projector, mite.measurement_kraus(self.epsilon, projector))
+        return FullStateBond(frame, projector, mite.measurement_kraus(self.epsilon, projector))
 
 
 @dataclasses.dataclass
 class FullStateBond:
-    j: int
     psi: np.ndarray
     projector: np.ndarray
     kraus: statevec.KrausPair
@@ -320,24 +320,61 @@ class FullStateBond:
         return self.psi
 
 
+@dataclasses.dataclass
+class RecordingKernel:
+    """Bond kernel for one trajectory that runs ``inner`` and, after each of
+    bond j's measurements, appends (t, min(1, max(0, 1 - w))) to
+    ``series[j]``: t counts the bond's measurements over all its visits
+    from 1, and a correction rewrites the last pair with the kicked bond's
+    value."""
+
+    inner: object = mite.TwoLevelBond
+    series: dict = dataclasses.field(default_factory=dict)
+
+    def open(self, frame, j, projector):
+        return RecordingBond(self.inner.open(frame, j, projector), self.series.setdefault(j, []))
+
+
+@dataclasses.dataclass
+class RecordingBond:
+    bond: object
+    series: list
+
+    def _record(self):
+        self.series.append((len(self.series) + 1, min(1.0, max(0.0, 1.0 - self.bond.w))))
+
+    def sample(self, gains, rng) -> int:
+        q = self.bond.sample(gains, rng)
+        self._record()
+        return q
+
+    def kick(self, u):
+        self.bond = self.bond.kick(u)
+        self.series.pop()
+        self._record()
+        return self
+
+    def state(self):
+        return self.bond.state()
+
+
 # float series of a TrajectoryRecord; every other field must match exactly
 _FLOAT_FIELDS = ("f_tot", "partial", "sym_weight")
 
 
-def _split_record(record):
-    """A record as (exact fields, float arrays): bond-series indices go to
-    the exact part and their values to the float part."""
+def _recorded_run(config, n, mode, inner):
+    """``mite.prepare`` on ``RecordingKernel(inner)`` as (exact fields, float
+    arrays): the bond series' indices go to the exact part and their values
+    to the float part."""
+    kernel = RecordingKernel(inner)
     exact, floats = {}, {}
-    for field in dataclasses.fields(record):
-        name, value = field.name, getattr(record, field.name)
+    for name, value in dataclasses.asdict(mite.prepare(config, n, mode, kernel=kernel)).items():
         if value is not None and name in _FLOAT_FIELDS:
-            exact[name] = np.shape(value)
-            floats[name] = np.ravel(value)
-        elif value is not None and name == "bond_series":
-            exact[name] = {j: [t for t, _ in pairs] for j, pairs in value.items()}
-            floats[name] = np.array([f for pairs in value.values() for _, f in pairs])
+            exact[name], floats[name] = np.shape(value), np.ravel(value)
         else:
             exact[name] = value
+    exact["bond_series"] = {j: [t for t, _ in pairs] for j, pairs in kernel.series.items()}
+    floats["bond_series"] = np.array([f for pairs in kernel.series.values() for _, f in pairs])
     return exact, floats
 
 
@@ -346,22 +383,18 @@ TWO_LEVEL_CASES = ((4, "spin1"), (6, "spin1"), (5, "qubit"))
 
 def check_two_level_kernel(cases=TWO_LEVEL_CASES, seeds=(0,), r_max: int = 10):
     """``mite.prepare`` against itself on ``FullStateKernel``, noiseless and
-    with z-noise sigma2 = 1e-2, bond series on: every integer and ``None``
-    field of the records identical (outcome, measurement and correction
-    records, bond-series indices), the float series within 1e-12."""
+    with z-noise sigma2 = 1e-2, each in a ``RecordingKernel``: every integer
+    and ``None`` field of the records and the bond-series indices identical,
+    the float series and the bond-series values within 1e-12."""
     worst = dict.fromkeys(_FLOAT_FIELDS + ("bond_series",), 0.0)
     diverged = []
     for n, mode in cases:
         for sigma2 in (0.0, 1e-2):
             for seed in seeds:
-                config = mite.MiteConfig(
-                    seed=seed, r_max=r_max, record_bond_series=True,
-                    noise_axis="z" if sigma2 else None, noise_sigma2=sigma2,
-                )
-                got, got_floats = _split_record(mite.prepare(config, n, mode))
-                want, want_floats = _split_record(
-                    mite.prepare(config, n, mode, kernel=FullStateKernel(config.epsilon))
-                )
+                config = mite.MiteConfig(seed=seed, r_max=r_max, noise_sigma2=sigma2,
+                                         noise_axis="z" if sigma2 else None)
+                got, got_floats = _recorded_run(config, n, mode, mite.TwoLevelBond)
+                want, want_floats = _recorded_run(config, n, mode, FullStateKernel(config.epsilon))
                 differ = [name for name in want if got[name] != want[name]]
                 if differ:
                     diverged.append(f"{mode} N={n} sigma2={sigma2} seed={seed} ({', '.join(differ)})")

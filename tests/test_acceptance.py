@@ -12,6 +12,7 @@ ledger): the within-100-measurement partial-fidelity bound and the
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from scipy.linalg import expm
 from aklt_mite import mite, recompile, spin_ops
 from aklt_mite.cli import main as cli_main
 from aklt_mite.statevec import born_sample, partial_fidelity, product_state
+from aklt_mite.verify import RecordingKernel
 
 from conftest import phase_aligned_distance
 
@@ -35,17 +37,28 @@ def references():
 
 
 def battery(n, mode="spin1", runs=RUNS, **overrides):
+    """Records of ``runs`` trajectories seeded ``seed + run_id``, the seed
+    layout of ``mite.run_trajectories``, each on its own ``RecordingKernel``,
+    and the runs' per-bond series."""
     # acceptance runs go the full r_max so late rounds are measured, not
     # frozen by the early-stop convenience
-    kwargs = {"seed": BASE_SEED, "r_max": R_MAX, "record_bond_series": True,
-              "early_stop": None}
-    kwargs.update(overrides)
-    return mite.run_trajectories(mite.MiteConfig(**kwargs), n, mode, runs)
+    cfg = mite.MiteConfig(**{"seed": BASE_SEED, "r_max": R_MAX, "early_stop": None, **overrides})
+    records, series = [], []
+    for run_id in range(runs):
+        kernel = RecordingKernel()
+        records.append(mite.prepare(replace(cfg, seed=cfg.seed + run_id), n, mode, kernel=kernel))
+        series.append(kernel.series)
+    return records, series
 
 
 @pytest.fixture(scope="module")
-def spin1_batteries():
+def spin1_runs():
     return {n: battery(n) for n in (4, 6)}
+
+
+@pytest.fixture(scope="module")
+def spin1_batteries(spin1_runs):
+    return {n: records for n, (records, _) in spin1_runs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +66,7 @@ def noise_batteries():
     out = {}
     for axis in ("x", "z"):
         for sigma2 in (1e-4, 1e-2):
-            out[(axis, sigma2)] = battery(
-                4, noise_axis=axis, noise_sigma2=sigma2, record_bond_series=False
-            )
+            out[(axis, sigma2)], _ = battery(4, noise_axis=axis, noise_sigma2=sigma2)
     return out
 
 
@@ -145,7 +156,7 @@ def test_criterion_4a_mean_fidelity(spin1_batteries):
         assert curve[-1] >= 0.9
 
 
-def test_criterion_4b_partial_fidelity_within_T100(spin1_batteries):
+def test_criterion_4b_partial_fidelity_within_T100(spin1_runs):
     """KNOWN RED.  Stated bound: the trajectory-mean per-bond partial
     fidelity reaches 0.9 within the bond's first 100 measurements.
 
@@ -168,9 +179,9 @@ def test_criterion_4b_partial_fidelity_within_T100(spin1_batteries):
     than loosened.
     """
     curves = []
-    for records in spin1_batteries.values():
-        for rec in records:
-            for series in rec.bond_series.values():
+    for _, run_series in spin1_runs.values():
+        for bonds in run_series:
+            for series in bonds.values():
                 by_t = dict(series)
                 filled, last = [], 0.0
                 for t in range(1, 101):
@@ -178,7 +189,7 @@ def test_criterion_4b_partial_fidelity_within_T100(spin1_batteries):
                     filled.append(last)
                 curves.append(filled)
     mean_curve = np.stack(curves).mean(axis=0)
-    for n, records in spin1_batteries.items():
+    for n, (records, _) in spin1_runs.items():
         last = max(int(np.searchsorted(np.cumsum([row[b] for row in rec.measurements]), 100)) + 1
                    for rec in records for b in range(n))
         at_10 = np.mean([rec.partial[10] for rec in records])
@@ -229,7 +240,7 @@ def test_criterion_5_size_independence(spin1_batteries):
 def test_criterion_6_qubit_mode():
     """Qubit encoding at N = 3, eta = 2: mean F reaches 0.9 by round 100
     and the symmetric-sector weight stays 1 within 1e-9 every round."""
-    records = battery(3, mode="qubit", record_bond_series=False)
+    records, _ = battery(3, mode="qubit")
     curve = mean_padded(records)
     print(f"criterion 6: qubit N=3 mean F(100) = {curve[-1]:.4f}")
     assert curve[-1] >= 0.9

@@ -121,6 +121,30 @@ class TestPrepare:
         assert "disk full" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # neither the output nor a temp file
 
+    def test_runtime_failure_names_seed_and_round(self, tmp_path, monkeypatch, capsys):
+        """A bond's weight error in round 2 leaves ``prepare`` prefixed with
+        the seed and round that replay it, and the job exits 2 naming them."""
+        sweep, rounds = mite.sweep_round, []
+
+        def corrupt_round_2(state, *args):
+            rounds.append(state)
+            if len(rounds) == 2:  # every bond of 2 |+1 ... +1> has excited weight 4
+                amps = np.zeros_like(state.amps)
+                amps[0] = 2.0
+                state = state.with_amps(amps)
+            return sweep(state, *args)
+
+        monkeypatch.setattr(mite, "sweep_round", corrupt_round_2)
+        with pytest.raises(RuntimeError) as failure:
+            mite.prepare(mite.MiteConfig(seed=7, r_max=3, early_stop=None), 3)
+        assert str(failure.value) == "seed 7, round 2: bond 1: excited weight 4.0 outside [0, 1]"
+        assert str(failure.value.__cause__) == "bond 1: excited weight 4.0 outside [0, 1]"
+        rounds.clear()
+        out = tmp_path / "never.csv"
+        assert run(["prepare", "--n", 3, "--runs", 1, "--rounds", 3, "--seed", 7, "--out", out]) == 2
+        assert "RuntimeError: seed 7, round 2: bond 1: excited weight 4.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 3, "wibble": True}))
@@ -226,9 +250,10 @@ class TestNoise:
                     "--noise-axis", "z", "--sigma2", 0.0, "--out", noisy]) == 0
         assert data_rows(plain) == data_rows(noisy)
 
-    def test_noise_needs_axis(self, tmp_path):
+    def test_noise_needs_axis(self, tmp_path, capsys):
         assert run(["noise", "--n", 3, "--runs", 1, "--sigma2", 0.01,
                     "--out", tmp_path / "x.csv"]) == 1
+        assert "noise experiment needs --noise-axis" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--eta", "nan"], ["--sigma2", "nan"]])
     def test_nonfinite_values_rejected_without_output(self, tmp_path, capsys, flags):

@@ -1,6 +1,8 @@
 import concurrent.futures
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from aklt_mite.statevec import (
 )
 
 from conftest import random_unit_vector
+
+GOLDEN_BOND_SERIES = Path(__file__).parent / "data" / "golden_bond_series.json"
 
 
 def frame_of(state, j):
@@ -237,6 +241,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             mite.MiteConfig(fire_window=mite.COUNTER_CAP // 4 + 1)
 
+    def test_noise_variance_needs_an_axis(self):
+        """Without an axis a positive variance would run without noise."""
+        with pytest.raises(ValueError, match="noise-axis"):
+            mite.MiteConfig(noise_sigma2=1e-2)
+        mite.MiteConfig(noise_axis="z", noise_sigma2=1e-2)
+        mite.MiteConfig(noise_axis="z", noise_sigma2=0.0)
+
     @pytest.mark.parametrize("early_stop", [math.nan, math.inf, -math.inf, -1e-6, 1.0, 2.0])
     def test_early_stop_outside_unit_interval_rejected(self, early_stop):
         with pytest.raises(ValueError, match="early_stop"):
@@ -431,6 +442,33 @@ class TestTwoLevelKernel:
             bond.state()
 
 
+@pytest.mark.parametrize("case", json.loads(GOLDEN_BOND_SERIES.read_text()),
+                         ids=lambda c: f"{c['mode']}-n{c['n']}")
+class TestRecordingKernel:
+    """The recorder against pinned series, so that a fault the two kernels
+    of the ``verify`` check share still shows."""
+
+    def run(self, case):
+        kernel = verify.RecordingKernel()
+        rec = mite.prepare(mite.MiteConfig(**case["config"]), case["n"], case["mode"], kernel=kernel)
+        return rec, kernel.series
+
+    def test_reproduces_golden_series(self, case):
+        _, series = self.run(case)
+        want = {int(j): pairs for j, pairs in case["series"].items()}
+        assert sorted(series) == sorted(want)
+        for j, pairs in want.items():
+            assert [t for t, _ in series[j]] == [t for t, _ in pairs]
+            gap = max(abs(got - value) for (_, got), (_, value) in zip(series[j], pairs))
+            assert gap <= 1e-15, (j, gap)
+
+    def test_one_entry_per_measurement(self, case):
+        rec, series = self.run(case)
+        for j in range(1, case["n"] + 1):
+            m = sum(row[j - 1] for row in rec.measurements)
+            assert [t for t, _ in series[j]] == list(range(1, m + 1))
+
+
 class TestSweepRound:
     def test_bond_order_n6(self):
         cfg = mite.MiteConfig(seed=0)
@@ -459,12 +497,13 @@ class TestPrepare:
         assert len(rec.measurements) == r
 
     def test_bit_identical_replay(self):
-        cfg = mite.MiteConfig(seed=11, r_max=10, record_bond_series=True)
-        a = mite.prepare(cfg, 3, "spin1")
-        b = mite.prepare(cfg, 3, "spin1")
+        cfg = mite.MiteConfig(seed=11, r_max=10)
+        ka, kb = verify.RecordingKernel(), verify.RecordingKernel()
+        a = mite.prepare(cfg, 3, "spin1", kernel=ka)
+        b = mite.prepare(cfg, 3, "spin1", kernel=kb)
         assert a.f_tot == b.f_tot
         assert a.e_peak == b.e_peak
-        assert a.bond_series == b.bond_series
+        assert ka.series == kb.series
 
     def test_trajectory_seed_layout(self):
         recs = mite.run_trajectories(mite.MiteConfig(seed=5, r_max=2), 3, "spin1", 3)
