@@ -143,7 +143,7 @@ class MiteConfig:
         if not 0 <= self.noise_sigma2 < math.inf:
             raise ValueError("noise variance parameter must be nonnegative and finite")
         if self.noise_axis is None and self.noise_sigma2 > 0:
-            raise ValueError("noise experiment needs --noise-axis")
+            raise ValueError("noise_sigma2 > 0 needs a noise_axis")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.early_stop is not None and not 0 <= self.early_stop < 1:

@@ -98,17 +98,13 @@ def qubit_aklt_state(n: int) -> spin_ops.AkltReference:
         h_lifted = spin_ops.hamiltonian_apply(lifted, proj)
         return restrict_state(h_lifted).amps
 
-    vals, vec = spin_ops.ground_pair(matvec, 3**n)
-    if vals[0] > spin_ops.ZERO_ENERGY_TOL:
-        raise RuntimeError(f"lowest symmetric-sector eigenvalue {vals[0]:.3e} is not zero")
-    if vals[1] <= spin_ops.ZERO_ENERGY_TOL:
-        raise RuntimeError("symmetric-sector zero space is degenerate")
-    lifted = lift_state(StateVector(vec / np.linalg.norm(vec), n, d=3))
+    energy, vec = spin_ops.zero_mode(matvec, 3**n)
+    lifted = lift_state(StateVector(vec, n, d=3))
     lifted = lifted.with_amps(spin_ops._fix_phase(lifted.amps))
     residual = np.linalg.norm(spin_ops.hamiltonian_apply(lifted, proj).amps)
     if residual > spin_ops.REFERENCE_RESIDUAL_TOL:
         raise RuntimeError(f"H|ref> residual {residual:.3e} exceeds tolerance")
-    return spin_ops.AkltReference(lifted, float(vals[0]), n)
+    return spin_ops.AkltReference(lifted, energy, n)
 
 
 def reencoded_reference(n: int) -> spin_ops.AkltReference:

@@ -32,10 +32,6 @@ DIM = 2**N_QUBITS
 GATES_PER_MOMENT = N_QUBITS
 PARAMS_PER_MOMENT = 3 * GATES_PER_MOMENT
 HOP_SIZE = 0.3  # amplitude of the uniform jitter a restart hop adds to every angle
-# Derivative moments finished per kron step.  In a depth-4 job a buffer of
-# all 15 (240 KB) beside the shared heads cost 188 minor page faults per
-# loss_and_grad call; a buffer of five (80 KB) costs none.
-_DMOMENT_CHUNK = 5
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -127,25 +123,19 @@ class ParamCircuit:
             )
 
 
-def _kron_step(head: np.ndarray, gate: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise ``np.kron(head, gate)`` of a ``(B, d, d)`` and a ``(B, 2, 2)``
-    stack: four strided products ``head * gate[k, l]`` into rows k::2 and
-    columns l::2, the products and operand order of ``np.kron``."""
-    if out is None:
-        out = np.empty((len(head), 2 * head.shape[1], 2 * head.shape[2]), dtype=complex)
-    for k in range(2):
-        for l in range(2):
-            np.multiply(head, gate[:, k, l, None, None], out=out[:, k::2, l::2])
-    return out
-
-
 def _kron_gates(gates: np.ndarray) -> np.ndarray:
     """Kron each row of a ``(B, k, 2, 2)`` gate stack into a ``(B, 2^k, 2^k)``
-    moment, the first gate slowest, factor by factor from the left: the
+    moment, the first gate slowest, factor by factor from the left.  Each
+    step writes four strided products ``out * g_f[k, l]`` into rows k::2
+    and columns l::2, the products and operand order of ``np.kron``, so the
     entries are bit-identical to ``np.kron(np.kron(g0, g1), ...)`` per row."""
     out = gates[:, 0]
     for f in range(1, gates.shape[1]):
-        out = _kron_step(out, gates[:, f])
+        step = np.empty((len(out), 2 * out.shape[1], 2 * out.shape[2]), dtype=complex)
+        for k in range(2):
+            for l in range(2):
+                np.multiply(out, gates[:, f, k, l, None, None], out=step[:, k::2, l::2])
+        out = step
     return out
 
 
@@ -207,19 +197,17 @@ def loss_and_grad(
     The gradient differentiates one gate moment at a time against cached
     products of the moments before and after it; CNOT moments enter those
     products as row or column gathers, and identity factors are skipped.
-    The 16 x 16 kron of the first four factors of every gate moment and of
-    its 15 derivative moments (gate q replaced by d u3 / d angle a) is
-    built in one batch; the derivative moments are finished by one more
-    kron step, ``_DMOMENT_CHUNK`` at a time, and each angle is one
-    ``np.vdot`` with its moment's core.  Cross-checked against central
-    finite differences, and bit for bit against a per-angle ``np.kron``
-    oracle, in the test suite.
+    Every gate moment and its 15 derivative moments (gate q replaced by
+    d u3 / d angle a) are built in one batched kron, and each angle is one
+    ``np.vdot`` of its derivative moment with its moment's core.
+    Cross-checked against central finite differences, and bit for bit
+    against a per-angle ``np.kron`` oracle, in the test suite.
     """
     params = ParamCircuit(n_layers, params).params
     rows = _factor_rows(u3_and_derivatives(params.reshape(-1, GATES_PER_MOMENT, 3)))
-    heads = _kron_gates(rows[:, :, :-1].reshape(-1, GATES_PER_MOMENT - 1, 2, 2))
-    heads = heads.reshape(rows.shape[:2] + heads.shape[1:])
-    moments = _kron_step(heads[:, 0], rows[:, 0, -1])
+    all_moments = _kron_gates(rows.reshape(-1, GATES_PER_MOMENT, 2, 2))
+    all_moments = all_moments.reshape(rows.shape[:2] + all_moments.shape[1:])
+    moments = all_moments[:, 0]
     before, v = _forward(moments)
 
     t = np.vdot(v, target)
@@ -238,18 +226,14 @@ def loss_and_grad(
             acc = acc @ moments[layer - 1]
 
     dt = np.empty(len(params), dtype=complex)
-    dmoments = np.empty((_DMOMENT_CHUNK, DIM, DIM), dtype=complex)
     for block in range(n_layers + 1):
         core = target
         if after[block] is not None:
             core = after[block].conj().T @ core
         if before[block] is not None:
             core = core @ before[block].conj().T
-        for r in range(1, 1 + PARAMS_PER_MOMENT, _DMOMENT_CHUNK):
-            chunk = slice(r, r + _DMOMENT_CHUNK)
-            _kron_step(heads[block, chunk], rows[block, chunk, -1], out=dmoments)
-            for k, dmoment in enumerate(dmoments, start=block * PARAMS_PER_MOMENT + r - 1):
-                dt[k] = np.vdot(dmoment, core)
+        for k, dmoment in enumerate(all_moments[block, 1:], start=block * PARAMS_PER_MOMENT):
+            dt[k] = np.vdot(dmoment, core)
     # -Re(conj(t) dt) / (|t| d), with numpy's scalar complex product
     tc = t.conjugate()
     return loss, -(tc.real * dt.real - tc.imag * dt.imag) / (mag * DIM)

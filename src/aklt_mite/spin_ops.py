@@ -36,6 +36,8 @@ SQRT2 = np.sqrt(2.0)
 
 # ED pathway switches to Lanczos above this Hilbert-space dimension (N > 5
 # for spin-1); Lanczos is far faster there and agrees to machine precision.
+# Small spaces stay dense: from the uniform start vector, eigsh(k=2) returns
+# [1, 1.083] for diag(0, 0, 1..3) at dimension 27 and misses both zeros.
 _DENSE_ED_LIMIT = 243
 
 # Tolerances for ground-space identification (zero mode) and for asserting
@@ -254,11 +256,12 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(vec[k]) / vec[k])
 
 
-def ground_pair(matvec, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest two eigenvalues and the ground vector of a Hermitian PSD map.
+def zero_mode(matvec, dim: int) -> tuple[float, np.ndarray]:
+    """Energy and unit vector of the unique zero mode of a Hermitian PSD map.
 
     Dense diagonalization below ``_DENSE_ED_LIMIT``, Lanczos (fixed start
-    vector, hence deterministic) above it.
+    vector, hence deterministic) above it.  Fails if the lowest eigenvalue
+    is not (numerically) zero or the zero-energy space is degenerate.
     """
     if dim <= _DENSE_ED_LIMIT:
         h = np.empty((dim, dim), dtype=complex)
@@ -268,15 +271,21 @@ def ground_pair(matvec, dim: int) -> tuple[np.ndarray, np.ndarray]:
             h[:, k] = matvec(basis)
             basis[k] = 0.0
         vals, vecs = np.linalg.eigh(h)
-        return vals[:2], vecs[:, 0]
-    # only the oracles reach this, so no job pays for importing scipy
-    from scipy.sparse.linalg import LinearOperator, eigsh
+        vals, vec = vals[:2], vecs[:, 0]
+    else:
+        # only the oracles reach this, so no job pays for importing scipy
+        from scipy.sparse.linalg import LinearOperator, eigsh
 
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))
-    vals, vecs = eigsh(op, k=2, which="SA", v0=v0)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order[0]]
+        op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
+        v0 = np.full(dim, 1.0 / np.sqrt(dim))
+        vals, vecs = eigsh(op, k=2, which="SA", v0=v0)
+        order = np.argsort(vals)
+        vals, vec = vals[order], vecs[:, order[0]]
+    if vals[0] > ZERO_ENERGY_TOL:
+        raise RuntimeError(f"lowest eigenvalue {vals[0]:.3e} is not a zero mode")
+    if vals[1] <= ZERO_ENERGY_TOL:
+        raise RuntimeError("zero-energy space is degenerate; reference state undefined")
+    return float(vals[0]), vec / np.linalg.norm(vec)
 
 
 def aklt_state(n: int) -> AkltReference:
@@ -325,14 +334,9 @@ def exact_aklt_state(n: int) -> AkltReference:
         sv = StateVector(np.asarray(x, dtype=complex), n, 3)
         return hamiltonian_apply(sv, proj).amps
 
-    vals, vec = ground_pair(matvec, dim)
-    if vals[0] > ZERO_ENERGY_TOL:
-        raise RuntimeError(f"lowest eigenvalue {vals[0]:.3e} is not a zero mode")
-    if vals[1] <= ZERO_ENERGY_TOL:
-        raise RuntimeError("zero-energy space is degenerate; reference state undefined")
-    vec = _fix_phase(vec / np.linalg.norm(vec))
-    state = StateVector(vec, n, 3)
+    energy, vec = zero_mode(matvec, dim)
+    state = StateVector(_fix_phase(vec), n, 3)
     residual = np.linalg.norm(hamiltonian_apply(state, proj).amps)
     if residual > REFERENCE_RESIDUAL_TOL:
         raise RuntimeError(f"H|ref> residual {residual:.3e} exceeds tolerance")
-    return AkltReference(state, float(vals[0]), n)
+    return AkltReference(state, energy, n)

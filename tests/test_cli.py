@@ -251,9 +251,10 @@ class TestNoise:
         assert data_rows(plain) == data_rows(noisy)
 
     def test_noise_needs_axis(self, tmp_path, capsys):
-        assert run(["noise", "--n", 3, "--runs", 1, "--sigma2", 0.01,
-                    "--out", tmp_path / "x.csv"]) == 1
-        assert "noise experiment needs --noise-axis" in capsys.readouterr().err
+        out = tmp_path / "x.csv"
+        assert run(["noise", "--n", 3, "--runs", 1, "--sigma2", 0.01, "--out", out]) == 1
+        assert not out.exists()
+        assert "noise_sigma2 > 0 needs a noise_axis" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--eta", "nan"], ["--sigma2", "nan"]])
     def test_nonfinite_values_rejected_without_output(self, tmp_path, capsys, flags):

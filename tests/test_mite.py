@@ -243,7 +243,7 @@ class TestConfig:
 
     def test_noise_variance_needs_an_axis(self):
         """Without an axis a positive variance would run without noise."""
-        with pytest.raises(ValueError, match="noise-axis"):
+        with pytest.raises(ValueError, match="noise_sigma2 > 0 needs a noise_axis"):
             mite.MiteConfig(noise_sigma2=1e-2)
         mite.MiteConfig(noise_axis="z", noise_sigma2=1e-2)
         mite.MiteConfig(noise_axis="z", noise_sigma2=0.0)
@@ -684,7 +684,7 @@ class TestNoDiagonalization:
         def forbidden(*args, **kwargs):
             raise AssertionError("a job path diagonalized the Hamiltonian")
 
-        monkeypatch.setattr(spin_ops, "ground_pair", forbidden)
+        monkeypatch.setattr(spin_ops, "zero_mode", forbidden)
         for mode in ("spin1", "qubit"):
             assert mite.build_chain(4, mode).reference.n == 4
         series = mite.direct_projection_converge(7, 2)

@@ -256,6 +256,14 @@ class TestGradient:
         for row, want in zip(got, gates):
             assert np.array_equal(row, _kron_moment(list(want)))
 
+    def test_vanishing_overlap_gives_unit_loss_and_zero_gradient(self):
+        # zero angles at depth 0 give the identity, whose overlap with
+        # Z (x) 1 is its trace, exactly 0: no gradient direction exists
+        target = np.kron(np.diag([1.0, -1.0]), np.eye(16)).astype(complex)
+        loss, grad = rc.loss_and_grad(np.zeros(rc.n_params(0)), 0, target)
+        assert loss == 1.0
+        assert np.array_equal(grad, np.zeros(rc.n_params(0)))
+
     def test_descent_direction(self, rng):
         target = rc.target_unitary(0.5)
         x = rng.uniform(0, 2 * np.pi, rc.n_params(1))

@@ -192,6 +192,17 @@ class TestAkltState:
             spin_ops.aklt_state(10)
 
 
+class TestZeroMode:
+    @pytest.mark.parametrize("spectrum, refusal", [
+        (range(1, 9), "not a zero mode"),
+        ([0, 0, 1, 2, 3, 4, 5, 6], "degenerate"),
+    ])
+    def test_refuses_a_spectrum_without_a_unique_zero(self, spectrum, refusal):
+        diag = np.asarray(spectrum, dtype=complex)
+        with pytest.raises(RuntimeError, match=refusal):
+            spin_ops.zero_mode(lambda x: diag * x, 8)
+
+
 class TestClosedFormReference:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_matches_exact_diagonalization(self, n):
