@@ -145,7 +145,8 @@ def _read_setting(key: str, val, action: argparse.Action | None):
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and flags (flags win).  Only the keys
     the subcommand reads may be set, a file's as its flag reads them; every
-    other key keeps its default.  A file may also name its ``schema_version``
+    other key keeps its default.  A file may also name its
+    ``schema_version``, which must be the JSON integer ``SCHEMA_VERSION``,
     and the ``experiment`` it is for, which must be this subcommand; the
     output path is ``--out``'s alone."""
     cfg = dict(_DEFAULTS)
@@ -157,8 +158,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {args.config} does not hold a JSON object")
-        if loaded.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {loaded.get('schema_version')}")
+        version = loaded.get("schema_version", SCHEMA_VERSION)
+        if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {version!r}")
         if loaded.get("experiment", args.command) != args.command:
             raise ConfigError(f"config is for experiment {loaded['experiment']!r}, not {args.command}")
         commands = {a.dest: a for a in _build_parser()._actions}["command"].choices
@@ -329,7 +331,7 @@ def run_prepare(cfg: dict, ns: list[int], config: mite.MiteConfig, out: Path, ki
     r_c = []
     for series in padded:
         try:
-            r_c.append(mite.critical_rounds(series, 0.9))
+            r_c.append(mite.critical_rounds(series))
         except ValueError:
             r_c.append(None)
     crossed = [x for x in r_c if x is not None]
@@ -356,7 +358,7 @@ def run_project(cfg: dict, ns: list[int], config: mite.MiteConfig, out: Path, ki
         for r, f in enumerate(series):
             rows.append((n, r, float(f)))
         try:
-            r_c[str(n)] = mite.critical_rounds(series, 0.9)
+            r_c[str(n)] = mite.critical_rounds(series)
         except ValueError:
             r_c[str(n)] = None
     write_rows(out, cfg["format"], header, ["n", "r", "f_tot"], rows)

@@ -54,10 +54,11 @@ of its bond: both measurement operators are (1 + (g_q - 1) P) / sqrt(2).
 ``two_level_sample`` therefore samples and collapses on the excited weight
 w = <psi|P|psi> alone, and the frame is built only before a correction
 and at the end of the visit.  This bond kernel is the one part of the loop
-a caller can swap: ``prepare``, ``sweep_round`` and ``mite_subroutine`` take
-a ``kernel`` (default ``TwoLevelBond``), and ``verify`` runs the same loop
-with a full-state kernel that collapses the frame with the matrix Kraus
-pair.  A kernel provides ``open(frame, j, projector)``, which returns a
+a caller can swap: ``prepare`` takes a ``kernel`` (default
+``TwoLevelBond``) and hands it through ``sweep_round`` to every
+``mite_subroutine`` visit, and ``verify`` runs the same loop with a
+full-state kernel that collapses the frame with the matrix Kraus pair.
+A kernel provides ``open(frame, j, projector)``, which returns a
 bond with ``sample(gains, rng) -> q``, ``kick(u)`` (apply the correction
 ``u`` and return the bond of the new stretch), ``state()`` (the frame) and
 the excited weight ``w`` (read by ``verify.RecordingKernel``).
@@ -81,6 +82,7 @@ from . import qubit_map
 from .spin_ops import (
     AkltReference,
     SpinMatrices,
+    _fix_phase,
     aklt_state,
     bond_projector,
     check_chain_size,
@@ -371,10 +373,10 @@ class ChainOps:
     reference: AkltReference
 
     def initial_state(self) -> StateVector:
-        return product_state(self.n, d=self.site.dim, local=0)
+        return product_state(self.n, self.site.dim)
 
 
-def build_chain(n: int, mode: str = "spin1") -> ChainOps:
+def build_chain(n: int, mode: str) -> ChainOps:
     reference = aklt_state(n) if mode == "spin1" else qubit_map.reencoded_reference(n)
     return ChainOps(
         n=n,
@@ -402,8 +404,8 @@ def mite_subroutine(
     chain: ChainOps,
     config: MiteConfig,
     rng: np.random.Generator,
-    counter: MeasurementCounter | None = None,
-    kernel=TwoLevelBond,
+    counter: MeasurementCounter,
+    kernel,
 ) -> tuple[np.ndarray, SubroutineStats]:
     """Run one measure-and-correct subroutine on bond ``j``'s ``frame``
     (see the module docstring); returns the frame after the visit.
@@ -418,14 +420,9 @@ def mite_subroutine(
 
     Measurements run on ``kernel``: it opens the bond at the start of the
     visit, kicks it with each correction, and samples every outcome.  The
-    default two-level kernel pays one projector application per opening
-    and per kick.
-
-    ``counter`` carries the bond's record across invocations; a fresh one
-    is used when omitted.
+    two-level kernel pays one projector application per opening and per
+    kick.  ``counter`` carries the bond's record across invocations.
     """
-    if counter is None:
-        counter = MeasurementCounter()
     e_th = config.e_th(chain.mode)
     gains = measurement_gains(config.epsilon)
     stats = SubroutineStats(bond=j)
@@ -460,13 +457,11 @@ def sweep_round(
     chain: ChainOps,
     config: MiteConfig,
     rng: np.random.Generator,
-    counters: dict[int, MeasurementCounter] | None = None,
-    kernel=TwoLevelBond,
+    counters: dict[int, MeasurementCounter],
+    kernel,
 ) -> tuple[StateVector, list[SubroutineStats]]:
     """One full sweep: subroutines on all odd bonds, then all even bonds,
-    each on its bond's frame."""
-    if counters is None:
-        counters = {j: MeasurementCounter() for j in range(1, chain.n + 1)}
+    each on its bond's frame with its counter from ``counters``."""
     stats: list[SubroutineStats] = []
 
     def visit(j: int, frame: np.ndarray) -> np.ndarray:
@@ -486,7 +481,7 @@ _AXES = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}
 
 def apply_noise(
     state: StateVector,
-    axis: str,
+    axis: str | None,
     sigma2: float,
     rng: np.random.Generator,
     site: SpinMatrices,
@@ -539,23 +534,21 @@ def _checked_symmetric_weight(state: StateVector) -> float:
     return w
 
 
-def prepare(
-    config: MiteConfig, n: int, mode: str = "spin1", kernel=TwoLevelBond
-) -> TrajectoryRecord:
+def prepare(config: MiteConfig, n: int, mode: str, kernel=TwoLevelBond) -> TrajectoryRecord:
     """Run one full preparation trajectory and record it.
 
     Starts from the all-(m=1) product state (spin1) or the all-|00> state
-    (qubit), optionally applies noise at the top of each round, and sweeps
-    until ``r_max`` rounds or the early-stop fidelity is reached.  Every
-    measurement goes through ``kernel`` (see ``mite_subroutine``).  A
-    ``RuntimeError`` in round r (0: the initial diagnostics) is re-raised
-    prefixed with ``seed {seed}, round {r}: ``, so it can be replayed.
+    (qubit), applies noise at the top of each round (the identity at
+    ``noise_sigma2 = 0``), and sweeps until ``r_max`` rounds or the
+    early-stop fidelity is reached.  Every measurement goes through
+    ``kernel`` (see ``mite_subroutine``).  A ``RuntimeError`` in round r
+    (0: the initial diagnostics) is re-raised prefixed with
+    ``seed {seed}, round {r}: ``, so it can be replayed.
     """
     chain = build_chain(n, mode)
     config.e_th(mode)  # validate threshold up front
     rng = np.random.default_rng(config.seed)
     state = chain.initial_state()
-    noisy = config.noise_sigma2 > 0.0
     counters = {j: MeasurementCounter() for j in range(1, n + 1)}
     record = TrajectoryRecord(n=n, mode=mode, seed=config.seed, f_tot=[], partial=[], e_peak=[],
                               corrections=[], measurements=[],
@@ -563,8 +556,7 @@ def prepare(
     try:
         for r in range(config.r_max + 1):  # round 0 records the initial state
             if r > 0:
-                if noisy:
-                    state = apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
+                state = apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
                 state, stats = sweep_round(state, chain, config, rng, counters, kernel)
                 by_bond = {st.bond: st for st in stats}
                 record.e_peak.append([by_bond[j].e_peak_last for j in range(1, n + 1)])
@@ -582,7 +574,7 @@ def prepare(
 
 
 def run_trajectories(
-    config: MiteConfig, n: int, mode: str, runs: int, threads: int = 1
+    config: MiteConfig, n: int, mode: str, runs: int, threads: int
 ) -> list[TrajectoryRecord]:
     """Independent trajectories with per-run seeds ``config.seed + run_id``.
 
@@ -613,14 +605,11 @@ def padded_series(record: TrajectoryRecord, r_max: int) -> np.ndarray:
 
 def sx_stretched_site_ket() -> np.ndarray:
     """The Sx eigenvalue +1 eigenvector of one spin-1 site, in the Sz basis."""
-    s1 = spin1_matrices()
-    vals, vecs = np.linalg.eigh(s1.sx)
-    vec = vecs[:, int(np.argmax(vals))]
-    k = int(np.argmax(np.abs(vec)))
-    return vec * (abs(vec[k]) / vec[k])
+    vals, vecs = np.linalg.eigh(spin1_matrices().sx)
+    return _fix_phase(vecs[:, int(np.argmax(vals))])
 
 
-def twisted_sx_product(n: int, theta: float = 1.0) -> StateVector:
+def twisted_sx_product(n: int, theta: float) -> StateVector:
     """Product of x-stretched site states with a per-site twist about z:
     site j carries exp(-i theta (j-1) Sz) |m_x = +1>.
 
@@ -631,7 +620,7 @@ def twisted_sx_product(n: int, theta: float = 1.0) -> StateVector:
     state is odd under site reflection while uniform products are even).
     A twist angle incommensurate with pi breaks both selection rules for
     every chain length; at commensurate angles some lengths regain a shared
-    symmetry and the overlap vanishes again.
+    symmetry and the overlap vanishes again.  The cascade uses theta = 1.
     """
     s1 = spin1_matrices()
     base = sx_stretched_site_ket()
@@ -642,23 +631,20 @@ def twisted_sx_product(n: int, theta: float = 1.0) -> StateVector:
 
 
 def direct_projection_converge(
-    n: int,
-    r_max: int = 15,
-    reference: AkltReference | None = None,
-    twist: float = 1.0,
+    n: int, r_max: int, reference: AkltReference | None = None
 ) -> np.ndarray:
     """Fidelity series of the deterministic projection cascade.
 
-    Starting from the twisted x-stretched product state, each round applies
+    Starting from ``twisted_sx_product(n, 1.0)``, each round applies
     (1 - P) on every odd bond, then on every even bond, renormalizing once
-    per round.  Returns fidelities against the AKLT reference at
-    r = 0 .. r_max.
+    per round.  Returns fidelities against ``reference`` (the closed-form
+    AKLT state when omitted) at r = 0 .. r_max.
     """
     check_chain_size(n)
     if reference is None:
         reference = aklt_state(n)
     comp = np.eye(9) - bond_projector("spin1")
-    state = twisted_sx_product(n, twist)
+    state = twisted_sx_product(n, 1.0)
     series = [fidelity(state, reference.state)]
     for _ in range(r_max):
         state = walk_bonds(state, sweep_order(n), lambda j, frame: comp @ frame)

@@ -295,7 +295,6 @@ class RepetitionResult:
     hops_used: int
     iterations: int
     failed: bool = False
-    params: np.ndarray | None = None
 
 
 def optimize_once(
@@ -343,9 +342,7 @@ def optimize_once(
             return failed(hops_used)
         if res.fun < best.fun:
             best = res
-    return RepetitionResult(
-        n_layers, -1, 1.0 - float(best.fun), hops_used, iterations, params=best.x
-    )
+    return RepetitionResult(n_layers, -1, 1.0 - float(best.fun), hops_used, iterations)
 
 
 def cnot_count(n_layers: int) -> int:

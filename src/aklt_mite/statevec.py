@@ -13,13 +13,14 @@ Basis conventions (fixed; stored outputs depend on them):
 Bond indices are 1-based: bond ``j`` couples chain sites ``(j, j+1)`` with
 ``j = n_sites`` wrapping around to site 1 (periodic boundary).
 
-The job path works in a rotating site layout: ``rotate_sites`` shifts the
-site order cyclically, ``walk_bonds`` visits a sequence of bonds on their
-(d^2, d^(n-2)) *frames*, ``bond_weights`` reads <psi|P|psi> on every bond in
-one rotation pass, and ``map_sites`` applies one operator per site.  The
-chain-order functions ``apply_two_site``, ``apply_one_site``,
-``partial_fidelity`` and ``born_sample`` are the independent oracles those
-are tested against.
+``product_state`` builds the one start state of every trajectory, each
+site at digit 0 (flat index 0).  The job path works in a rotating site
+layout: ``rotate_sites`` shifts the site order cyclically, ``walk_bonds``
+visits a sequence of bonds on their (d^2, d^(n-2)) *frames*,
+``bond_weights`` reads <psi|P|psi> on every bond in one rotation pass, and
+``map_sites`` applies one operator per site.  The chain-order functions
+``apply_two_site``, ``apply_one_site``, ``partial_fidelity`` and
+``born_sample`` are the independent oracles those are tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class StateVector:
 
     amps: np.ndarray
     n_sites: int
-    d: int = 3
+    d: int
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=complex)
@@ -83,29 +84,12 @@ class KrausPair:
             )
 
 
-def product_state(n_sites: int, d: int = 3, local=0) -> StateVector:
-    """Normalized tensor-product state with the same ket on every site.
-
-    ``local`` is either a basis-digit index into the ``d``-dimensional local
-    space or an explicit local ket vector (normalized here).
-    """
-    if np.isscalar(local):
-        idx = int(local)
-        if not 0 <= idx < d:
-            raise ValueError(f"local ket index {idx} out of range for site dim {d}")
-        ket = np.zeros(d, dtype=complex)
-        ket[idx] = 1.0
-    else:
-        ket = np.asarray(local, dtype=complex)
-        if ket.shape != (d,):
-            raise ValueError(f"local ket has shape {ket.shape}, expected ({d},)")
-        nrm = np.linalg.norm(ket)
-        if nrm == 0:
-            raise ValueError("local ket must be nonzero")
-        ket = ket / nrm
-    amps = ket
-    for _ in range(n_sites - 1):
-        amps = np.kron(amps, ket)
+def product_state(n_sites: int, d: int) -> StateVector:
+    """The all-digit-0 product state, the start of every trajectory: each
+    site in its first basis state (m = +1 for spin 1, both sub-spins up for
+    a qubit pair), which is flat amplitude index 0."""
+    amps = np.zeros(d**n_sites, dtype=complex)
+    amps[0] = 1.0
     return StateVector(amps, n_sites, d)
 
 

@@ -176,7 +176,7 @@ def check_qubit_reference_equivalence():
 
 
 def check_symmetric_weight_initial():
-    st = statevec.product_state(3, d=4, local=0)
+    st = statevec.product_state(3, 4)
     w = qubit_map.symmetric_weight(st)
     return abs(w - 1.0) <= 1e-12, f"weight {w:.12f}"
 
@@ -245,7 +245,7 @@ def check_schmidt_fidelity_bound():
 def check_born_frequencies():
     p = spin_ops.bond_projector("spin1")
     kraus = mite.measurement_kraus(0.5, p)
-    state = statevec.product_state(2, d=3, local=0)  # stretched pair, E = 1
+    state = statevec.product_state(2, 3)  # stretched pair, E = 1
     p0 = (np.cos(0.5) - np.sin(0.5)) ** 2 / 2
     rng = np.random.default_rng(11)
     n = 10_000

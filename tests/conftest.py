@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aklt_mite import spin_ops
+from aklt_mite.statevec import StateVector
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +29,16 @@ def rng():
 def random_unit_vector(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def product_of(n_sites, ket):
+    """The product state with the unit ket ``ket`` on each of ``n_sites``
+    sites, for the product states other than ``statevec.product_state``'s."""
+    ket = np.asarray(ket, dtype=complex)
+    amps = ket
+    for _ in range(n_sites - 1):
+        amps = np.kron(amps, ket)
+    return StateVector(amps, n_sites, len(ket))
 
 
 def phase_aligned_distance(a, b):

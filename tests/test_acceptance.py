@@ -307,7 +307,7 @@ def test_criterion_9_statistical_sanity(tmp_path):
     byte-identical outputs for identical seeds."""
     p = spin_ops.bond_projector("spin1")
     kraus = mite.measurement_kraus(0.5, p)
-    state = product_state(2, d=3, local=0)
+    state = product_state(2, d=3)
     p0 = (math.cos(0.5) - math.sin(0.5)) ** 2 / 2
     rng = np.random.default_rng(123)
     n = 10_000

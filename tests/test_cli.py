@@ -136,7 +136,7 @@ class TestPrepare:
 
         monkeypatch.setattr(mite, "sweep_round", corrupt_round_2)
         with pytest.raises(RuntimeError) as failure:
-            mite.prepare(mite.MiteConfig(seed=7, r_max=3, early_stop=None), 3)
+            mite.prepare(mite.MiteConfig(seed=7, r_max=3, early_stop=None), 3, "spin1")
         assert str(failure.value) == "seed 7, round 2: bond 1: excited weight 4.0 outside [0, 1]"
         assert str(failure.value.__cause__) == "bond 1: excited weight 4.0 outside [0, 1]"
         rounds.clear()
@@ -230,6 +230,16 @@ class TestPrepare:
         cfg.write_bytes(text)
         assert run(["prepare", "--config", cfg, "--out", tmp_path / "never.csv"]) == 1
         assert "invalid configuration" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+    def test_schema_version_other_than_integer_one_rejected_without_output(
+        self, tmp_path, capsys, version
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": version, "n": 3, "runs": 1, "rounds": 2}))
+        assert run(["prepare", "--config", cfg, "--out", tmp_path / "never.csv"]) == 1
+        assert f"unsupported schema_version {version!r}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("loaded", [[1, 2], 3, "x", None])

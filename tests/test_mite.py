@@ -24,7 +24,7 @@ from aklt_mite.statevec import (
     walk_bonds,
 )
 
-from conftest import random_unit_vector
+from conftest import product_of, random_unit_vector
 
 GOLDEN_BOND_SERIES = Path(__file__).parent / "data" / "golden_bond_series.json"
 
@@ -295,10 +295,12 @@ class TestSubroutine:
         rng = np.random.default_rng(0)
         for _ in range(runs):
             events.clear()
-            state = frame_of(product_state(2, d=3, local=0), 1)
+            state = frame_of(product_state(2, 3), 1)
             counter = mite.MeasurementCounter()
             for _visit in range(3):  # the loop spans sweep rounds in practice
-                state, stats = mite.mite_subroutine(state, 1, two_site, cfg, rng, counter)
+                state, stats = mite.mite_subroutine(
+                    state, 1, two_site, cfg, rng, counter, mite.TwoLevelBond
+                )
                 if stats.corrections > 0:
                     fired += 1
                     # measurements up to and including the one that fired
@@ -331,7 +333,7 @@ class TestSubroutine:
         rng = np.random.default_rng(0)
         counters = {j: mite.MeasurementCounter() for j in range(1, 5)}
         for _ in range(5):
-            state, stats = mite.sweep_round(state, chain, cfg, rng, counters)
+            state, stats = mite.sweep_round(state, chain, cfg, rng, counters, mite.TwoLevelBond)
             assert sum(s.corrections for s in stats) == 0
             assert fidelity(state, chain.reference.state) == pytest.approx(1.0, abs=1e-9)
 
@@ -342,7 +344,7 @@ class TestSubroutine:
         rng = np.random.default_rng(1)
         counter = mite.MeasurementCounter()
         events = record_visits(monkeypatch)
-        _, stats = mite.mite_subroutine(state, 1, chain, cfg, rng, counter)
+        _, stats = mite.mite_subroutine(state, 1, chain, cfg, rng, counter, mite.TwoLevelBond)
         assert stats.corrections >= 1
         assert events.count("fire") == stats.corrections
         stretches = [[]]  # outcomes between corrections
@@ -366,7 +368,9 @@ class TestSubroutine:
             events.clear()
             state = frame_of(chain.initial_state(), 2)
             rng = np.random.default_rng(7)
-            state, stats = mite.mite_subroutine(state, 2, chain, cfg, rng)
+            state, stats = mite.mite_subroutine(
+                state, 2, chain, cfg, rng, mite.MeasurementCounter(), mite.TwoLevelBond
+            )
             out.append((tuple(events), stats.corrections, state.copy()))
         assert out[0][0] == out[1][0]
         assert out[0][1] == out[1][1]
@@ -413,7 +417,8 @@ class TestTwoLevelKernel:
             calls.clear()
             j = 1 + visit % 3
             state, stats = mite.mite_subroutine(
-                frame_of(chain.initial_state(), j), j, chain, mite.MiteConfig(), rng, counter
+                frame_of(chain.initial_state(), j), j, chain, mite.MiteConfig(), rng, counter,
+                mite.TwoLevelBond,
             )
             corrections += stats.corrections
             assert calls.count("projector") == 1 + stats.corrections
@@ -474,7 +479,10 @@ class TestSweepRound:
         cfg = mite.MiteConfig(seed=0)
         chain = mite.build_chain(6, "spin1")
         state = chain.initial_state()
-        _, stats = mite.sweep_round(state, chain, cfg, np.random.default_rng(0))
+        counters = {j: mite.MeasurementCounter() for j in range(1, 7)}
+        _, stats = mite.sweep_round(
+            state, chain, cfg, np.random.default_rng(0), counters, mite.TwoLevelBond
+        )
         assert [s.bond for s in stats] == [1, 3, 5, 2, 4, 6]
 
     def test_bond_partition_n4(self):
@@ -506,7 +514,7 @@ class TestPrepare:
         assert ka.series == kb.series
 
     def test_trajectory_seed_layout(self):
-        recs = mite.run_trajectories(mite.MiteConfig(seed=5, r_max=2), 3, "spin1", 3)
+        recs = mite.run_trajectories(mite.MiteConfig(seed=5, r_max=2), 3, "spin1", 3, 1)
         assert [r.seed for r in recs] == [5, 6, 7]
 
     @pytest.mark.parametrize("runs, threads, workers", [(2, 500, 2), (3, 2, 2), (1, 4, None)])
@@ -556,7 +564,7 @@ class TestPrepare:
 
 class TestNoise:
     def test_zero_variance_is_identity_and_consumes_no_randomness(self):
-        state = product_state(3, d=3, local=1)
+        state = product_of(3, np.eye(3)[1])
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         out = mite.apply_noise(state, "x", 0.0, rng, spin_ops.site_matrices("spin1"))
@@ -565,7 +573,7 @@ class TestNoise:
 
     def test_z_noise_preserves_amplitude_magnitudes(self):
         # diagonal generator: only phases move on an Sz-basis product state
-        state = product_state(3, d=3, local=0)
+        state = product_state(3, 3)
         out = mite.apply_noise(state, "z", 0.01, np.random.default_rng(4), spin_ops.site_matrices("spin1"))
         assert np.allclose(np.abs(out.amps), np.abs(state.amps), atol=1e-12)
 
@@ -721,16 +729,20 @@ class TestDirectProjection:
                 amps = np.kron(amps, _site_rotation((0.0, 0.0, -theta * j), s1) @ base)
             assert np.array_equal(mite.twisted_sx_product(n, theta).amps, amps)
 
-    def test_untwisted_product_is_annihilated(self, aklt):
+    def test_untwisted_product_is_annihilated(self, aklt, monkeypatch):
         """The stretched x-product is a pure total-spin-2 pair on every bond,
         so the first projection round maps it to zero exactly; this is why
-        the default carries the symmetry-breaking twist."""
-        with pytest.raises(RuntimeError):
-            mite.direct_projection_converge(4, r_max=2, reference=aklt[4], twist=0.0)
+        the cascade starts from the symmetry-breaking twist."""
+        def untwisted(n, theta):
+            return product_of(n, mite.sx_stretched_site_ket())
+
+        monkeypatch.setattr(mite, "twisted_sx_product", untwisted)
+        with pytest.raises(RuntimeError, match="annihilated"):
+            mite.direct_projection_converge(4, r_max=2, reference=aklt[4])
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            mite.direct_projection_converge(2)
+            mite.direct_projection_converge(2, r_max=2)
 
 
 class TestCriticalRounds:

@@ -4,7 +4,7 @@ import pytest
 from aklt_mite import mite, qubit_map, spin_ops
 from aklt_mite.statevec import StateVector, apply_two_site, product_state
 
-from conftest import phase_aligned_distance, random_unit_vector
+from conftest import phase_aligned_distance, product_of, random_unit_vector
 
 
 class TestIsometry:
@@ -75,18 +75,18 @@ class TestMappedProjector:
 
 class TestSymmetricWeight:
     def test_initial_state_fully_symmetric(self):
-        state = product_state(3, d=4, local=0)
+        state = product_state(3, 4)
         assert qubit_map.symmetric_weight(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_site_singlet_has_zero_weight(self):
         singlet = np.zeros(4, dtype=complex)
         singlet[1], singlet[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-        state = product_state(2, d=4, local=singlet)
+        state = product_of(2, singlet)
         assert qubit_map.symmetric_weight(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_pair_encoding(self):
         with pytest.raises(ValueError):
-            qubit_map.symmetric_weight(product_state(3, d=3, local=0))
+            qubit_map.symmetric_weight(product_state(3, 3))
 
 
 class TestQubitReference:

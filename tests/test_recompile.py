@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.linalg import expm
 
 from aklt_mite import recompile as rc
@@ -316,6 +317,25 @@ class TestOptimize:
         assert result.failed
         assert np.isnan(result.fidelity)
         assert result.hops_used == 0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nonfinite_loss_in_hop_k_fails_at_that_hop(self, monkeypatch, k):
+        minimize, runs = scipy.optimize.minimize, []
+
+        def poisoned(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            runs.append(res)
+            if len(runs) == 1 + k:  # the first run, then hops 1..k
+                res.fun = np.nan
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", poisoned)
+        cfg = rc.OptimizerConfig(maxiter=5, n_hops=4, repetitions=1, seed=0)
+        result = rc.optimize_once(rc.target_unitary(0.5), 0, np.random.default_rng(0), cfg)
+        assert result.failed
+        assert result.hops_used == k
+        assert np.isnan(result.fidelity)
+        assert len(runs) == 1 + k  # no hop ran after the abort
 
     def test_zero_depth_cannot_reach_entangling_target(self):
         # single-qubit gates alone cannot produce the projector coupling

@@ -130,7 +130,7 @@ class TestHamiltonian:
     @pytest.mark.parametrize("n", [3, 4])
     def test_stretched_product_expectation(self, n):
         # every bond of the all-(m=1) product is the stretched S=2 pair
-        state = product_state(n, d=3, local=0)
+        state = product_state(n, 3)
         hpsi = spin_ops.hamiltonian_apply(state)
         assert abs(np.vdot(state.amps, hpsi.amps).real - n) <= 1e-12
 
@@ -151,7 +151,7 @@ class TestHamiltonian:
 
     def test_requires_three_sites(self):
         with pytest.raises(ValueError):
-            spin_ops.hamiltonian_apply(product_state(2, d=3, local=0))
+            spin_ops.hamiltonian_apply(product_state(2, 3))
 
 
 class TestAkltState:
