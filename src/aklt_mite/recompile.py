@@ -354,7 +354,6 @@ def cnot_count(n_layers: int) -> int:
 class RecompileReport:
     """Per-repetition results plus per-depth aggregates."""
 
-    epsilon: float
     entries: list[RepetitionResult] = field(default_factory=list)
 
     def summary(self) -> dict:
@@ -381,7 +380,7 @@ def recompile_scan(
     are reproducible and individual repetitions can be re-run in isolation.
     """
     target = target_unitary(epsilon)
-    report = RecompileReport(epsilon=epsilon)
+    report = RecompileReport()
     for nl in layer_counts:
         for rep in range(cfg.repetitions):
             rng = np.random.default_rng(cfg.seed + rep)

@@ -116,7 +116,7 @@ def _two_site_total_spin_sq(site: SpinMatrices) -> np.ndarray:
     return total
 
 
-def bond_projector(mode: str = "spin1") -> np.ndarray:
+def bond_projector(mode: str) -> np.ndarray:
     """Total-spin-2 bond projector, built from the quartic polynomial in the
     combined spin (S_j + S_{j+1})^2 that is 1 on the S=2 multiplet and 0 on
     S=0, 1.
@@ -133,7 +133,7 @@ def bond_projector(mode: str = "spin1") -> np.ndarray:
     return (mat + mat.conj().T) / 2
 
 
-def bond_projector_short_form(mode: str = "spin1") -> np.ndarray:
+def bond_projector_short_form(mode: str) -> np.ndarray:
     """The quadratic form (dot + dot^2/3 + 2/3)/2 of the bond projector.
 
     Uses S_j . S_j = 2 for its simplification, which only holds sitewise on

@@ -1,11 +1,11 @@
 """Named self-checks covering every operator identity the method relies on.
 
 Each check returns (passed, detail); ``CHECKS`` names them in the order
-``aklt-mite verify`` runs them.  The suite is deliberately redundant with
-the test suite so a deployed build can be validated without a test harness
-present.  The ``expm`` oracles import scipy inside their checks, so
-importing this module does not load scipy; the CLI imports it only for
-``aklt-mite verify``.
+``aklt-mite verify`` runs them.  The test suite runs each check as its own
+case instead of restating it, and a deployed build can be validated
+without a test harness present.  The ``expm`` oracles import scipy inside
+their checks, so importing this module does not load scipy; the CLI
+imports it only for ``aklt-mite verify``.
 
 The two-level bond kernel's oracle is ``FullStateKernel``: ``mite.prepare``
 runs with it in place of ``mite.TwoLevelBond``, so both sides share every
@@ -95,7 +95,7 @@ def check_adjacent_projectors_noncommute():
     p12 = np.kron(p, np.eye(3))
     p23 = np.kron(np.eye(3), p)
     norm = float(np.linalg.norm(p12 @ p23 - p23 @ p12))
-    return norm > 1e-6, f"commutator norm {norm:.3f} (must be nonzero)"
+    return norm > 0.1, f"commutator norm {norm:.3f} (must exceed 0.1)"
 
 
 def check_kraus_completeness():

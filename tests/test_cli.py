@@ -357,7 +357,22 @@ class TestVerify:
         assert run(["verify", "--out", out]) == 0
         report = json.loads(out.read_text())
         assert report["passed"] is True
-        assert report["total"] >= 12
+        # no unit test restates these identities, so none may drop out
+        assert [check["name"] for check in report["checks"]] == [
+            "spin1_su2_algebra", "spin1_casimir", "spin_half_algebra",
+            "bond_projector_idempotent", "bond_projector_hermitian_trace5",
+            "bond_projector_spectrum_0x4_1x5", "bond_projector_forms_agree",
+            "coupled_basis_projector_action", "adjacent_projectors_noncommute",
+            "kraus_completeness", "aklt_zero_energy", "aklt_closed_form_matches_ed",
+            "aklt_common_projector", "correction_unitarity",
+            "mapped_projector_swap_symmetry", "mapped_projector_isometry_pullback",
+            "qubit_reference_equivalence", "symmetric_weight_initial_state",
+            "target_unitary_closed_form", "ansatz_circuit_unitarity",
+            "gradient_finite_difference", "recompile_schmidt_fidelity_bound",
+            "born_rule_frequencies", "own_measurements_preserve_mean_weight",
+            "two_level_kernel_matches_full_state",
+        ]
+        assert report["total"] == 25
         assert report["failures"] == []
 
     def test_fault_injection_fails_named_check(self, tmp_path, monkeypatch):

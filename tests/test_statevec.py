@@ -129,10 +129,6 @@ class TestFidelity:
 
 
 class TestPartialFidelity:
-    def test_reference_state_is_one(self, aklt, proj9):
-        for j in range(1, 5):
-            assert partial_fidelity(aklt[4].state, j, proj9) == pytest.approx(1.0, abs=1e-9)
-
     def test_stretched_product_is_zero(self, proj9):
         state = product_state(4, 3)
         for j in range(1, 5):
