@@ -15,12 +15,15 @@ CNOT moment (odd layers entangle qubit pairs (1,2), (3,4); even layers
 (2,3), (4,5); control on the lower-numbered qubit) followed by another
 five-gate moment.  Parameters: 3 * 5 * (n_layers + 1) angles in [0, 2 pi].
 Optimization is box-constrained L-BFGS with analytic gradients, wrapped in
-random-restart hops around the best point found.
+random-restart hops around the best point found.  ``lbfgsb`` drives scipy's
+compiled L-BFGS-B core, loaded by file path, so no job imports the
+``scipy.optimize`` package and its start-up cost.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,6 +300,58 @@ class RepetitionResult:
     failed: bool = False
 
 
+def _lbfgsb_core():
+    """scipy's compiled L-BFGS-B module, loaded once by file path under its
+    own name, so that the ``scipy.optimize`` package is never imported."""
+    name = "scipy.optimize._lbfgsb"
+    if name not in sys.modules:
+        import importlib.machinery
+        import importlib.util
+        from pathlib import Path
+
+        folder = Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "optimize")
+        path = next(p for s in importlib.machinery.EXTENSION_SUFFIXES
+                    if (p := folder / f"_lbfgsb{s}").exists())
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+def lbfgsb(x0: np.ndarray, n_layers: int, target: np.ndarray, maxiter: int):
+    """Minimize ``loss_and_grad`` over the box [0, 2 pi] from ``x0`` and
+    return (x, f, nit).  This is the loop of scipy's
+    ``minimize(method="L-BFGS-B")`` at its defaults (m = 10, ftol, gtol =
+    1e-5, maxls = 20, maxfun = 15000) and ``maxiter``, on the same compiled
+    core, so every iterate has scipy's bits.  scipy's wrapper would reuse
+    its last evaluation at an x that did not move; the tests hold the
+    evaluation points equal to scipy's."""
+    setulb, m, n = _lbfgsb_core().setulb, 10, len(x0)
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps  # scipy's default ftol
+    low, up = np.zeros(n), np.full(n, 2 * np.pi)
+    x, nbd = np.clip(x0, low, up), np.full(n, 2, np.int32)
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa, task, ln_task = np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    nit = nfev = 0
+    while True:
+        g = g.astype(np.float64)
+        setulb(m, x, low, up, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # evaluate f and g at x
+            f, g = loss_and_grad(x.copy(), n_layers, target)
+            nfev += 1
+        elif task[0] == 1:  # new iterate
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > 15000:
+                task[:] = 5, 502
+        else:
+            return x, f, nit
+
+
 def optimize_once(
     target: np.ndarray, n_layers: int, rng: np.random.Generator, cfg: OptimizerConfig
 ) -> RepetitionResult:
@@ -307,42 +362,31 @@ def optimize_once(
     A non-finite loss, from the first run or any hop, aborts the repetition,
     which is recorded as failed.
     """
-    from scipy.optimize import minimize  # imported here so that no other job loads scipy
-
     npar = n_params(n_layers)
-    bounds = [(0.0, 2 * np.pi)] * npar
     iterations = 0
 
     def local(x0):
         nonlocal iterations
-        res = minimize(
-            loss_and_grad,
-            x0,
-            args=(n_layers, target),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": cfg.maxiter},
-        )
-        iterations += res.nit
-        return res
+        x, f, nit = lbfgsb(x0, n_layers, target, cfg.maxiter)
+        iterations += nit
+        return x, f
 
     def failed(hops_used):
         return RepetitionResult(n_layers, -1, float("nan"), hops_used, iterations, failed=True)
 
-    best = local(rng.uniform(0.0, 2 * np.pi, npar))
-    if not np.isfinite(best.fun):
+    best_x, best_f = local(rng.uniform(0.0, 2 * np.pi, npar))
+    if not np.isfinite(best_f):
         return failed(0)
     hops_used = 0
     for _ in range(cfg.n_hops):
         jitter = rng.uniform(-HOP_SIZE, HOP_SIZE, npar)
-        res = local(np.clip(best.x + jitter, 0.0, 2 * np.pi))
+        x, f = local(np.clip(best_x + jitter, 0.0, 2 * np.pi))
         hops_used += 1
-        if not np.isfinite(res.fun):
+        if not np.isfinite(f):
             return failed(hops_used)
-        if res.fun < best.fun:
-            best = res
-    return RepetitionResult(n_layers, -1, 1.0 - float(best.fun), hops_used, iterations)
+        if f < best_f:
+            best_x, best_f = x, f
+    return RepetitionResult(n_layers, -1, 1.0 - float(best_f), hops_used, iterations)
 
 
 def cnot_count(n_layers: int) -> int:

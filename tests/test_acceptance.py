@@ -45,7 +45,7 @@ def battery(n, mode="spin1", runs=RUNS, **overrides):
     cfg = mite.MiteConfig(**{"seed": BASE_SEED, "r_max": R_MAX, "early_stop": None, **overrides})
     records, series = [], []
     for run_id in range(runs):
-        kernel = RecordingKernel()
+        kernel = RecordingKernel(mite.TwoLevelBond)
         records.append(mite.prepare(replace(cfg, seed=cfg.seed + run_id), n, mode, kernel=kernel))
         series.append(kernel.series)
     return records, series
@@ -95,7 +95,7 @@ def test_criterion_1_operator_identities():
     assert np.max(np.abs(p - p.conj().T)) <= 1e-12
     assert abs(np.trace(p).real - 5.0) <= 1e-12
     vals = np.sort(np.linalg.eigvalsh(p))
-    assert np.allclose(vals, [0] * 4 + [1] * 5, atol=1e-12)
+    assert np.allclose(vals, [0] * 4 + [1] * 5, rtol=0, atol=1e-12)
 
     for mode in ("spin1", "qubit"):
         pm = spin_ops.bond_projector(mode)

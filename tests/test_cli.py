@@ -351,11 +351,17 @@ class TestRecompile:
         assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="class")
+def verify_run(tmp_path_factory):
+    """One ``aklt-mite verify`` run: its exit code and JSON report."""
+    out = tmp_path_factory.mktemp("verify") / "verify.json"
+    return run(["verify", "--out", out]), json.loads(out.read_text())
+
+
 class TestVerify:
-    def test_fresh_build_passes(self, tmp_path, capsys):
-        out = tmp_path / "verify.json"
-        assert run(["verify", "--out", out]) == 0
-        report = json.loads(out.read_text())
+    def test_fresh_build_passes(self, verify_run):
+        code, report = verify_run
+        assert code == 0
         assert report["passed"] is True
         # no unit test restates these identities, so none may drop out
         assert [check["name"] for check in report["checks"]] == [
@@ -395,10 +401,11 @@ class TestVerify:
 
 
     @pytest.mark.parametrize("name", [name for name, _ in verify.CHECKS])
-    def test_check_passes(self, name):
-        """Each identity on its own, so a failing one names itself."""
-        passed, detail = dict(verify.CHECKS)[name]()
-        assert passed, detail
+    def test_check_passes(self, verify_run, name):
+        """Each identity as its own case, read from the one verify run, so a
+        failing one names itself."""
+        check, = (c for c in verify_run[1]["checks"] if c["name"] == name)
+        assert check["passed"], check["detail"]
 
     def test_mean_weight_check_sees_a_biased_collapse(self, monkeypatch):
         # a collapse that leaves w too high by 1e-12 (relative) on outcome 1 breaks lemma 2
@@ -622,6 +629,7 @@ for argv in (
     "noise --n 3 --runs 1 --rounds 3 --seed 0 --noise-axis x --sigma2 1e-2",
     "noise --mode qubit --n 3 --runs 1 --rounds 3 --seed 0 --noise-axis z --sigma2 1e-2",
     "project --n 3,4,9 --rounds 3",
+    "recompile --layers 1 --reps 1 --maxiter 3 --hops 1 --seed 0",
 ):
     if cli.main([*argv.split(), "--threads", "1", "--out", out]) != 0:
         sys.exit(f"job failed: {argv}")
@@ -632,8 +640,10 @@ print(json.dumps(loaded))
 
 def test_jobs_load_no_scipy(tmp_path):
     """The CLI import and the one-process prepare/noise/project jobs run
-    without scipy, the process pool or the verify oracles; only recompile,
-    ``--threads`` above 1 and ``verify`` load them."""
+    without scipy, the process pool or the verify oracles; only
+    ``--threads`` above 1 and ``verify`` load them.  recompile, run last,
+    adds scipy's compiled L-BFGS-B core and no module of the
+    ``scipy.optimize`` package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -643,6 +653,9 @@ def test_jobs_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
+    recompile = list(loaded)[-1]
+    assert recompile.startswith("recompile")
+    assert loaded.pop(recompile) == ["scipy.optimize._lbfgsb"]
     assert loaded == {stage: [] for stage in loaded}
 
 

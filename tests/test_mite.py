@@ -447,7 +447,7 @@ class TestRecordingKernel:
     of the ``verify`` check share still shows."""
 
     def run(self, case):
-        kernel = verify.RecordingKernel()
+        kernel = verify.RecordingKernel(mite.TwoLevelBond)
         rec = mite.prepare(mite.MiteConfig(**case["config"]), case["n"], case["mode"], kernel=kernel)
         return rec, kernel.series
 
@@ -499,7 +499,7 @@ class TestPrepare:
 
     def test_bit_identical_replay(self):
         cfg = mite.MiteConfig(seed=11, r_max=10)
-        ka, kb = verify.RecordingKernel(), verify.RecordingKernel()
+        ka, kb = (verify.RecordingKernel(mite.TwoLevelBond) for _ in range(2))
         a = mite.prepare(cfg, 3, "spin1", kernel=ka)
         b = mite.prepare(cfg, 3, "spin1", kernel=kb)
         assert a.f_tot == b.f_tot

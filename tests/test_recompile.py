@@ -312,16 +312,16 @@ class TestOptimize:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_nonfinite_loss_in_hop_k_fails_at_that_hop(self, monkeypatch, k):
-        minimize, runs = scipy.optimize.minimize, []
+        lbfgsb, runs = rc.lbfgsb, []
 
-        def poisoned(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            runs.append(res)
+        def poisoned(*args):
+            x, fun, nit = lbfgsb(*args)
+            runs.append(fun)
             if len(runs) == 1 + k:  # the first run, then hops 1..k
-                res.fun = np.nan
-            return res
+                fun = np.nan
+            return x, fun, nit
 
-        monkeypatch.setattr(scipy.optimize, "minimize", poisoned)
+        monkeypatch.setattr(rc, "lbfgsb", poisoned)
         cfg = rc.OptimizerConfig(maxiter=5, n_hops=4, repetitions=1, seed=0)
         result = rc.optimize_once(rc.target_unitary(0.5), 0, np.random.default_rng(0), cfg)
         assert result.failed
@@ -338,6 +338,41 @@ class TestOptimize:
             for seed in range(4)
         )
         assert best < 0.999
+
+
+class TestLbfgsb:
+    def test_matches_scipy_minimize_bit_for_bit(self, monkeypatch):
+        """``lbfgsb`` against ``scipy.optimize.minimize(method="L-BFGS-B")``
+        on the same compiled core: x, fun and nit with the same bits, and
+        ``loss_and_grad`` called at the same points, whether maxiter or
+        convergence ends the run."""
+        loss_and_grad, points = rc.loss_and_grad, []
+
+        def recorded(params, n_layers, target):
+            points.append(params.tobytes())
+            return loss_and_grad(params, n_layers, target)
+
+        monkeypatch.setattr(rc, "loss_and_grad", recorded)  # lbfgsb looks it up per call
+        target, converged = rc.target_unitary(0.5), 0
+        for n_layers in (0, 1, 2):
+            for maxiter in (5, 30, 200):
+                for seed in (0, 1):
+                    x0 = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, rc.n_params(n_layers))
+                    x, fun, nit = rc.lbfgsb(x0, n_layers, target, maxiter)
+                    ours = points.copy()
+                    points.clear()
+                    res = scipy.optimize.minimize(
+                        recorded, x0, args=(n_layers, target), jac=True, method="L-BFGS-B",
+                        bounds=[(0.0, 2 * np.pi)] * len(x0), options={"maxiter": maxiter},
+                    )
+                    case = (n_layers, maxiter, seed)
+                    assert x.tobytes() == res.x.tobytes(), case
+                    assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes(), case
+                    assert nit == res.nit, case
+                    assert ours == points, case
+                    points.clear()
+                    converged += nit < maxiter
+        assert converged  # the grid holds a convergence stop, not only maxiter stops
 
 
 class TestSchmidtBound:
