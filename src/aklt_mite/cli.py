@@ -8,6 +8,11 @@ file values), read alike by the flag's type and choices; any other is an
 invalid configuration.  Every data file opens with a header block
 (version, config hash, base seed) for exact replay.
 
+Every setting is checked before numpy and the numerical modules load
+(this module reads only the standard library and ``params``; ``main``
+imports the drivers in ``jobs`` for a valid configuration alone), so a
+refused one exits at once.
+
 Exit codes: 0 success, 1 invalid configuration, 2 runtime failure,
 3 verify-suite failure.
 """
@@ -22,9 +27,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, mite, recompile, spin_ops
+from . import __version__
+from .params import MiteConfig, OptimizerConfig, check_chain_size
 
 SCHEMA_VERSION = 1
 
@@ -111,8 +115,8 @@ _DEFAULTS = {
     "layers": "1,2,3,4,5,6",
     "format": "csv",
     "threads": None,  # AKLT_MITE_THREADS, else 1
-    **{key: getattr(recompile.OptimizerConfig(), f) for key, f in OPTIMIZER_FIELDS.items()},
-    **{key: getattr(mite.MiteConfig(), f) for key, f in MITE_FIELDS.items()},
+    **{key: getattr(OptimizerConfig(), f) for key, f in OPTIMIZER_FIELDS.items()},
+    **{key: getattr(MiteConfig(), f) for key, f in MITE_FIELDS.items()},
     # The one override of a library default: the library and the acceptance
     # gate use 10 (the gate's criteria 4a and 4c fail at 12), but the
     # benchmark's pinned prepare/noise outputs were recorded at 12.
@@ -216,17 +220,17 @@ def validate(cfg: dict, kind: str) -> tuple[list[int], object]:
             layers = _parse_list("layers", cfg["layers"])
             if min(layers) < 0:
                 raise ConfigError(f"layers must list depths >= 0, got {cfg['layers']!r}")
-            _build_config(cfg, mite.MiteConfig, {"epsilon": "epsilon"})
-            return layers, _build_config(cfg, recompile.OptimizerConfig, OPTIMIZER_FIELDS)
+            _build_config(cfg, MiteConfig, {"epsilon": "epsilon"})
+            return layers, _build_config(cfg, OptimizerConfig, OPTIMIZER_FIELDS)
         ns = _parse_list("n", cfg["n"])
         if kind == "project":
             for n in ns:
-                spin_ops.check_chain_size(n)
-            return ns, _build_config(cfg, mite.MiteConfig, {"seed": "seed", "rounds": "r_max"})
+                check_chain_size(n)
+            return ns, _build_config(cfg, MiteConfig, {"seed": "seed", "rounds": "r_max"})
         if len(ns) != 1:
             raise ConfigError("a single --n is required for this experiment")
-        spin_ops.check_chain_size(ns[0], cfg["mode"])
-        config = _build_config(cfg, mite.MiteConfig, MITE_FIELDS)
+        check_chain_size(ns[0], cfg["mode"])
+        config = _build_config(cfg, MiteConfig, MITE_FIELDS)
         config.e_th(cfg["mode"])
         return ns, config
     except ValueError as exc:
@@ -311,74 +315,7 @@ def summary_path(out: Path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers
-
-def run_prepare(cfg: dict, ns: list[int], config: mite.MiteConfig, out: Path, kind: str) -> int:
-    (n,) = ns
-    records = mite.run_trajectories(config, n, cfg["mode"], cfg["runs"], cfg["threads"])
-
-    header = _header(cfg, kind)
-    rows = []
-    for rid, rec in enumerate(records):
-        for r in range(len(rec.f_tot)):
-            min_part = min(rec.partial[r])
-            corr = sum(rec.corrections[:r])
-            rows.append((rid, r, float(rec.f_tot[r]), float(min_part), corr))
-    columns = ["run_id", "r", "f_tot", "min_partial_fidelity", "corrections_so_far"]
-    write_rows(out, cfg["format"], header, columns, rows)
-
-    padded = np.stack([mite.padded_series(rec, config.r_max) for rec in records])
-    r_c = []
-    for series in padded:
-        try:
-            r_c.append(mite.critical_rounds(series))
-        except ValueError:
-            r_c.append(None)
-    crossed = [x for x in r_c if x is not None]
-    write_summary(summary_path(out), {
-        "header": header,
-        "n": n,
-        "mode": cfg["mode"],
-        "runs": len(records),
-        "mean_f_tot": padded.mean(axis=0).tolist(),
-        "std_f_tot": padded.std(axis=0).tolist(),
-        "final_mean_f_tot": float(padded[:, -1].mean()),
-        "r_c": r_c,
-        "median_r_c": float(np.median(crossed)) if crossed else None,
-    })
-    return 0
-
-
-def run_project(cfg: dict, ns: list[int], config: mite.MiteConfig, out: Path, kind: str) -> int:
-    header = _header(cfg, kind)
-    rows = []
-    r_c = {}
-    for n in ns:
-        series = mite.direct_projection_converge(n, config.r_max)
-        for r, f in enumerate(series):
-            rows.append((n, r, float(f)))
-        try:
-            r_c[str(n)] = mite.critical_rounds(series)
-        except ValueError:
-            r_c[str(n)] = None
-    write_rows(out, cfg["format"], header, ["n", "r", "f_tot"], rows)
-    write_summary(summary_path(out), {"header": header, "r_c": r_c})
-    return 0
-
-
-def run_recompile(cfg: dict, layers: list[int], opt: recompile.OptimizerConfig, out: Path,
-                  kind: str) -> int:
-    report = recompile.recompile_scan(cfg["epsilon"], layers, opt)
-    header = _header(cfg, kind)
-    rows = [(e.n_layers, e.repetition, float(e.fidelity), e.hops_used) for e in report.entries]
-    write_rows(out, cfg["format"], header, ["n_layers", "repetition", "final_fidelity", "hops_used"], rows)
-    write_summary(summary_path(out), {
-        "header": header,
-        "epsilon": cfg["epsilon"],
-        "per_depth": {str(k): v for k, v in report.summary().items()},
-    })
-    return 0
-
+# verify and the entry point
 
 def run_verify(out: Path | None) -> int:
     from . import verify  # the oracles load for this subcommand only, off every job's start-up
@@ -401,10 +338,6 @@ def run_verify(out: Path | None) -> int:
     return 0 if payload["passed"] else 3
 
 
-JOBS = {"prepare": run_prepare, "noise": run_prepare, "project": run_project,
-        "recompile": run_recompile}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -419,8 +352,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
+    from . import jobs  # numpy and the numerical modules load for a valid job only
+
     try:
-        return JOBS[args.command](cfg, *inputs, out, args.command)
+        return jobs.JOBS[args.command](cfg, *inputs, out, args.command)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

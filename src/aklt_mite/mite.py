@@ -79,13 +79,13 @@ from itertools import repeat
 import numpy as np
 
 from . import qubit_map
+from .params import COUNTER_CAP, MiteConfig, check_chain_size
 from .spin_ops import (
     AkltReference,
     SpinMatrices,
     _fix_phase,
     aklt_state,
     bond_projector,
-    check_chain_size,
     site_matrices,
     spin1_matrices,
 )
@@ -104,60 +104,6 @@ _IDEMPOTENT_TOL = 1e-10
 _BUILT_NORM_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
 _SYM_WEIGHT_TOL = 1e-9
-DEFAULT_ETA = {"spin1": 4.0, "qubit": 2.0}
-COUNTER_CAP = 256  # bond counters rescale above this; fire_window may be at most a quarter of it
-
-
-@dataclass(frozen=True)
-class MiteConfig:
-    """Run parameters for trajectory preparation.
-
-    ``eta = None`` resolves to the mode default (4 for spin1, 2 for qubit).
-    ``early_stop`` ends a trajectory once the total fidelity exceeds
-    ``1 - early_stop``; set it to ``None`` to run all ``r_max`` rounds.
-    """
-
-    epsilon: float = 0.5
-    eta: float | None = None
-    n_iter: int = 30
-    r_max: int = 100
-    window: int = 10
-    fire_window: int = 10
-    noise_axis: str | None = None
-    noise_sigma2: float = 0.0
-    seed: int = 0
-    early_stop: float | None = 1e-6
-
-    def __post_init__(self):
-        # written so that NaN fails them: NaN compares false with everything
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if self.eta is not None and not 0 < self.eta < math.inf:
-            raise ValueError("eta must be positive and finite")
-        if not 1 <= self.window <= self.n_iter:
-            raise ValueError("need n_iter >= window >= 1")
-        if not 1 <= self.fire_window <= COUNTER_CAP // 4:
-            raise ValueError(f"need 1 <= fire_window <= {COUNTER_CAP // 4}")
-        if self.r_max < 0:
-            raise ValueError("r_max must be nonnegative")
-        if self.noise_axis not in (None, "x", "z"):
-            raise ValueError("noise axis must be 'x' or 'z'")
-        if not 0 <= self.noise_sigma2 < math.inf:
-            raise ValueError("noise variance parameter must be nonnegative and finite")
-        if self.noise_axis is None and self.noise_sigma2 > 0:
-            raise ValueError("noise_sigma2 > 0 needs a noise_axis")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.early_stop is not None and not 0 <= self.early_stop < 1:
-            raise ValueError("early_stop must be None or in [0, 1)")
-
-    def e_th(self, mode: str) -> float:
-        """Threshold energy epsilon/eta; must sit below the 1/2 midpoint
-        between the two bond-energy levels."""
-        e_th = self.epsilon / (DEFAULT_ETA[mode] if self.eta is None else self.eta)
-        if e_th >= 0.5:
-            raise ValueError(f"e_th = {e_th} not below the level midpoint 1/2")
-        return e_th
 
 
 @dataclass

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import OptimizerConfig
 from .spin_ops import bond_projector
 
 N_QUBITS = 5
@@ -268,26 +269,6 @@ def schmidt_fidelity_bound(target: np.ndarray, n_layers: int) -> float:
         rank = 2 ** ((n_layers + cut % 2) // 2)  # odd cuts cross on odd layers
         bound = min(bound, math.sqrt(weights[:rank].sum()))
     return bound
-
-
-@dataclass
-class OptimizerConfig:
-    """Knobs for one recompilation run."""
-
-    maxiter: int = 100
-    n_hops: int = 5
-    repetitions: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.maxiter < 1:
-            raise ValueError("maxiter must be at least 1")
-        if self.n_hops < 0:
-            raise ValueError("n_hops must be nonnegative")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

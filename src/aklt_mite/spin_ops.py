@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import check_chain_size
 from .statevec import StateVector, apply_two_site, bond_weights
 
 SQRT2 = np.sqrt(2.0)
@@ -44,18 +45,6 @@ _DENSE_ED_LIMIT = 243
 # that the returned reference state is annihilated by the Hamiltonian.
 ZERO_ENERGY_TOL = 1e-8
 REFERENCE_RESIDUAL_TOL = 1e-10
-
-# Supported chain lengths per encoding: the periodic Hamiltonian needs three
-# sites, and the dense state (3^9 or 4^8 amplitudes) bounds the top.
-CHAIN_SIZES = {"spin1": (3, 9), "qubit": (3, 8)}
-
-
-def check_chain_size(n: int, mode: str = "spin1") -> None:
-    if mode not in CHAIN_SIZES:
-        raise ValueError(f"unknown mode {mode!r}")
-    lo, hi = CHAIN_SIZES[mode]
-    if not lo <= n <= hi:
-        raise ValueError(f"n = {n} outside the supported {mode} range {lo}..{hi}")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,20 @@ def data_rows(path):
     return [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
 
 
+def run_probe(code: str, *argv) -> object:
+    """The JSON that ``code`` prints, run in a fresh interpreter on this
+    checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestPrepare:
     def test_smoke_and_schema(self, tmp_path):
         out = tmp_path / "prep.csv"
@@ -421,6 +435,15 @@ class TestVerify:
         assert verify.check_own_measurements_preserve_mean_weight()[0] is False
 
 
+JOB_PROBE = """
+import json, sys
+from aklt_mite import cli
+
+code = cli.main([*sys.argv[2:], "--out", sys.argv[1]])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
 class TestBenchmarkTracer:
     """The benchmark's tracer wraps package functions by name; a renamed
     function or a changed return shape must fail here, not in a traced run."""
@@ -437,10 +460,19 @@ class TestBenchmarkTracer:
             module = importlib.import_module(f"aklt_mite.{mod_name}")
             assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
 
+    def test_one_job_loads_every_traced_module(self, tracer_module, tmp_path):
+        """``Tracer.install`` looks each traced module up in ``sys.modules``
+        after one warm-up job, whichever job that is; the smallest prepare
+        job must load the recompile module too."""
+        code, loaded = run_probe(JOB_PROBE, tmp_path / "out.csv",
+                                 *SPEC["workloads"]["prepare-spin1"]["smoke_args"], "--seed", 0)
+        assert code == 0
+        assert {f"aklt_mite.{mod}" for mod, _, _, _ in tracer_module.TRACED} <= set(loaded)
+
     def test_prepare_records_visit_spans_and_cap_hook(self, tracer_module):
         original = mite.mite_subroutine
         tracer = tracer_module.Tracer()
-        tracer.install()  # needs every traced module loaded, as importing cli does
+        tracer.install()  # needs every traced module loaded: this file imports them
         try:
             mite.prepare(mite.MiteConfig(seed=1, r_max=3), 4, "spin1")
         finally:
@@ -616,7 +648,7 @@ SCIPY_PROBE = """
 import json, sys
 from aklt_mite import cli
 
-UNLOADED = ("concurrent.futures.process", "multiprocessing", "aklt_mite.verify")
+UNLOADED = ("concurrent.futures.process", "multiprocessing", "aklt_mite.verify", "numpy.ma")
 
 def unwanted_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy") or m in UNLOADED)
@@ -625,6 +657,7 @@ loaded = {"import": unwanted_modules()}
 out = sys.argv[1]
 for argv in (
     "prepare --n 3 --runs 1 --rounds 3 --seed 0",
+    "prepare --n 3 --runs 1 --rounds 3 --seed 2",  # reaches 0.9: the summary takes a median
     "prepare --mode qubit --n 3 --runs 1 --rounds 3 --seed 0",
     "noise --n 3 --runs 1 --rounds 3 --seed 0 --noise-axis x --sigma2 1e-2",
     "noise --mode qubit --n 3 --runs 1 --rounds 3 --seed 0 --noise-axis z --sigma2 1e-2",
@@ -640,23 +673,38 @@ print(json.dumps(loaded))
 
 def test_jobs_load_no_scipy(tmp_path):
     """The CLI import and the one-process prepare/noise/project jobs run
-    without scipy, the process pool or the verify oracles; only
-    ``--threads`` above 1 and ``verify`` load them.  recompile, run last,
-    adds scipy's compiled L-BFGS-B core and no module of the
-    ``scipy.optimize`` package."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "out.csv")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    without scipy, the process pool, the verify oracles or ``numpy.ma``;
+    only ``--threads`` above 1 and ``verify`` load the first three.
+    recompile, run last, adds scipy's compiled L-BFGS-B core and no module
+    of the ``scipy.optimize`` package."""
+    loaded = run_probe(SCIPY_PROBE, tmp_path / "out.csv")
     recompile = list(loaded)[-1]
     assert recompile.startswith("recompile")
     assert loaded.pop(recompile) == ["scipy.optimize._lbfgsb"]
     assert loaded == {stage: [] for stage in loaded}
+
+
+VALIDATION_PROBE = """
+import json, sys
+from aklt_mite import cli
+
+for argv in json.loads(sys.argv[1]):
+    args = cli._build_parser().parse_args(argv)
+    cli.validate(cli.resolve_config(args), args.command)
+code = cli.main(["prepare", "--n", "99", "--out", sys.argv[2]])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] in ("numpy", "aklt_mite"))]))
+"""
+
+
+def test_validation_loads_no_numpy(tmp_path):
+    """The CLI import, the settings checks of every benchmark job and a
+    refused setting run on the standard library and ``params`` alone."""
+    workloads = [wl["args"] for wl in SPEC["workloads"].values()]
+    code, loaded = run_probe(VALIDATION_PROBE, json.dumps(workloads), tmp_path / "out.csv")
+    assert code == 1
+    assert not (tmp_path / "out.csv").exists()
+    assert loaded == ["aklt_mite", "aklt_mite.cli", "aklt_mite.params"]
 
 
 @pytest.mark.parametrize("argv, expected", [
