@@ -57,11 +57,12 @@ and at the end of the visit.  This bond kernel is the one part of the loop
 a caller can swap: ``prepare`` takes a ``kernel`` (default
 ``TwoLevelBond``) and hands it through ``sweep_round`` to every
 ``mite_subroutine`` visit, and ``verify`` runs the same loop with a
-full-state kernel that collapses the frame with the matrix Kraus pair.
-A kernel provides ``open(frame, j, projector)``, which returns a
-bond with ``sample(gains, rng) -> q``, ``kick(u)`` (apply the correction
-``u`` and return the bond of the new stretch), ``state()`` (the frame) and
-the excited weight ``w`` (read by ``verify.RecordingKernel``).
+full-state kernel that collapses the frame with the matrix Kraus pair
+(``verify.measurement_kraus``).  A kernel provides ``open(frame, j,
+projector)``, which returns a bond with ``sample(gains, rng) -> q``,
+``kick(u)`` (apply the correction ``u`` and return the bond of the new
+stretch), ``state()`` (the frame) and the excited weight ``w`` (read by
+``verify.RecordingKernel``).
 
 RNG discipline (one trajectory = one ``numpy`` Generator): each round
 first draws the per-site noise angles as one ``standard_normal(N)`` (sites
@@ -90,7 +91,6 @@ from .spin_ops import (
     spin1_matrices,
 )
 from .statevec import (
-    KrausPair,
     StateVector,
     bond_weights,
     fidelity,
@@ -99,8 +99,6 @@ from .statevec import (
     walk_bonds,
 )
 
-SQRT2 = math.sqrt(2.0)
-_IDEMPOTENT_TOL = 1e-10
 _BUILT_NORM_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
 _SYM_WEIGHT_TOL = 1e-9
@@ -139,26 +137,6 @@ class MeasurementCounter:
         self.k0 = 0
         self.k1 = 0
         self.run1 = 0
-
-
-def measurement_kraus(epsilon: float, projector: np.ndarray) -> KrausPair:
-    """Weak-measurement pair m_q = (1 + (cos eps - 1 - (-1)^q sin eps) P) / sqrt(2).
-
-    Acts as 1/sqrt(2) on the projector's kernel and as
-    (cos eps -+ sin eps)/sqrt(2) on its range; the 1/sqrt(2) prefactor makes
-    the pair complete (m0'm0 + m1'm1 = 1) exactly.  The job path samples
-    the same pair through ``two_level_sample``; this matrix form feeds the
-    full-state oracle.
-    """
-    projector = np.asarray(projector, dtype=complex)
-    defect = np.max(np.abs(projector @ projector - projector))
-    if defect > _IDEMPOTENT_TOL:
-        raise ValueError(f"projector is not idempotent (defect {defect:.3e})")
-    eye = np.eye(projector.shape[0])
-    c, s = math.cos(epsilon), math.sin(epsilon)
-    m0 = (eye + (c - 1 - s) * projector) / SQRT2
-    m1 = (eye + (c - 1 + s) * projector) / SQRT2
-    return KrausPair(m0, m1)
 
 
 def measurement_gains(epsilon: float) -> tuple[float, float]:

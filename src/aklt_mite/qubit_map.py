@@ -10,7 +10,10 @@ carries the spin-1 physics through the fixed isometry
 
 (all equivalence tests depend on this ordering).  Dynamics generated by
 mapped operators commutes with every per-site a<->b swap, so a state starting
-in the symmetric (triplet) sector never leaves it.
+in the symmetric (triplet) sector never leaves it.  ``verify`` checks the swap
+symmetry, the isometry pullback of the mapped projector, and the lifted
+closed form against the diagonalized symmetric-sector oracle
+(:func:`qubit_aklt_state`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spin_ops
-from .statevec import StateVector, fidelity, map_sites
+from .statevec import StateVector, map_sites
 
 
 def triplet_isometry() -> np.ndarray:
@@ -30,15 +33,6 @@ def triplet_isometry() -> np.ndarray:
     return v
 
 
-def site_swap() -> np.ndarray:
-    """SWAP of the two sub-spins within one site (4x4)."""
-    s = np.zeros((4, 4))
-    for a in range(2):
-        for b in range(2):
-            s[2 * b + a, 2 * a + b] = 1.0
-    return s
-
-
 def symmetric_site_projector() -> np.ndarray:
     """Projector onto the per-site triplet sector, V V' (4x4)."""
     v = triplet_isometry()
@@ -47,12 +41,6 @@ def symmetric_site_projector() -> np.ndarray:
 
 _PI_SYM_SITE = symmetric_site_projector()
 _PI_SYM_SITE.flags.writeable = False
-
-
-def isometry_pullback(op: np.ndarray) -> np.ndarray:
-    """(V (x) V)' op (V (x) V): a two-site qubit operator seen from spin-1."""
-    v2 = np.kron(triplet_isometry(), triplet_isometry())
-    return v2.conj().T @ op @ v2
 
 
 def symmetric_weight(state: StateVector) -> float:
@@ -113,9 +101,3 @@ def reencoded_reference(n: int) -> spin_ops.AkltReference:
     spin_ops.check_chain_size(n, "qubit")
     ref = spin_ops.aklt_state(n)
     return spin_ops.AkltReference(lift_state(ref.state), ref.energy, n)
-
-
-def mapping_equivalence_fidelity(n: int) -> float:
-    """Fidelity between the independently computed qubit reference and the
-    re-encoded spin-1 reference."""
-    return fidelity(qubit_aklt_state(n).state, reencoded_reference(n).state)

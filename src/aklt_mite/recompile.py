@@ -17,12 +17,12 @@ five-gate moment.  Parameters: 3 * 5 * (n_layers + 1) angles in [0, 2 pi].
 Optimization is box-constrained L-BFGS with analytic gradients, wrapped in
 random-restart hops around the best point found.  ``lbfgsb`` drives scipy's
 compiled L-BFGS-B core, loaded by file path, so no job imports the
-``scipy.optimize`` package and its start-up cost.
+``scipy.optimize`` package and its start-up cost.  ``verify`` holds the
+ansatz's unitary, its fidelity and the operator-Schmidt-rank bound on it.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -169,19 +169,6 @@ def _forward(moments: np.ndarray) -> tuple[list, np.ndarray]:
     return before, acc
 
 
-def circuit_unitary(circ: ParamCircuit) -> np.ndarray:
-    """Evaluate the ansatz to its 32x32 unitary."""
-    gates = u3_and_derivatives(circ.params.reshape(-1, GATES_PER_MOMENT, 3))[:, :, 0]
-    return _forward(_kron_gates(gates))[1]
-
-
-def unitary_fidelity(u: np.ndarray, v: np.ndarray) -> float:
-    """Normalized trace overlap |Tr(V' U)| / d, global-phase invariant."""
-    if u.shape != v.shape:
-        raise ValueError("operator shapes differ")
-    return float(abs(np.vdot(v, u)) / u.shape[0])
-
-
 def target_unitary(epsilon: float) -> np.ndarray:
     """exp(-i epsilon P (x) sigma_y) on 4 system qubits + 1 ancilla."""
     proj = bond_projector("qubit")
@@ -241,34 +228,6 @@ def loss_and_grad(
     # -Re(conj(t) dt) / (|t| d), with numpy's scalar complex product
     tc = t.conjugate()
     return loss, -(tc.real * dt.real - tc.imag * dt.imag) / (mag * DIM)
-
-
-def schmidt_fidelity_bound(target: np.ndarray, n_layers: int) -> float:
-    """Upper bound on ``unitary_fidelity(circuit_unitary(c), target)`` over
-    every depth-``n_layers`` ansatz ``c``, from operator Schmidt ranks.
-
-    Across the cut between qubits k and k+1 only the CNOTs on that pair
-    cross: odd layers cross cuts 1|2 and 3|4, even layers 2|3 and 4|5.  A
-    CNOT has operator Schmidt rank 2 and single-qubit gates rank 1, so the
-    ansatz V has rank at most r = 2^(layers crossing the cut).  With
-    ``target`` U reshaped across the cut and s_i its singular values,
-    Cauchy-Schwarz against the best rank-r approximation gives
-    |Tr(V'U)| <= ||V||_F sqrt(sum_{i<=r} s_i^2), and ||V||_F = sqrt(d) for
-    a unitary V, so the fidelity is at most sqrt(sum_{i<=r} s_i^2 / d) on
-    every cut.  The bound is the minimum over the four cuts.
-    """
-    if n_layers < 0:
-        raise ValueError("n_layers must be nonnegative")
-    tensor = target.reshape((2,) * (2 * N_QUBITS))  # row qubits, then column qubits
-    bound = math.inf
-    for cut in range(1, N_QUBITS):
-        left = [*range(cut), *range(N_QUBITS, N_QUBITS + cut)]
-        right = [*range(cut, N_QUBITS), *range(N_QUBITS + cut, 2 * N_QUBITS)]
-        matrix = tensor.transpose(left + right).reshape(4**cut, -1)
-        weights = np.linalg.svd(matrix, compute_uv=False) ** 2 / DIM
-        rank = 2 ** ((n_layers + cut % 2) // 2)  # odd cuts cross on odd layers
-        bound = min(bound, math.sqrt(weights[:rank].sum()))
-    return bound
 
 
 @dataclass

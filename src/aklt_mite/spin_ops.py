@@ -9,9 +9,9 @@ fidelity oracle for every experiment in this package.
 The reference is built in closed form as the bond-dimension-2 matrix-product
 state psi = Tr(A^{s_1} ... A^{s_N}) (Affleck, Kennedy, Lieb and Tasaki,
 PRL 59, 799 (1987); Schollwoeck, arXiv:1008.3477), at a cost linear in the
-Hilbert-space dimension.  Exact diagonalization of the Hamiltonian is kept
-as an independent oracle (:func:`exact_aklt_state`) for ``verify`` and the
-tests; no experiment calls it.
+Hilbert-space dimension.  The matrix-free Hamiltonian and its zero mode
+stay here for the qubit oracle; exact diagonalization of the spin-1 chain
+(``verify.exact_aklt_state``) is the independent oracle for the closed form.
 
 Two site encodings (``mode``) are supported:
 
@@ -111,7 +111,7 @@ def bond_projector(mode: str) -> np.ndarray:
     S=0, 1.
 
     This form is an exact projector in both site representations; the
-    quadratic short form (see :func:`bond_projector_short_form`) agrees with
+    quadratic short form (``verify.bond_projector_short_form``) agrees with
     it only where every site carries genuine spin 1, i.e. everywhere in
     spin1 mode but only on the symmetric sector in qubit mode.
     """
@@ -120,93 +120,6 @@ def bond_projector(mode: str) -> np.ndarray:
     eye = np.eye(csq.shape[0])
     mat = csq @ (csq - 2 * eye) / 24.0
     return (mat + mat.conj().T) / 2
-
-
-def bond_projector_short_form(mode: str) -> np.ndarray:
-    """The quadratic form (dot + dot^2/3 + 2/3)/2 of the bond projector.
-
-    Uses S_j . S_j = 2 for its simplification, which only holds sitewise on
-    genuine spin-1 degrees of freedom.
-    """
-    site = site_matrices(mode)
-    eye_site = np.eye(site.dim)
-    dot = sum(np.kron(s, s) for s in site.as_tuple())
-    eye = np.kron(eye_site, eye_site)
-    return (dot + dot @ dot / 3.0 + 2.0 / 3.0 * eye) / 2.0
-
-
-@dataclass(frozen=True)
-class CoupledState:
-    """One |S, m> eigenvector of two coupled spin-1 sites."""
-
-    s: int
-    m: int
-    vec: np.ndarray
-
-
-def coupled_basis() -> list[CoupledState]:
-    """The nine |S, m> states of two spin-1 sites, built by ladder operators.
-
-    Starts from the stretched |2, 2> = |m=1>|m=1> state, walks down each
-    multiplet with the total lowering operator, and finds the top of the
-    next multiplet by orthogonality within the fixed-m subspace
-    (Condon-Shortley phases: first nonzero coefficient positive).
-    """
-    s1 = spin1_matrices()
-    eye = np.eye(3)
-    s_minus = (s1.sx - 1j * s1.sy)
-    lower = np.kron(s_minus, eye) + np.kron(eye, s_minus)
-
-    states: list[CoupledState] = []
-    tops: list[np.ndarray] = []
-    top = np.zeros(9, dtype=complex)
-    top[0] = 1.0  # |m=1>|m=1> at digits (0, 0)
-    for s in (2, 1, 0):
-        tops.append(top)
-        vec = top
-        states.append(CoupledState(s, s, vec))
-        for m in range(s - 1, -s - 1, -1):
-            vec = lower @ vec
-            vec = vec / np.linalg.norm(vec)
-            states.append(CoupledState(s, m, vec))
-        if s == 0:
-            break
-        # top of the next multiplet: the m = s-1 vector orthogonal to all
-        # previously found multiplets' m = s-1 members
-        got = [st.vec for st in states if st.m == s - 1]
-        basis = _m_subspace_basis(s - 1)
-        top = _orthogonal_complement_vector(basis, got)
-    return states
-
-
-def _m_subspace_basis(m: int) -> list[np.ndarray]:
-    """Product basis vectors of two spin-1 sites with total projection m."""
-    out = []
-    for d1 in range(3):
-        for d2 in range(3):
-            if (1 - d1) + (1 - d2) == m:
-                v = np.zeros(9, dtype=complex)
-                v[3 * d1 + d2] = 1.0
-                out.append(v)
-    return out
-
-
-def _orthogonal_complement_vector(
-    basis: list[np.ndarray], known: list[np.ndarray]
-) -> np.ndarray:
-    """The unit vector in span(basis) orthogonal to all of ``known``."""
-    b = np.stack(basis, axis=1)
-    coeffs = np.eye(len(basis), dtype=complex)
-    for k in known:
-        proj = b.conj().T @ k
-        coeffs = coeffs - np.outer(proj, proj.conj()) @ coeffs
-    # any nonzero column spans the 1-dim complement
-    col = coeffs[:, int(np.argmax(np.linalg.norm(coeffs, axis=0)))]
-    vec = b @ col
-    vec = vec / np.linalg.norm(vec)
-    k = int(np.argmax(np.abs(vec) > 1e-12))
-    phase = vec[k] / abs(vec[k])
-    return vec / phase
 
 
 def hamiltonian_apply(state: StateVector, projector: np.ndarray | None = None) -> StateVector:
@@ -285,7 +198,9 @@ def aklt_state(n: int) -> AkltReference:
     largest-magnitude amplitude real positive).  The bond weights
     w_j = |P_j psi|^2 certify the result: ``energy`` = sum_j w_j = <psi|H psi>
     >= 0, and sum_j sqrt(w_j) >= |H psi| must stay below
-    ``REFERENCE_RESIDUAL_TOL``.  :func:`exact_aklt_state` is the diagonalization oracle.
+    ``REFERENCE_RESIDUAL_TOL``.  ``verify.exact_aklt_state`` is the
+    diagonalization oracle.  Each A^s has one nonzero entry per column, so
+    each entry of a site's stacked matmul is one product and an exact zero.
     """
     check_chain_size(n)
     # A^s for digits s = 0, 1, 2 (m = +1, 0, -1): A^{+1} = sqrt(2/3) sigma^+,
@@ -296,7 +211,7 @@ def aklt_state(n: int) -> AkltReference:
     a[2, 1, 0] = -np.sqrt(2.0 / 3.0)
     chain = a
     for _ in range(n - 1):
-        chain = np.einsum("kab,sbc->ksac", chain, a).reshape(-1, 2, 2)
+        chain = np.matmul(chain[:, None], a).reshape(-1, 2, 2)
     vec = np.einsum("kaa->k", chain).astype(complex)
     vec = _fix_phase(vec / np.linalg.norm(vec))
     state = StateVector(vec, n, 3)
@@ -305,27 +220,3 @@ def aklt_state(n: int) -> AkltReference:
     if residual > REFERENCE_RESIDUAL_TOL:
         raise RuntimeError(f"H|ref> residual bound {residual:.3e} exceeds tolerance")
     return AkltReference(state, sum(weights), n)
-
-
-def exact_aklt_state(n: int) -> AkltReference:
-    """AKLT reference state by exact diagonalization (the oracle for
-    :func:`aklt_state`).
-
-    Obtained by diagonalizing the projector-sum Hamiltonian; fails if the
-    lowest eigenvalue is not (numerically) zero or the zero mode is not
-    unique.  Global phase as in :func:`aklt_state`.
-    """
-    check_chain_size(n)
-    proj = bond_projector("spin1")
-    dim = 3**n
-
-    def matvec(x):
-        sv = StateVector(np.asarray(x, dtype=complex), n, 3)
-        return hamiltonian_apply(sv, proj).amps
-
-    energy, vec = zero_mode(matvec, dim)
-    state = StateVector(_fix_phase(vec), n, 3)
-    residual = np.linalg.norm(hamiltonian_apply(state, proj).amps)
-    if residual > REFERENCE_RESIDUAL_TOL:
-        raise RuntimeError(f"H|ref> residual {residual:.3e} exceeds tolerance")
-    return AkltReference(state, energy, n)

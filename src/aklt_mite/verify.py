@@ -1,9 +1,11 @@
-"""Named self-checks covering every operator identity the method relies on.
-
-Each check returns (passed, detail); ``CHECKS`` names them in the order
-``aklt-mite verify`` runs them.  The test suite runs each check as its own
-case instead of restating it, and a deployed build can be validated
-without a test harness present.  The ``expm`` oracles import scipy inside
+"""Named self-checks covering every operator identity the method relies on,
+and the oracles no job runs: the matrix Kraus pair, the short-form bond
+projector, the coupled |S, m> basis, exact diagonalization of the spin-1
+chain, the isometry pullback, and the ansatz's unitary, fidelity and
+operator-Schmidt bound.  Each check returns (passed, detail); ``CHECKS``
+names them in the order ``aklt-mite verify`` runs them.  The test suite
+runs each check as its own case instead of restating it, and a deployed
+build can be validated without a test harness present.  The ``expm`` oracles import scipy inside
 their checks, so importing this module does not load scipy; the CLI
 imports it only for ``aklt-mite verify``.
 
@@ -17,6 +19,7 @@ fidelity after every one of its measurements.
 from __future__ import annotations
 
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +29,184 @@ from . import mite, qubit_map, recompile, spin_ops, statevec
 
 def _maxabs(x) -> float:
     return float(np.max(np.abs(x)))
+
+
+# ---------------------------------------------------------------------------
+# oracles: what the checks and the tests hold the job path against
+
+SQRT2 = math.sqrt(2.0)
+_IDEMPOTENT_TOL = 1e-10
+
+
+def measurement_kraus(epsilon: float, projector: np.ndarray) -> statevec.KrausPair:
+    """Weak-measurement pair m_q = (1 + (cos eps - 1 - (-1)^q sin eps) P) / sqrt(2).
+
+    Acts as 1/sqrt(2) on the projector's kernel and as
+    (cos eps -+ sin eps)/sqrt(2) on its range; the 1/sqrt(2) prefactor makes
+    the pair complete (m0'm0 + m1'm1 = 1) exactly.  The job path samples
+    the same pair through ``mite.two_level_sample``; this matrix form feeds the
+    full-state oracle.
+    """
+    projector = np.asarray(projector, dtype=complex)
+    defect = np.max(np.abs(projector @ projector - projector))
+    if defect > _IDEMPOTENT_TOL:
+        raise ValueError(f"projector is not idempotent (defect {defect:.3e})")
+    eye = np.eye(projector.shape[0])
+    c, s = math.cos(epsilon), math.sin(epsilon)
+    m0 = (eye + (c - 1 - s) * projector) / SQRT2
+    m1 = (eye + (c - 1 + s) * projector) / SQRT2
+    return statevec.KrausPair(m0, m1)
+
+
+def bond_projector_short_form(mode: str) -> np.ndarray:
+    """The quadratic form (dot + dot^2/3 + 2/3)/2 of the bond projector.
+
+    Uses S_j . S_j = 2 for its simplification, which only holds sitewise on
+    genuine spin-1 degrees of freedom.
+    """
+    site = spin_ops.site_matrices(mode)
+    eye_site = np.eye(site.dim)
+    dot = sum(np.kron(s, s) for s in site.as_tuple())
+    eye = np.kron(eye_site, eye_site)
+    return (dot + dot @ dot / 3.0 + 2.0 / 3.0 * eye) / 2.0
+
+
+@dataclasses.dataclass(frozen=True)
+class CoupledState:
+    """One |S, m> eigenvector of two coupled spin-1 sites."""
+
+    s: int
+    m: int
+    vec: np.ndarray
+
+
+def coupled_basis() -> list[CoupledState]:
+    """The nine |S, m> states of two spin-1 sites, built by ladder operators.
+
+    Starts from the stretched |2, 2> = |m=1>|m=1> state, walks down each
+    multiplet with the total lowering operator, and finds the top of the
+    next multiplet by orthogonality within the fixed-m subspace
+    (Condon-Shortley phases: first nonzero coefficient positive).
+    """
+    s1 = spin_ops.spin1_matrices()
+    eye = np.eye(3)
+    s_minus = (s1.sx - 1j * s1.sy)
+    lower = np.kron(s_minus, eye) + np.kron(eye, s_minus)
+
+    states: list[CoupledState] = []
+    top = np.zeros(9, dtype=complex)
+    top[0] = 1.0  # |m=1>|m=1> at digits (0, 0)
+    for s in (2, 1, 0):
+        vec = top
+        states.append(CoupledState(s, s, vec))
+        for m in range(s - 1, -s - 1, -1):
+            vec = lower @ vec
+            vec = vec / np.linalg.norm(vec)
+            states.append(CoupledState(s, m, vec))
+        if s == 0:
+            break
+        # top of the next multiplet: the m = s-1 vector orthogonal to all
+        # previously found multiplets' m = s-1 members
+        got = [st.vec for st in states if st.m == s - 1]
+        basis = _m_subspace_basis(s - 1)
+        top = _orthogonal_complement_vector(basis, got)
+    return states
+
+
+def _m_subspace_basis(m: int) -> list[np.ndarray]:
+    """Product basis vectors of two spin-1 sites with total projection m."""
+    eye = np.eye(9, dtype=complex)
+    return [eye[3 * d1 + d2] for d1 in range(3) for d2 in range(3) if (1 - d1) + (1 - d2) == m]
+
+
+def _orthogonal_complement_vector(
+    basis: list[np.ndarray], known: list[np.ndarray]
+) -> np.ndarray:
+    """The unit vector in span(basis) orthogonal to all of ``known``."""
+    b = np.stack(basis, axis=1)
+    coeffs = np.eye(len(basis), dtype=complex)
+    for k in known:
+        proj = b.conj().T @ k
+        coeffs = coeffs - np.outer(proj, proj.conj()) @ coeffs
+    # any nonzero column spans the 1-dim complement
+    col = coeffs[:, int(np.argmax(np.linalg.norm(coeffs, axis=0)))]
+    vec = b @ col
+    vec = vec / np.linalg.norm(vec)
+    k = int(np.argmax(np.abs(vec) > 1e-12))
+    phase = vec[k] / abs(vec[k])
+    return vec / phase
+
+
+def exact_aklt_state(n: int) -> spin_ops.AkltReference:
+    """AKLT reference state by exact diagonalization (the oracle for
+    ``spin_ops.aklt_state``).
+
+    Obtained by diagonalizing the projector-sum Hamiltonian; fails if the
+    lowest eigenvalue is not (numerically) zero or the zero mode is not
+    unique.  Global phase as in ``spin_ops.aklt_state``.
+    """
+    spin_ops.check_chain_size(n)
+    proj = spin_ops.bond_projector("spin1")
+
+    def matvec(x):
+        sv = statevec.StateVector(np.asarray(x, dtype=complex), n, 3)
+        return spin_ops.hamiltonian_apply(sv, proj).amps
+
+    energy, vec = spin_ops.zero_mode(matvec, 3**n)
+    state = statevec.StateVector(spin_ops._fix_phase(vec), n, 3)
+    residual = np.linalg.norm(spin_ops.hamiltonian_apply(state, proj).amps)
+    if residual > spin_ops.REFERENCE_RESIDUAL_TOL:
+        raise RuntimeError(f"H|ref> residual {residual:.3e} exceeds tolerance")
+    return spin_ops.AkltReference(state, energy, n)
+
+
+def isometry_pullback(op: np.ndarray) -> np.ndarray:
+    """(V (x) V)' op (V (x) V): a two-site qubit operator seen from spin-1."""
+    v2 = np.kron(qubit_map.triplet_isometry(), qubit_map.triplet_isometry())
+    return v2.conj().T @ op @ v2
+
+
+def circuit_unitary(circ: recompile.ParamCircuit) -> np.ndarray:
+    """Evaluate the ansatz to its 32x32 unitary."""
+    angles = circ.params.reshape(-1, recompile.GATES_PER_MOMENT, 3)
+    gates = recompile.u3_and_derivatives(angles)[:, :, 0]
+    return recompile._forward(recompile._kron_gates(gates))[1]
+
+
+def unitary_fidelity(u: np.ndarray, v: np.ndarray) -> float:
+    """Normalized trace overlap |Tr(V' U)| / d, global-phase invariant."""
+    if u.shape != v.shape:
+        raise ValueError("operator shapes differ")
+    return float(abs(np.vdot(v, u)) / u.shape[0])
+
+
+def schmidt_fidelity_bound(target: np.ndarray, n_layers: int) -> float:
+    """Upper bound on ``unitary_fidelity(circuit_unitary(c), target)`` over
+    every depth-``n_layers`` ansatz ``c``, from operator Schmidt ranks.
+
+    Across the cut between qubits k and k+1 only the CNOTs on that pair
+    cross: odd layers cross cuts 1|2 and 3|4, even layers 2|3 and 4|5.  A
+    CNOT has operator Schmidt rank 2 and single-qubit gates rank 1, so the
+    ansatz V has rank at most r = 2^(layers crossing the cut).  With
+    ``target`` U reshaped across the cut and s_i its singular values,
+    Cauchy-Schwarz against the best rank-r approximation gives
+    |Tr(V'U)| <= ||V||_F sqrt(sum_{i<=r} s_i^2), and ||V||_F = sqrt(d) for
+    a unitary V, so the fidelity is at most sqrt(sum_{i<=r} s_i^2 / d) on
+    every cut.  The bound is the minimum over the four cuts.
+    """
+    if n_layers < 0:
+        raise ValueError("n_layers must be nonnegative")
+    nq = recompile.N_QUBITS
+    tensor = target.reshape((2,) * (2 * nq))  # row qubits, then column qubits
+    bound = math.inf
+    for cut in range(1, nq):
+        left = [*range(cut), *range(nq, nq + cut)]
+        right = [*range(cut, nq), *range(nq + cut, 2 * nq)]
+        matrix = tensor.transpose(left + right).reshape(4**cut, -1)
+        weights = np.linalg.svd(matrix, compute_uv=False) ** 2 / recompile.DIM
+        rank = 2 ** ((n_layers + cut % 2) // 2)  # odd cuts cross on odd layers
+        bound = min(bound, math.sqrt(weights[:rank].sum()))
+    return bound
 
 
 def check_spin1_algebra():
@@ -77,7 +258,7 @@ def check_projector_spectrum():
 def check_projector_forms_agree():
     diff = _maxabs(
         spin_ops.bond_projector("spin1")
-        - spin_ops.bond_projector_short_form("spin1")
+        - bond_projector_short_form("spin1")
     )
     return diff <= 1e-12, f"quartic vs short form {diff:.2e}"
 
@@ -85,7 +266,7 @@ def check_projector_forms_agree():
 def check_coupled_basis_action():
     p = spin_ops.bond_projector("spin1")
     worst = 0.0
-    for cs in spin_ops.coupled_basis():
+    for cs in coupled_basis():
         expect = 1.0 if cs.s == 2 else 0.0
         worst = max(worst, float(np.linalg.norm(p @ cs.vec - expect * cs.vec)))
     return worst <= 1e-12, f"worst |P v - delta_S2 v| = {worst:.2e}"
@@ -103,7 +284,7 @@ def check_kraus_completeness():
     worst = 0.0
     for mode in ("spin1", "qubit"):
         p = spin_ops.bond_projector(mode)
-        k = mite.measurement_kraus(0.5, p)
+        k = measurement_kraus(0.5, p)
         comp = k.m0.conj().T @ k.m0 + k.m1.conj().T @ k.m1 - np.eye(p.shape[0])
         worst = max(worst, _maxabs(comp))
     return worst <= 1e-12, f"completeness defect {worst:.2e}"
@@ -119,7 +300,7 @@ def check_aklt_closed_form_matches_ed():
     worst = 0.0
     for n in (4, 5, 6):
         closed = spin_ops.aklt_state(n).state.amps
-        exact = spin_ops.exact_aklt_state(n).state.amps
+        exact = exact_aklt_state(n).state.amps
         overlap = np.vdot(exact, closed)
         worst = max(worst, float(np.linalg.norm(closed - overlap / abs(overlap) * exact)))
     return worst <= 1e-12, f"worst |psi_closed - psi_ED| = {worst:.2e} (N = 4..6)"
@@ -154,7 +335,7 @@ def check_correction_unitarity():
 
 def check_mapped_swap_symmetry():
     p = spin_ops.bond_projector("qubit")
-    sw = qubit_map.site_swap()
+    sw = np.eye(4)[[0, 2, 1, 3]]  # SWAP of a site's sub-spins: digit 2a + b to 2b + a
     eye = np.eye(4)
     defect = max(
         _maxabs(p @ np.kron(sw, eye) - np.kron(sw, eye) @ p),
@@ -165,14 +346,16 @@ def check_mapped_swap_symmetry():
 
 def check_mapped_isometry_pullback():
     diff = _maxabs(
-        qubit_map.isometry_pullback(spin_ops.bond_projector("qubit"))
+        isometry_pullback(spin_ops.bond_projector("qubit"))
         - spin_ops.bond_projector("spin1")
     )
     return diff <= 1e-12, f"pullback defect {diff:.2e}"
 
 
 def check_qubit_reference_equivalence():
-    fid = qubit_map.mapping_equivalence_fidelity(3)
+    # the diagonalized qubit reference against the re-encoded closed form
+    fid = statevec.fidelity(qubit_map.qubit_aklt_state(3).state,
+                            qubit_map.reencoded_reference(3).state)
     return fid >= 1 - 1e-9, f"fidelity {fid:.12f}"
 
 
@@ -196,7 +379,7 @@ def check_target_unitary_closed_form():
 def check_circuit_unitarity():
     rng = np.random.default_rng(3)
     circ = recompile.ParamCircuit(2, rng.uniform(0, 2 * np.pi, recompile.n_params(2)))
-    u = recompile.circuit_unitary(circ)
+    u = circuit_unitary(circ)
     defect = _maxabs(u @ u.conj().T - np.eye(32))
     return defect <= 1e-10, f"unitarity defect {defect:.2e}"
 
@@ -230,12 +413,12 @@ def check_schmidt_fidelity_bound():
     own, below, over = 1.0, 0.0, 0.0
     for n_layers in range(1, 5):
         params = rng.uniform(0, 2 * np.pi, recompile.n_params(n_layers))
-        u = recompile.circuit_unitary(recompile.ParamCircuit(n_layers, params))
-        own = min(own, recompile.schmidt_fidelity_bound(u, n_layers))
-        below = max(below, recompile.schmidt_fidelity_bound(u, n_layers - 1))
-        over = max(over, recompile.unitary_fidelity(u, target)
-                   - recompile.schmidt_fidelity_bound(target, n_layers))
-    ceiling = max(recompile.schmidt_fidelity_bound(target, n) for n in range(8))
+        u = circuit_unitary(recompile.ParamCircuit(n_layers, params))
+        own = min(own, schmidt_fidelity_bound(u, n_layers))
+        below = max(below, schmidt_fidelity_bound(u, n_layers - 1))
+        over = max(over, unitary_fidelity(u, target)
+                   - schmidt_fidelity_bound(target, n_layers))
+    ceiling = max(schmidt_fidelity_bound(target, n) for n in range(8))
     passed = own >= 1 - 1e-12 and below <= 0.99 and over <= 0 and ceiling < 0.9999
     return passed, (
         f"ansatz at own depth {own:.15f}, one layer less {below:.4f}; "
@@ -245,7 +428,7 @@ def check_schmidt_fidelity_bound():
 
 def check_born_frequencies():
     p = spin_ops.bond_projector("spin1")
-    kraus = mite.measurement_kraus(0.5, p)
+    kraus = measurement_kraus(0.5, p)
     state = statevec.product_state(2, 3)  # stretched pair, E = 1
     p0 = (np.cos(0.5) - np.sin(0.5)) ** 2 / 2
     rng = np.random.default_rng(11)
@@ -269,7 +452,7 @@ def check_own_measurements_preserve_mean_weight():
     outcomes_ok = True
     for eps in (0.1, 0.5, 0.75, 1.0):
         gains = mite.measurement_gains(eps)
-        kraus = mite.measurement_kraus(eps, proj)
+        kraus = measurement_kraus(eps, proj)
         for w in np.linspace(0.0, 1.0, 101):
             psi = np.array([np.sqrt(w), np.sqrt(1.0 - w)])
             mean = 0.0
@@ -292,7 +475,7 @@ class FullStateKernel:
     epsilon: float
 
     def open(self, frame, j, projector):
-        return FullStateBond(frame, projector, mite.measurement_kraus(self.epsilon, projector))
+        return FullStateBond(frame, projector, measurement_kraus(self.epsilon, projector))
 
 
 @dataclasses.dataclass

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from aklt_mite import mite, recompile, spin_ops
+from aklt_mite import mite, recompile, spin_ops, verify
 from aklt_mite.cli import main as cli_main
 from aklt_mite.statevec import born_sample, partial_fidelity, product_state
 from aklt_mite.verify import RecordingKernel
@@ -33,7 +33,7 @@ BASE_SEED = 0
 @pytest.fixture(scope="module")
 def references():
     """Exact-diagonalization references: the oracle the closed form is held to."""
-    return {n: spin_ops.exact_aklt_state(n) for n in range(3, 9)}
+    return {n: verify.exact_aklt_state(n) for n in range(3, 9)}
 
 
 def battery(n, mode="spin1", runs=RUNS, **overrides):
@@ -99,7 +99,7 @@ def test_criterion_1_operator_identities():
 
     for mode in ("spin1", "qubit"):
         pm = spin_ops.bond_projector(mode)
-        k = mite.measurement_kraus(0.5, pm)
+        k = verify.measurement_kraus(0.5, pm)
         comp = k.m0.conj().T @ k.m0 + k.m1.conj().T @ k.m1 - np.eye(pm.shape[0])
         assert np.max(np.abs(comp)) <= 1e-12
 
@@ -273,7 +273,7 @@ def test_criterion_8a_recompilation_fidelity():
     reaches fidelity 0.9999.
 
     No optimizer can meet it, by operator Schmidt rank
-    (``recompile.schmidt_fidelity_bound``).  Across the cut between qubits
+    (``verify.schmidt_fidelity_bound``).  Across the cut between qubits
     k and k+1 only the CNOTs on that pair cross, each of rank 2: odd layers
     cross cuts 1|2 and 3|4, even layers 2|3 and 4|5, so a depth-L ansatz
     has rank at most 2^(layers crossing the cut).  A unitary V of rank r
@@ -288,7 +288,7 @@ def test_criterion_8a_recompilation_fidelity():
     cfg = recompile.OptimizerConfig(maxiter=100, n_hops=5, repetitions=RUNS, seed=BASE_SEED)
     report = recompile.recompile_scan(0.5, [4], cfg)
     best = report.summary()[4]["max_fidelity"]
-    bound = recompile.schmidt_fidelity_bound(recompile.target_unitary(0.5), 4)
+    bound = verify.schmidt_fidelity_bound(recompile.target_unitary(0.5), 4)
     print(f"criterion 8a: max fidelity over {RUNS} repetitions at depth 4 = {best:.6f}"
           f" (Schmidt-rank bound {bound:.5f})")
     assert best >= 0.9999
@@ -306,7 +306,7 @@ def test_criterion_9_statistical_sanity(tmp_path):
     """Born frequencies within 3 standard errors over >= 1e4 samples, and
     byte-identical outputs for identical seeds."""
     p = spin_ops.bond_projector("spin1")
-    kraus = mite.measurement_kraus(0.5, p)
+    kraus = verify.measurement_kraus(0.5, p)
     state = product_state(2, d=3)
     p0 = (math.cos(0.5) - math.sin(0.5)) ** 2 / 2
     rng = np.random.default_rng(123)

@@ -397,13 +397,13 @@ class TestVerify:
 
     def test_fault_injection_fails_named_check(self, tmp_path, monkeypatch):
         # a pair normalized by 1/2 instead of 1/sqrt(2), seen by a two-check suite
-        kraus = verify.mite.measurement_kraus
+        kraus = verify.measurement_kraus
 
         def half_normalized(epsilon, projector):
             k = kraus(epsilon, projector)
             return SimpleNamespace(m0=k.m0 / math.sqrt(2), m1=k.m1 / math.sqrt(2))
 
-        monkeypatch.setattr(verify.mite, "measurement_kraus", half_normalized)
+        monkeypatch.setattr(verify, "measurement_kraus", half_normalized)
         monkeypatch.setattr(verify, "CHECKS", [
             check for check in verify.CHECKS if check[0] in ("kraus_completeness", "spin1_casimir")
         ])
@@ -693,13 +693,14 @@ for argv in json.loads(sys.argv[1]):
     cli.validate(cli.resolve_config(args), args.command)
 code = cli.main(["prepare", "--n", "99", "--out", sys.argv[2]])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] in ("numpy", "aklt_mite"))]))
+                               if m.split(".")[0] in ("numpy", "aklt_mite", "hashlib", "_hashlib"))]))
 """
 
 
 def test_validation_loads_no_numpy(tmp_path):
     """The CLI import, the settings checks of every benchmark job and a
-    refused setting run on the standard library and ``params`` alone."""
+    refused setting run on the standard library and ``params`` alone, and
+    load neither numpy nor ``hashlib`` (OpenSSL's ``_hashlib``)."""
     workloads = [wl["args"] for wl in SPEC["workloads"].values()]
     code, loaded = run_probe(VALIDATION_PROBE, json.dumps(workloads), tmp_path / "out.csv")
     assert code == 1
@@ -731,3 +732,22 @@ def test_science_hash_reads_the_parsed_list(spelling):
     cfg = cli.resolve_config(args)
     cli.validate(cfg, args.command)
     assert cli.science_hash(cfg, args.command) == "a1cca55a12500c73"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["prepare", "--n", "3", "--runs", "1", "--rounds", "2", "--seed", "0"], 0),
+    (["prepare", "--n", "99"], 1),
+])
+def test_entry_point_freezes_the_collector(tmp_path, argv, expected):
+    """``run``, the entry of the ``aklt-mite`` script and of ``python -m
+    aklt_mite.cli``, returns ``main``'s code and leaves the collector frozen,
+    so the interpreter's exit skips its final collections."""
+    import gc
+
+    try:
+        assert cli.run([*argv, "--out", str(tmp_path / "out.csv")]) == expected
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert 'aklt-mite = "aklt_mite.cli:run"' in pyproject.splitlines()

@@ -52,10 +52,10 @@ class TestMeasurementKraus:
     def test_matches_spectral_construction(self, proj9):
         # oracle: build the pair from the coupled |S, m> eigenbasis directly
         eps = 0.5
-        kraus = mite.measurement_kraus(eps, proj9)
+        kraus = verify.measurement_kraus(eps, proj9)
         for q, mat in ((0, kraus.m0), (1, kraus.m1)):
             spectral = np.zeros((9, 9), dtype=complex)
-            for cs in spin_ops.coupled_basis():
+            for cs in verify.coupled_basis():
                 e = 1.0 if cs.s == 2 else 0.0
                 factor = math.cos(eps * e) - (-1) ** q * math.sin(eps * e)
                 spectral += factor * np.outer(cs.vec, cs.vec.conj())
@@ -64,9 +64,9 @@ class TestMeasurementKraus:
 
     def test_scalar_actions(self, proj9):
         eps = 0.5
-        kraus = mite.measurement_kraus(eps, proj9)
-        kernel_vec = next(c.vec for c in spin_ops.coupled_basis() if c.s == 0)
-        range_vec = next(c.vec for c in spin_ops.coupled_basis() if c.s == 2)
+        kraus = verify.measurement_kraus(eps, proj9)
+        kernel_vec = next(c.vec for c in verify.coupled_basis() if c.s == 0)
+        range_vec = next(c.vec for c in verify.coupled_basis() if c.s == 2)
         for mat in (kraus.m0, kraus.m1):
             assert np.allclose(mat @ kernel_vec, kernel_vec / np.sqrt(2), atol=1e-12)
         factor0 = (math.cos(eps) - math.sin(eps)) / np.sqrt(2)
@@ -75,7 +75,7 @@ class TestMeasurementKraus:
 
     def test_non_idempotent_rejected(self):
         with pytest.raises(ValueError):
-            mite.measurement_kraus(0.5, 0.5 * np.eye(4))
+            verify.measurement_kraus(0.5, 0.5 * np.eye(4))
 
 
 class TestPeakEnergy:
@@ -308,7 +308,7 @@ class TestSubroutine:
     def test_measurements_leave_reference_invariant(self, aklt, proj9):
         """The exact fixed point: both outcomes act as 1/sqrt(2) on the
         zero-eigenvalue sector, so sampling never moves the reference."""
-        kraus = mite.measurement_kraus(0.5, proj9)
+        kraus = verify.measurement_kraus(0.5, proj9)
         state = aklt[4].state
         rng = np.random.default_rng(2)
         for j in (1, 2, 3, 4):
@@ -420,7 +420,7 @@ class TestTwoLevelKernel:
 
     def test_sampling_matches_the_full_state_collapse(self, proj9, rng):
         state = StateVector(random_unit_vector(rng, 81), 4, 3)
-        kraus = mite.measurement_kraus(0.5, proj9)
+        kraus = verify.measurement_kraus(0.5, proj9)
         bond = mite.TwoLevelBond.open(frame_of(state, 2), 2, proj9)
         gains = mite.measurement_gains(0.5)
         for seed in range(20):

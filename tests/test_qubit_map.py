@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aklt_mite import mite, qubit_map, spin_ops
+from aklt_mite import mite, qubit_map, spin_ops, verify
 from aklt_mite.statevec import StateVector, apply_two_site, product_state
 
 from conftest import phase_aligned_distance, product_of, random_unit_vector
@@ -56,7 +56,7 @@ class TestMappedProjector:
         on singlet-carrying sectors: there it takes the value 1/3 instead of
         an eigenvalue in {0, 1}.  Both forms coincide after symmetric-sector
         projection."""
-        short = spin_ops.bond_projector_short_form("qubit")
+        short = verify.bond_projector_short_form("qubit")
         assert np.max(np.abs(short - proj16)) > 0.2
         pi2 = np.kron(qubit_map.symmetric_site_projector(), qubit_map.symmetric_site_projector())
         assert np.max(np.abs(pi2 @ (short - proj16) @ pi2)) <= 1e-12

@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 
 from aklt_mite import recompile as rc
+from aklt_mite import verify
 
 
 def random_unitary(rng, dim):
@@ -107,16 +108,16 @@ class TestCircuit:
 
     def test_zero_depth_zero_params_is_identity(self):
         circ = rc.ParamCircuit(0, np.zeros(rc.n_params(0)))
-        assert np.allclose(rc.circuit_unitary(circ), np.eye(32), atol=1e-14)
+        assert np.allclose(verify.circuit_unitary(circ), np.eye(32), atol=1e-14)
 
     def test_zero_params_leaves_cnot_layers(self):
         circ = rc.ParamCircuit(2, np.zeros(rc.n_params(2)))
         expected = rc.cnot_moment("even") @ rc.cnot_moment("odd")
-        assert np.allclose(rc.circuit_unitary(circ), expected, atol=1e-14)
+        assert np.allclose(verify.circuit_unitary(circ), expected, atol=1e-14)
 
     def test_unitary_for_random_params(self, rng):
         circ = rc.ParamCircuit(3, rng.uniform(0, 2 * np.pi, rc.n_params(3)))
-        u = rc.circuit_unitary(circ)
+        u = verify.circuit_unitary(circ)
         assert np.max(np.abs(u @ u.conj().T - np.eye(32))) <= 1e-10
 
     def test_param_count(self):
@@ -129,26 +130,26 @@ class TestCircuit:
 class TestUnitaryFidelity:
     def test_self(self, rng):
         u = random_unitary(rng, 32)
-        assert rc.unitary_fidelity(u, u) == pytest.approx(1.0, abs=1e-12)
+        assert verify.unitary_fidelity(u, u) == pytest.approx(1.0, abs=1e-12)
 
     def test_global_phase(self, rng):
         u = random_unitary(rng, 32)
-        assert rc.unitary_fidelity(u, np.exp(0.7j) * u) == pytest.approx(1.0, abs=1e-12)
+        assert verify.unitary_fidelity(u, np.exp(0.7j) * u) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pair(self):
         x_first = np.kron(np.array([[0, 1], [1, 0]]), np.eye(16))
-        assert rc.unitary_fidelity(np.eye(32), x_first) == pytest.approx(0.0, abs=1e-14)
+        assert verify.unitary_fidelity(np.eye(32), x_first) == pytest.approx(0.0, abs=1e-14)
 
     def test_left_multiplication_invariance(self, rng):
         u, v = random_unitary(rng, 32), random_unitary(rng, 32)
         w = random_unitary(rng, 32)
-        assert rc.unitary_fidelity(w @ u, w @ v) == pytest.approx(
-            rc.unitary_fidelity(u, v), abs=1e-12
+        assert verify.unitary_fidelity(w @ u, w @ v) == pytest.approx(
+            verify.unitary_fidelity(u, v), abs=1e-12
         )
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            rc.unitary_fidelity(np.eye(4), np.eye(8))
+            verify.unitary_fidelity(np.eye(4), np.eye(8))
 
 
 class TestTargetUnitary:
@@ -239,7 +240,7 @@ class TestGradient:
                 want_loss, want_grad = _oracle_loss_and_grad(x, n_layers, target)
                 assert loss == want_loss
                 assert np.array_equal(grad, want_grad)
-                assert np.array_equal(rc.circuit_unitary(rc.ParamCircuit(n_layers, x)),
+                assert np.array_equal(verify.circuit_unitary(rc.ParamCircuit(n_layers, x)),
                                       _oracle_unitary(x, n_layers))
 
     def test_batched_kron_matches_np_kron(self, rng):
@@ -268,7 +269,7 @@ class TestGradient:
     def test_gradient_vanishes_at_self_target_optimum(self, rng):
         # recompiling a circuit against itself has a known exact optimum
         x_star = rng.uniform(0.5, 2 * np.pi - 0.5, rc.n_params(1))
-        target = rc.circuit_unitary(rc.ParamCircuit(1, x_star))
+        target = verify.circuit_unitary(rc.ParamCircuit(1, x_star))
         loss, grad = rc.loss_and_grad(x_star, 1, target)
         assert loss <= 1e-14
         assert np.linalg.norm(grad, np.inf) <= 1e-5
@@ -277,7 +278,7 @@ class TestGradient:
 class TestOptimize:
     def test_self_target_recovers_unit_fidelity(self, rng):
         x_star = rng.uniform(0.5, 2 * np.pi - 0.5, rc.n_params(1))
-        target = rc.circuit_unitary(rc.ParamCircuit(1, x_star))
+        target = verify.circuit_unitary(rc.ParamCircuit(1, x_star))
         cfg = rc.OptimizerConfig(maxiter=300, n_hops=2, repetitions=1, seed=0)
         best = max(
             rc.optimize_once(target, 1, np.random.default_rng(seed), cfg).fidelity
@@ -382,18 +383,18 @@ class TestSchmidtBound:
         expected = {1: 0.97360, 2: 0.98286, 3: 0.98286, 4: 0.99361,
                     5: 0.99361, 6: 0.99957, 7: 0.99957}
         for n_layers, bound in expected.items():
-            assert rc.schmidt_fidelity_bound(target, n_layers) == pytest.approx(bound, abs=1e-5)
+            assert verify.schmidt_fidelity_bound(target, n_layers) == pytest.approx(bound, abs=1e-5)
 
     def test_ansatz_meets_its_own_bound_only_at_its_depth(self, rng):
         for n_layers in range(1, 6):
             x = rng.uniform(0, 2 * np.pi, rc.n_params(n_layers))
-            u = rc.circuit_unitary(rc.ParamCircuit(n_layers, x))
-            assert rc.schmidt_fidelity_bound(u, n_layers) >= 1 - 1e-12
-            assert rc.schmidt_fidelity_bound(u, n_layers - 1) < 0.99
+            u = verify.circuit_unitary(rc.ParamCircuit(n_layers, x))
+            assert verify.schmidt_fidelity_bound(u, n_layers) >= 1 - 1e-12
+            assert verify.schmidt_fidelity_bound(u, n_layers - 1) < 0.99
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
-            rc.schmidt_fidelity_bound(rc.target_unitary(0.5), -1)
+            verify.schmidt_fidelity_bound(rc.target_unitary(0.5), -1)
 
     def test_optimizer_results_stay_under_bound(self):
         cfg = rc.OptimizerConfig(maxiter=40, n_hops=1, repetitions=2, seed=0)
@@ -401,4 +402,4 @@ class TestSchmidtBound:
         target = rc.target_unitary(0.5)
         for entry in report.entries:
             assert not entry.failed
-            assert entry.fidelity <= rc.schmidt_fidelity_bound(target, entry.n_layers) + 1e-12
+            assert entry.fidelity <= verify.schmidt_fidelity_bound(target, entry.n_layers) + 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aklt_mite import spin_ops
+from aklt_mite import spin_ops, verify
 from aklt_mite.statevec import StateVector, apply_two_site, product_state
 
 from conftest import random_unit_vector
@@ -53,9 +53,8 @@ class TestBondProjector:
         assert np.max(np.abs(p @ sz_tot - sz_tot @ p)) <= 1e-12
 
     def test_mapped_restriction_same_spectrum(self, proj16):
-        from aklt_mite.qubit_map import isometry_pullback
 
-        vals = np.sort(np.linalg.eigvalsh(isometry_pullback(proj16)))
+        vals = np.sort(np.linalg.eigvalsh(verify.isometry_pullback(proj16)))
         assert np.allclose(vals, [0, 0, 0, 0, 1, 1, 1, 1, 1], atol=1e-12)
 
     def test_unknown_mode_rejected(self):
@@ -65,13 +64,13 @@ class TestBondProjector:
 
 class TestCoupledBasis:
     def test_multiplet_sizes(self):
-        basis = spin_ops.coupled_basis()
+        basis = verify.coupled_basis()
         assert len(basis) == 9
         counts = {s: sum(1 for c in basis if c.s == s) for s in (2, 1, 0)}
         assert counts == {2: 5, 1: 3, 0: 1}
 
     def test_orthonormal(self):
-        basis = spin_ops.coupled_basis()
+        basis = verify.coupled_basis()
         gram = np.array([[np.vdot(a.vec, b.vec) for b in basis] for a in basis])
         assert np.max(np.abs(gram - np.eye(9))) <= 1e-12
 
@@ -79,7 +78,7 @@ class TestCoupledBasis:
         s1 = spin_ops.spin1_matrices()
         eye = np.eye(3)
         sz_tot = np.kron(s1.sz, eye) + np.kron(eye, s1.sz)
-        for cs in spin_ops.coupled_basis():
+        for cs in verify.coupled_basis():
             assert np.linalg.norm(sz_tot @ cs.vec - cs.m * cs.vec) <= 1e-12
 
 
@@ -177,8 +176,26 @@ class TestClosedFormReference:
     def test_matches_exact_diagonalization(self, n):
         # both builds fix the global phase by the same rule, so no alignment
         closed = spin_ops.aklt_state(n).state.amps
-        exact = spin_ops.exact_aklt_state(n).state.amps
+        exact = verify.exact_aklt_state(n).state.amps
         assert np.linalg.norm(closed - exact) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_bit_identical_to_einsum_contraction(self, n):
+        """One stacked matmul per site gives the bits, sign bits included,
+        of the pairwise einsum contraction, finished alike."""
+        a = np.zeros((3, 2, 2))
+        a[0, 0, 1] = np.sqrt(2.0 / 3.0)
+        a[1] = -np.sqrt(1.0 / 3.0) * np.diag([1.0, -1.0])
+        a[2, 1, 0] = -np.sqrt(2.0 / 3.0)
+        chain = a
+        for _ in range(n - 1):
+            chain = np.einsum("kab,sbc->ksac", chain, a).reshape(-1, 2, 2)
+        vec = np.einsum("kaa->k", chain).astype(complex)
+        want = spin_ops._fix_phase(vec / np.linalg.norm(vec))
+        got = spin_ops.aklt_state(n).state.amps
+        assert np.array_equal(got, want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_energy_is_zero(self, n):
@@ -205,6 +222,6 @@ class TestClosedFormReference:
 
     def test_oracle_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            spin_ops.exact_aklt_state(2)
+            verify.exact_aklt_state(2)
         with pytest.raises(ValueError):
-            spin_ops.exact_aklt_state(10)
+            verify.exact_aklt_state(10)

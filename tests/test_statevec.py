@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aklt_mite import spin_ops
-from aklt_mite.mite import measurement_kraus, sx_stretched_site_ket
+from aklt_mite.mite import sx_stretched_site_ket
 from aklt_mite.statevec import (
     KrausPair,
     StateVector,
@@ -15,6 +14,7 @@ from aklt_mite.statevec import (
     partial_fidelity,
     product_state,
 )
+from aklt_mite.verify import coupled_basis, measurement_kraus
 
 from conftest import product_of, random_unit_vector
 
@@ -135,7 +135,7 @@ class TestPartialFidelity:
             assert partial_fidelity(state, j, proj9) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_site_singlet_is_one(self, proj9):
-        singlet = next(c.vec for c in spin_ops.coupled_basis() if c.s == 0)
+        singlet = next(c.vec for c in coupled_basis() if c.s == 0)
         state = StateVector(singlet, 2, 3)
         assert partial_fidelity(state, 1, proj9) == pytest.approx(1.0, abs=1e-12)
 
