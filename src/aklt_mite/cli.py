@@ -8,14 +8,20 @@ file values), read alike by the flag's type and choices; any other is an
 invalid configuration.  Every data file opens with a header block
 (version, config hash, base seed) for exact replay.
 
+The drivers in ``jobs`` return a job's table and summary; ``main`` alone
+writes, once the driver has returned: the data file, then the summary,
+removing the data file again if the summary cannot be written, so a
+failed job leaves neither.  It writes the ``verify`` report too.
+
 Every setting is checked before numpy and the numerical modules load
 (this module reads only the standard library and ``params``; ``main``
 imports the drivers in ``jobs`` for a valid configuration alone), so a
 refused one exits at once.
 
-Exit codes: 0 success, 1 invalid configuration, 2 runtime failure,
-3 verify-suite failure.  The ``aklt-mite`` script and ``python -m
-aklt_mite.cli`` enter through ``run``; tests and tools call ``main``.
+Exit codes: 0 success, 1 invalid configuration, 2 runtime failure (a
+failed job or an unwritable output or report), 3 verify-suite failure.
+The ``aklt-mite`` script and ``python -m aklt_mite.cli`` enter through
+``run``; tests and tools call ``main``.
 """
 
 from __future__ import annotations
@@ -319,11 +325,12 @@ def summary_path(out: Path) -> Path:
 # ---------------------------------------------------------------------------
 # verify and the entry point
 
-def run_verify(out: Path | None) -> int:
+def verify_report() -> dict:
+    """The JSON report of every ``verify`` check, in ``CHECKS`` order."""
     from . import verify  # the oracles load for this subcommand only, off every job's start-up
 
     results = verify.all_checks()
-    payload = {
+    return {
         "version": __version__,
         "checks": [
             {"name": name, "passed": passed, "detail": detail}
@@ -333,31 +340,39 @@ def run_verify(out: Path | None) -> int:
         "total": len(results),
         "failures": [name for name, passed, _ in results if not passed],
     }
-    if out is None:
-        sys.stdout.write(_json_text(payload))
-    else:
-        write_summary(out, payload)
-    return 0 if payload["passed"] else 3
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify":
-            return run_verify(getattr(args, "out", None))
-        cfg = resolve_config(args)
-        inputs = validate(cfg, args.command)
-        out = getattr(args, "out", None)
-        if out is None:
-            raise ConfigError("--out is required for this experiment")
+        if args.command != "verify":
+            cfg = resolve_config(args)
+            inputs = validate(cfg, args.command)
+            if args.out is None:
+                raise ConfigError("--out is required for this experiment")
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    from . import jobs  # numpy and the numerical modules load for a valid job only
-
     try:
-        return jobs.JOBS[args.command](cfg, *inputs, out, args.command)
+        if args.command == "verify":
+            report = verify_report()
+            if args.out is None:
+                sys.stdout.write(_json_text(report))
+            else:
+                write_summary(args.out, report)
+            return 0 if report["passed"] else 3
+        from . import jobs  # numpy and the numerical modules load for a valid job only
+
+        columns, rows, summary = jobs.JOBS[args.command](cfg, *inputs)
+        header = _header(cfg, args.command)
+        write_rows(args.out, cfg["format"], header, columns, rows)
+        try:
+            write_summary(summary_path(args.out), {"header": header, **summary})
+        except BaseException:
+            args.out.unlink(missing_ok=True)
+            raise
+        return 0
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

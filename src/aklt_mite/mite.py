@@ -580,14 +580,18 @@ def direct_projection_converge(
     return np.array(series)
 
 
-def critical_rounds(series, level: float = 0.9) -> float:
-    """Interpolated round at which the round-indexed ``series`` first reaches ``level``."""
+CRITICAL_FIDELITY = 0.9  # the paper's r_c: rounds until the fidelity reaches 0.9
+
+
+def critical_rounds(series) -> float | None:
+    """Interpolated round at which the round-indexed ``series`` first reaches
+    ``CRITICAL_FIDELITY``; ``None`` if it never does."""
     series = np.asarray(series, dtype=float)
-    above = np.nonzero(series >= level)[0]
+    above = np.nonzero(series >= CRITICAL_FIDELITY)[0]
     if above.size == 0:
-        raise ValueError(f"series never reaches level {level}")
+        return None
     i = int(above[0])
     if i == 0:
         return 0.0
     s0, s1 = series[i - 1], series[i]
-    return float(i - 1 + (level - s0) / (s1 - s0))
+    return float(i - 1 + (CRITICAL_FIDELITY - s0) / (s1 - s0))

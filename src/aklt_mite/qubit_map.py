@@ -48,8 +48,7 @@ def symmetric_weight(state: StateVector) -> float:
     if state.d != 4:
         raise ValueError("symmetric weight is defined for qubit-pair states")
     projected = map_sites([_PI_SYM_SITE] * state.n_sites, state.amps)
-    val = float(np.vdot(state.amps, projected).real)
-    return min(1.0, max(0.0, val))
+    return float(np.vdot(state.amps, projected).real)
 
 
 def lift_state(state: StateVector) -> StateVector:

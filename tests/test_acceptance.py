@@ -142,7 +142,7 @@ def test_criterion_3_direct_projection(references):
     r_c = {}
     for n in range(3, 9):
         series = mite.direct_projection_converge(n, r_max=15, reference=references[n])
-        r_c[n] = mite.critical_rounds(series, 0.9)
+        r_c[n] = mite.critical_rounds(series)
     print("criterion 3: r_c =", {n: round(v, 2) for n, v in r_c.items()})
     assert all(v <= 12 for v in r_c.values())
     assert max(r_c.values()) / min(r_c.values()) <= 3.0
@@ -227,10 +227,8 @@ def test_criterion_5_size_independence(spin1_batteries):
     for n, records in spin1_batteries.items():
         crossings = []
         for rec in records:
-            try:
-                crossings.append(mite.critical_rounds(mite.padded_series(rec, R_MAX), 0.9))
-            except ValueError:
-                crossings.append(float(R_MAX))
+            r_c = mite.critical_rounds(mite.padded_series(rec, R_MAX))
+            crossings.append(float(R_MAX) if r_c is None else r_c)
         medians[n] = float(np.median(crossings))
     ratio = max(medians.values()) / min(medians.values())
     print(f"criterion 5: median rounds to 0.9 = {medians}, ratio = {ratio:.2f}")

@@ -135,6 +135,25 @@ class TestPrepare:
         assert "disk full" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # neither the output nor a temp file
 
+    def test_failed_summary_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        """A job that fails after its trajectories, while computing its
+        summary, exits 2 having opened no file."""
+        def failing(series):
+            raise FloatingPointError("no crossing round")
+
+        monkeypatch.setattr(mite, "critical_rounds", failing)
+        assert run(["prepare", "--n", 3, "--runs", 1, "--rounds", 4,
+                    "--out", tmp_path / "out" / "prep.csv"]) == 2
+        assert "FloatingPointError: no crossing round" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_summary_write_removes_the_data_file(self, tmp_path, capsys):
+        (tmp_path / "prep.csv.summary.json").mkdir()  # the summary cannot replace a directory
+        assert run(["prepare", "--n", 3, "--runs", 1, "--rounds", 4,
+                    "--out", tmp_path / "prep.csv"]) == 2
+        assert "IsADirectoryError" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["prep.csv.summary.json"]
+
     def test_runtime_failure_names_seed_and_round(self, tmp_path, monkeypatch, capsys):
         """A bond's weight error in round 2 leaves ``prepare`` prefixed with
         the seed and round that replay it, and the job exits 2 naming them."""
@@ -412,6 +431,17 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["total"] == 2
         assert report["failures"] == ["kraus_completeness"]
+
+    def test_unwritable_report_is_a_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        """A report path below a regular file exits 2 with one error line,
+        after the checks, and writes no file."""
+        monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:1])
+        (tmp_path / "afile").write_text("kept")
+        assert run(["verify", "--out", tmp_path / "afile" / "report.json"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: FileExistsError")
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept"
 
 
     @pytest.mark.parametrize("name", [name for name, _ in verify.CHECKS])
@@ -732,6 +762,27 @@ def test_science_hash_reads_the_parsed_list(spelling):
     cfg = cli.resolve_config(args)
     cli.validate(cfg, args.command)
     assert cli.science_hash(cfg, args.command) == "a1cca55a12500c73"
+
+
+MODULE_ENTRY_PROBE = """
+import json, runpy, sys
+
+try:
+    runpy.run_module("aklt_mite.cli", run_name="__main__")
+except SystemExit as exc:
+    print(json.dumps([exc.code, "aklt_mite.cli" in sys.modules]))
+"""
+
+
+def test_module_entry_loads_cli_once(tmp_path):
+    """``python -m aklt_mite.cli`` (how the benchmark runs every job) runs a
+    job on the one copy of ``cli`` that executes as ``__main__``: no module
+    of the job imports ``aklt_mite.cli`` a second time."""
+    code, loaded = run_probe(MODULE_ENTRY_PROBE, "prepare", "--n", 3, "--runs", 1, "--rounds", 2,
+                             "--seed", 0, "--out", tmp_path / "out.csv")
+    assert code == 0
+    assert not loaded
+    assert (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("argv, expected", [

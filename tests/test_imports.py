@@ -1,5 +1,5 @@
-"""Every imported name in the package and the tests is used, and every
-definition in a job module runs in a job.
+"""Every imported name in the package, the tests and the benchmark harness
+is used, and every definition in a job module runs in a job.
 
 Neither ruff nor pyflakes ships with the test dependencies, so this scans
 the syntax trees directly: a name bound by ``import``/``from ... import``
@@ -20,9 +20,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "aklt_mite").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+SOURCES = [path for folder in ("src/aklt_mite", "tests", "perfbench")
+           for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -75,6 +75,13 @@ class TestSymmetricWeight:
         with pytest.raises(ValueError):
             qubit_map.symmetric_weight(product_state(3, 3))
 
+    def test_loop_check_sees_a_weight_above_one(self):
+        """A symmetric state of norm 1.2 has weight 1.44, which the
+        trajectory loop's check must see rather than a weight clamped to 1."""
+        state = qubit_map.lift_state(product_state(3, 3))
+        with pytest.raises(RuntimeError, match="symmetric-sector weight 1.44"):
+            mite._checked_symmetric_weight(state.with_amps(1.2 * state.amps))
+
 
 class TestQubitReference:
     def test_zero_energy_and_residual(self):
