@@ -1,17 +1,17 @@
 """Command-line harness: every experiment as a subcommand.
 
 Subcommands: prepare | project | noise | recompile | verify.  Each
-experiment's parser lists exactly the settings its driver reads, besides
-``--threads`` on the one-process project and recompile.  A setting is a
-flag or the same key in a JSON config file (``--config``; flags override
-file values), read alike by the flag's type and choices; any other is an
-invalid configuration.  Every data file opens with a header block
-(version, config hash, base seed) for exact replay.
+experiment's parser lists exactly the settings its driver reads.  A
+setting is a flag or the same key in a JSON config file (``--config``;
+flags override file values), read alike by the flag's type and choices;
+any other is an invalid configuration.  Every data file opens with a
+header block (version, config hash, base seed) for exact replay.
 
 The drivers in ``jobs`` return a job's table and summary; ``main`` alone
 writes, once the driver has returned: the data file, then the summary,
-removing the data file again if the summary cannot be written, so a
-failed job leaves neither.  It writes the ``verify`` report too.
+removing the data file again if the summary cannot be written, and the
+folders it made for them, so a failed job leaves neither file nor folder.
+It writes the ``verify`` report too.
 
 Every setting is checked before numpy and the numerical modules load
 (this module reads only the standard library and ``params``; ``main``
@@ -59,7 +59,7 @@ def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)  # every experiment
     shared.add_argument("--config", type=Path, help="JSON config file (flags override)")
     shared.add_argument("--seed", type=int, help="base RNG seed")
-    shared.add_argument("--threads", type=int, help="trajectory workers (no effect on project, recompile)")
+    shared.add_argument("--threads", type=int, help="worker processes for a job's independent runs")
     shared.add_argument("--out", type=Path, help="output file path")
     shared.add_argument("--format", choices=["csv", "jsonl"], help="output format")
     trajectory = argparse.ArgumentParser(add_help=False, parents=[shared])  # prepare, noise
@@ -366,11 +366,17 @@ def main(argv=None) -> int:
 
         columns, rows, summary = jobs.JOBS[args.command](cfg, *inputs)
         header = _header(cfg, args.command)
-        write_rows(args.out, cfg["format"], header, columns, rows)
+        made = [folder for folder in args.out.parents if not folder.exists()]  # deepest first
         try:
-            write_summary(summary_path(args.out), {"header": header, **summary})
+            write_rows(args.out, cfg["format"], header, columns, rows)
+            try:
+                write_summary(summary_path(args.out), {"header": header, **summary})
+            except BaseException:
+                args.out.unlink(missing_ok=True)
+                raise
         except BaseException:
-            args.out.unlink(missing_ok=True)
+            for folder in made:  # empty again: the failed writes removed what they wrote
+                folder.rmdir()
             raise
         return 0
     except Exception as exc:

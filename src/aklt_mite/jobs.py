@@ -1,19 +1,36 @@
-"""Experiment drivers: each runs one validated job and returns its data
-table and summary, ``(columns, rows, summary)``; ``cli.main`` stamps the
-header and writes both files.  Importing this module loads numpy, ``mite``
-and ``recompile`` whichever job runs, so that after any one job every
-module the benchmark's tracer wraps is loaded."""
+"""Experiment drivers: each runs one validated job, its independent runs
+seeded apart and spread by ``fan_out``, and returns its data table and
+summary, ``(columns, rows, summary)``; ``cli.main`` writes them.
+Importing this module loads numpy, ``mite`` and ``recompile`` whichever job
+runs, so that after any one job every module the benchmark's tracer wraps
+is loaded."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from . import mite, recompile
 
 
+def fan_out(fn, tasks: list[tuple], threads: int) -> list:
+    """``fn(*task)`` for every task, in task order, on ``min(threads,
+    len(tasks))`` worker processes (a pool forks all its workers at once);
+    at one worker, a plain loop in this process that loads no pool."""
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*task) for task in tasks]
+
+
 def run_prepare(cfg: dict, ns: list[int], config: mite.MiteConfig):
     (n,) = ns
-    records = mite.run_trajectories(config, n, cfg["mode"], cfg["runs"], cfg["threads"])
+    tasks = [(replace(config, seed=config.seed + k), n, cfg["mode"]) for k in range(cfg["runs"])]
+    records = fan_out(mite.prepare, tasks, cfg["threads"])
     rows = []
     for rid, rec in enumerate(records):
         for r in range(len(rec.f_tot)):
@@ -38,17 +55,25 @@ def run_prepare(cfg: dict, ns: list[int], config: mite.MiteConfig):
 
 
 def run_project(cfg: dict, ns: list[int], config: mite.MiteConfig):
-    rows = []
-    r_c = {}
-    for n in ns:
-        series = mite.direct_projection_converge(n, config.r_max)
-        rows.extend((n, r, float(f)) for r, f in enumerate(series))
-        r_c[str(n)] = mite.critical_rounds(series)
+    series = fan_out(mite.direct_projection_converge, [(n, config.r_max) for n in ns],
+                     cfg["threads"])
+    rows = [(n, r, float(f)) for n, fs in zip(ns, series) for r, f in enumerate(fs)]
+    r_c = {str(n): mite.critical_rounds(fs) for n, fs in zip(ns, series)}
     return ["n", "r", "f_tot"], rows, {"r_c": r_c}
 
 
+def _repetition(target: np.ndarray, n_layers: int, rep: int, opt: recompile.OptimizerConfig):
+    """Repetition ``rep`` at depth ``n_layers``, seeded ``opt.seed + rep``, so
+    that any one can be re-run alone."""
+    entry = recompile.optimize_once(target, n_layers, np.random.default_rng(opt.seed + rep), opt)
+    entry.repetition = rep
+    return entry
+
+
 def run_recompile(cfg: dict, layers: list[int], opt: recompile.OptimizerConfig):
-    report = recompile.recompile_scan(cfg["epsilon"], layers, opt)
+    target = recompile.target_unitary(cfg["epsilon"])
+    tasks = [(target, nl, rep, opt) for nl in layers for rep in range(opt.repetitions)]
+    report = recompile.RecompileReport(fan_out(_repetition, tasks, cfg["threads"]))
     rows = [(e.n_layers, e.repetition, float(e.fidelity), e.hops_used) for e in report.entries]
     return ["n_layers", "repetition", "final_fidelity", "hops_used"], rows, {
         "epsilon": cfg["epsilon"],

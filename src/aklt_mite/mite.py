@@ -74,8 +74,7 @@ order, lower-numbered site first).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import repeat
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -497,25 +496,6 @@ def prepare(config: MiteConfig, n: int, mode: str, kernel=TwoLevelBond) -> Traje
     return record
 
 
-def run_trajectories(
-    config: MiteConfig, n: int, mode: str, runs: int, threads: int
-) -> list[TrajectoryRecord]:
-    """Independent trajectories with per-run seeds ``config.seed + run_id``.
-
-    ``threads > 1`` spreads the runs over that many worker processes, at
-    most one per run; the records, returned in ``run_id`` order, do not
-    depend on it.
-    """
-    configs = [replace(config, seed=config.seed + run_id) for run_id in range(runs)]
-    workers = min(threads, runs)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(prepare, configs, repeat(n), repeat(mode)))
-    return [prepare(c, n, mode) for c in configs]
-
-
 def padded_series(record: TrajectoryRecord, r_max: int) -> np.ndarray:
     """Round-indexed fidelity series padded to length r_max + 1 with the
     final value (early-stopped trajectories hold their converged state)."""
@@ -562,7 +542,8 @@ def direct_projection_converge(
     Starting from ``twisted_sx_product(n, 1.0)``, each round applies
     (1 - P) on every odd bond, then on every even bond, renormalizing once
     per round.  Returns fidelities against ``reference`` (the closed-form
-    AKLT state when omitted) at r = 0 .. r_max.
+    AKLT state when omitted) at r = 0 .. r_max.  A state annihilated in
+    round r raises a ``RuntimeError`` prefixed ``n = {n}, round {r}: ``.
     """
     check_chain_size(n)
     if reference is None:
@@ -570,11 +551,11 @@ def direct_projection_converge(
     comp = np.eye(9) - bond_projector("spin1")
     state = twisted_sx_product(n, 1.0)
     series = [fidelity(state, reference.state)]
-    for _ in range(r_max):
+    for r in range(1, r_max + 1):
         state = walk_bonds(state, sweep_order(n), lambda j, frame: comp @ frame)
         nrm = state.norm()
         if nrm < 1e-15:
-            raise RuntimeError("projection cascade annihilated the state")
+            raise RuntimeError(f"n = {n}, round {r}: projection cascade annihilated the state")
         state = state.with_amps(state.amps / nrm)
         series.append(fidelity(state, reference.state))
     return np.array(series)

@@ -24,7 +24,7 @@ ansatz's unitary, its fidelity and the operator-Schmidt-rank bound on it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,7 +266,8 @@ def lbfgsb(x0: np.ndarray, n_layers: int, target: np.ndarray, maxiter: int):
     1e-5, maxls = 20, maxfun = 15000) and ``maxiter``, on the same compiled
     core, so every iterate has scipy's bits.  scipy's wrapper would reuse
     its last evaluation at an x that did not move; the tests hold the
-    evaluation points equal to scipy's."""
+    evaluation points equal to scipy's.  A core that refuses the call
+    raises a ``RuntimeError`` naming the installed scipy."""
     setulb, m, n = _lbfgsb_core().setulb, 10, len(x0)
     factr = 2.2204460492503131e-09 / np.finfo(float).eps  # scipy's default ftol
     low, up = np.zeros(n), np.full(n, 2 * np.pi)
@@ -278,7 +279,12 @@ def lbfgsb(x0: np.ndarray, n_layers: int, target: np.ndarray, maxiter: int):
     nit = nfev = 0
     while True:
         g = g.astype(np.float64)
-        setulb(m, x, low, up, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        try:
+            setulb(m, x, low, up, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        except TypeError as exc:  # a core whose signature is not the one this loop drives
+            from importlib.metadata import version
+            raise RuntimeError(f"scipy {version('scipy')}'s L-BFGS-B core does not take the "
+                               f"arguments of the scipy >= 1.15 core this driver calls: {exc}") from exc
         if task[0] == 3:  # evaluate f and g at x
             f, g = loss_and_grad(x.copy(), n_layers, target)
             nfev += 1
@@ -338,7 +344,7 @@ def cnot_count(n_layers: int) -> int:
 class RecompileReport:
     """Per-repetition results plus per-depth aggregates."""
 
-    entries: list[RepetitionResult] = field(default_factory=list)
+    entries: list[RepetitionResult]
 
     def summary(self) -> dict:
         out = {}
@@ -353,22 +359,3 @@ class RecompileReport:
                 "failures": sum(1 for e in self.entries if e.n_layers == nl and e.failed),
             }
         return out
-
-
-def recompile_scan(
-    epsilon: float, layer_counts: list[int], cfg: OptimizerConfig
-) -> RecompileReport:
-    """Optimize the ansatz at every depth in ``layer_counts``.
-
-    Repetition seeds are ``cfg.seed + index`` within each depth, so scans
-    are reproducible and individual repetitions can be re-run in isolation.
-    """
-    target = target_unitary(epsilon)
-    report = RecompileReport()
-    for nl in layer_counts:
-        for rep in range(cfg.repetitions):
-            rng = np.random.default_rng(cfg.seed + rep)
-            entry = optimize_once(target, nl, rng, cfg)
-            entry.repetition = rep
-            report.entries.append(entry)
-    return report

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from aklt_mite import mite, recompile, spin_ops, verify
+from aklt_mite import jobs, mite, recompile, spin_ops, verify
 from aklt_mite.cli import main as cli_main
 from aklt_mite.statevec import born_sample, partial_fidelity, product_state
 from aklt_mite.verify import RecordingKernel
@@ -38,7 +38,7 @@ def references():
 
 def battery(n, mode="spin1", runs=RUNS, **overrides):
     """Records of ``runs`` trajectories seeded ``seed + run_id``, the seed
-    layout of ``mite.run_trajectories``, each on its own ``RecordingKernel``,
+    layout of ``jobs.run_prepare``, each on its own ``RecordingKernel``,
     and the runs' per-bond series."""
     # acceptance runs go the full r_max so late rounds are measured, not
     # frozen by the early-stop convenience
@@ -284,8 +284,8 @@ def test_criterion_8a_recompilation_fidelity():
     check.  The criterion is left as stated rather than re-targeted.
     """
     cfg = recompile.OptimizerConfig(maxiter=100, n_hops=5, repetitions=RUNS, seed=BASE_SEED)
-    report = recompile.recompile_scan(0.5, [4], cfg)
-    best = report.summary()[4]["max_fidelity"]
+    _, _, summary = jobs.run_recompile({"epsilon": 0.5, "threads": 1}, [4], cfg)
+    best = summary["per_depth"]["4"]["max_fidelity"]
     bound = verify.schmidt_fidelity_bound(recompile.target_unitary(0.5), 4)
     print(f"criterion 8a: max fidelity over {RUNS} repetitions at depth 4 = {best:.6f}"
           f" (Schmidt-rank bound {bound:.5f})")

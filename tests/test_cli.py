@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from aklt_mite import cli, mite, recompile, spin_ops, verify
+from aklt_mite import cli, jobs, mite, recompile, spin_ops, verify
 from aklt_mite.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -61,14 +61,6 @@ class TestPrepare:
             assert run(["prepare", "--n", 4, "--runs", 3, "--rounds", 3, "--seed", 1, "--out", out]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.csv.summary.json").read_bytes() == (tmp_path / "b.csv.summary.json").read_bytes()
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
-        assert run(["prepare", "--n", 3, "--runs", 2, "--rounds", 3, "--seed", 2,
-                    "--threads", 1, "--out", a]) == 0
-        assert run(["prepare", "--n", 3, "--runs", 2, "--rounds", 3, "--seed", 2,
-                    "--threads", 2, "--out", b]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_golden_file(self, tmp_path):
         out = tmp_path / "golden.csv"
@@ -134,6 +126,20 @@ class TestPrepare:
         assert run(["prepare", "--n", 3, "--runs", 1, "--rounds", 4, "--out", out]) == 2
         assert "disk full" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # neither the output nor a temp file
+
+    @pytest.mark.parametrize("failing", ["_fmt", "_json_text"], ids=["data", "summary"])
+    def test_failed_write_removes_the_folders_it_made(self, tmp_path, monkeypatch, capsys, failing):
+        """A job whose data file or summary cannot be written removes the
+        folders it made for them, and keeps the one that was there before."""
+        def disk_full(x):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, failing, disk_full)
+        (tmp_path / "kept").mkdir()
+        assert run(["prepare", "--n", 3, "--runs", 1, "--rounds", 2,
+                    "--out", tmp_path / "kept" / "nd" / "c" / "d" / "prep.csv"]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [tmp_path / "kept"]
 
     def test_failed_summary_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         """A job that fails after its trajectories, while computing its
@@ -323,6 +329,14 @@ class TestNoise:
 
 
 class TestProject:
+    def test_failure_names_the_chain_length(self, tmp_path, monkeypatch, capsys):
+        """A cascade whose bond step annihilates the state fails the job,
+        naming the chain length and round that replay it."""
+        monkeypatch.setattr(mite, "bond_projector", lambda mode: np.eye(9))
+        assert run(["project", "--n", "3,4", "--rounds", 2, "--out", tmp_path / "p.csv"]) == 2
+        assert "n = 3, round 1: projection cascade annihilated" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_r_c_table(self, tmp_path):
         out = tmp_path / "proj.csv"
         assert run(["project", "--n", "3,4,5", "--rounds", 12, "--out", out]) == 0
@@ -354,6 +368,20 @@ class TestProject:
 
 
 class TestRecompile:
+    def test_incompatible_optimizer_core_refused(self, tmp_path, monkeypatch, capsys):
+        """A scipy whose compiled L-BFGS-B core takes other arguments fails
+        the job, naming the installed scipy and the core the driver needs."""
+        from importlib.metadata import version
+
+        core = SimpleNamespace(setulb=lambda m, x, low, up: None)
+        monkeypatch.setattr(recompile, "_lbfgsb_core", lambda: core)
+        assert run(["recompile", "--layers", 1, "--reps", 1, "--maxiter", 5,
+                    "--out", tmp_path / "rec.csv"]) == 2
+        err = capsys.readouterr().err
+        assert f"RuntimeError: scipy {version('scipy')}'s L-BFGS-B core" in err
+        assert "scipy >= 1.15" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_table_and_summary(self, tmp_path):
         out = tmp_path / "rec.csv"
         assert run(["recompile", "--layers", "0,1", "--reps", 2, "--maxiter", 20,
@@ -519,7 +547,7 @@ class TestBenchmarkTracer:
         tracer = tracer_module.Tracer()
         tracer.install()
         try:
-            recompile.recompile_scan(0.5, [1], recompile.OptimizerConfig(
+            jobs.run_recompile({"epsilon": 0.5, "threads": 1}, [1], recompile.OptimizerConfig(
                 maxiter=5, n_hops=1, repetitions=1, seed=0))
         finally:
             tracer.restore()
@@ -570,6 +598,22 @@ class TestBenchmarkSpec:
 
 
 class TestThreadsEnv:
+    @pytest.mark.parametrize("argv", [
+        ["prepare", "--n", 3, "--runs", 2, "--rounds", 3, "--seed", 2],
+        ["noise", "--mode", "qubit", "--n", 3, "--runs", 2, "--rounds", 3, "--seed", 2,
+         "--noise-axis", "z", "--sigma2", 1e-2],
+        ["project", "--n", "3,4,5", "--rounds", 4],
+        ["recompile", "--layers", "0,1", "--reps", 2, "--maxiter", 10, "--hops", 1, "--seed", 2],
+    ], ids=lambda argv: argv[0])
+    def test_threads_do_not_change_output(self, tmp_path, argv):
+        """Every job writes the same data file and summary, byte for byte,
+        in one process and on a pool of two workers."""
+        for threads in (1, 2):
+            assert run([*argv, "--threads", threads, "--out", tmp_path / f"t{threads}.csv"]) == 0
+        for name in ("t{}.csv", "t{}.csv.summary.json"):
+            one, two = (tmp_path / name.format(t) for t in (1, 2))
+            assert one.read_bytes() == two.read_bytes(), name
+
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AKLT_MITE_THREADS", "2")
         out = tmp_path / "env.csv"

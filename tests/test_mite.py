@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from aklt_mite import mite, qubit_map, spin_ops, statevec, verify
+from aklt_mite import jobs, mite, qubit_map, recompile, spin_ops, statevec, verify
 from aklt_mite.statevec import (
     StateVector,
     apply_one_site,
@@ -482,6 +482,55 @@ class TestSweepRound:
         assert mite.sweep_order(4) == [1, 3, 2, 4]
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """A stand-in process pool that records its size and runs the tasks
+    here, so no process starts; the sizes of the pools made."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def passing_through(monkeypatch, module, name, key):
+    """Replace ``module.name`` by a pass-through to it that records
+    ``key(*args)`` of every call in the list returned."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args):
+        calls.append(key(*args))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def driver_inputs(runs, threads):
+    """The arguments of each ``jobs`` driver kind, for ``runs`` small
+    independent runs at base seed 5: trajectories, chain lengths, or
+    repetitions at depth 0."""
+    cfg = {"mode": "spin1", "runs": runs, "threads": threads, "epsilon": 0.5}
+    return {
+        "prepare": (cfg, [3], mite.MiteConfig(seed=5, r_max=1)),
+        "project": (cfg, [3, 4, 5][:runs], mite.MiteConfig(r_max=1)),
+        "recompile": (cfg, [0], recompile.OptimizerConfig(maxiter=2, n_hops=0, repetitions=runs,
+                                                          seed=5)),
+    }
+
+
 class TestPrepare:
     def test_zero_rounds_records_initial_fidelity_only(self):
         rec = mite.prepare(mite.MiteConfig(seed=0, r_max=0), 3, "spin1")
@@ -506,34 +555,36 @@ class TestPrepare:
         assert a.e_peak == b.e_peak
         assert ka.series == kb.series
 
-    def test_trajectory_seed_layout(self):
-        recs = mite.run_trajectories(mite.MiteConfig(seed=5, r_max=2), 3, "spin1", 3, 1)
-        assert [r.seed for r in recs] == [5, 6, 7]
+    def test_trajectory_seed_layout(self, pool_sizes, monkeypatch):
+        """The tasks every driver hands ``jobs.fan_out``, run on the stand-in
+        pool in task order: trajectory k is seeded ``seed + k``, chain
+        lengths go in listed order, and recompile runs depth-major with
+        repetition k seeded ``seed + k`` at every depth."""
+        seeds = passing_through(monkeypatch, mite, "prepare", lambda config, n, mode: config.seed)
+        lengths = passing_through(monkeypatch, mite, "direct_projection_converge", lambda n, r: n)
+        reps = passing_through(monkeypatch, recompile, "optimize_once", lambda target, nl, rng, opt:
+                               (nl, rng.bit_generator.state["state"]["state"]))
+        drivers = driver_inputs(runs=3, threads=2)
+        jobs.run_prepare(*drivers["prepare"])
+        jobs.run_project(*drivers["project"])
+        cfg, _, opt = drivers["recompile"]
+        _, rows, _ = jobs.run_recompile(cfg, [0, 1], opt)  # two depths
+        assert seeds == [5, 6, 7]
+        assert lengths == [3, 4, 5]
+        start = [np.random.default_rng(5 + k).bit_generator.state["state"]["state"] for k in range(3)]
+        assert reps == [(nl, start[k]) for nl in (0, 1) for k in range(3)]
+        assert [row[:2] for row in rows] == [(nl, k) for nl in (0, 1) for k in range(3)]
+        assert pool_sizes == [2, 2, 2]
 
     @pytest.mark.parametrize("runs, threads, workers", [(2, 500, 2), (3, 2, 2), (1, 4, None)])
-    def test_at_most_one_worker_per_run(self, monkeypatch, runs, threads, workers):
-        """The pool is sized by the runs it has: a pool forks all its
-        workers at once.  The stand-in pool records its size and runs the
-        jobs here, so no process starts."""
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        recs = mite.run_trajectories(mite.MiteConfig(seed=5, r_max=1), 3, "spin1", runs, threads)
-        assert [r.seed for r in recs] == list(range(5, 5 + runs))
-        assert sizes == ([] if workers is None else [workers])
+    def test_at_most_one_worker_per_run(self, pool_sizes, runs, threads, workers):
+        """Every driver sizes its pool by the runs it has: a pool forks all
+        its workers at once.  At one worker no pool is made."""
+        for kind, inputs in driver_inputs(runs, threads).items():
+            _, rows, _ = getattr(jobs, f"run_{kind}")(*inputs)
+            column = 1 if kind == "recompile" else 0  # repetition; run_id or n
+            assert len({row[column] for row in rows}) == runs, kind
+        assert pool_sizes == ([] if workers is None else [workers] * 3)
 
     @pytest.mark.parametrize("mode", ["spin1", "qubit"])
     def test_job_path_applies_no_chain_order_bond_operator(self, monkeypatch, mode):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from aklt_mite import jobs, verify
 from aklt_mite import recompile as rc
-from aklt_mite import verify
 
 
 def random_unitary(rng, dim):
@@ -295,12 +295,12 @@ class TestOptimize:
 
     def test_scan_report_structure(self):
         cfg = rc.OptimizerConfig(maxiter=25, n_hops=1, repetitions=2, seed=0)
-        report = rc.recompile_scan(0.5, [0, 1], cfg)
-        assert len(report.entries) == 4
-        summary = report.summary()
-        for nl in (0, 1):
-            assert summary[nl]["max_fidelity"] >= summary[nl]["mean_fidelity"]
-            assert summary[nl]["cnot_count"] == 2 * nl
+        _, rows, summary = jobs.run_recompile({"epsilon": 0.5, "threads": 1}, [0, 1], cfg)
+        assert len(rows) == 4
+        for nl in ("0", "1"):
+            per_depth = summary["per_depth"][nl]
+            assert per_depth["max_fidelity"] >= per_depth["mean_fidelity"]
+            assert per_depth["cnot_count"] == 2 * int(nl)
         assert rc.cnot_count(6) == 12
 
     def test_first_run_nonfinite_loss_fails_without_hops(self):
@@ -375,6 +375,16 @@ class TestLbfgsb:
                     converged += nit < maxiter
         assert converged  # the grid holds a convergence stop, not only maxiter stops
 
+    def test_type_error_of_the_loss_is_not_a_core_mismatch(self, monkeypatch):
+        """Only a ``TypeError`` of the core's own call is read as a scipy it
+        cannot drive; one raised by the loss passes through unchanged."""
+        def broken(params, n_layers, target):
+            raise TypeError("broken loss")
+
+        monkeypatch.setattr(rc, "loss_and_grad", broken)
+        with pytest.raises(TypeError, match="broken loss"):
+            rc.lbfgsb(np.zeros(rc.n_params(0)), 0, rc.target_unitary(0.5), 5)
+
 
 class TestSchmidtBound:
     def test_bound_values(self):
@@ -398,8 +408,7 @@ class TestSchmidtBound:
 
     def test_optimizer_results_stay_under_bound(self):
         cfg = rc.OptimizerConfig(maxiter=40, n_hops=1, repetitions=2, seed=0)
-        report = rc.recompile_scan(0.5, [0, 1, 2, 3, 4], cfg)
+        _, rows, _ = jobs.run_recompile({"epsilon": 0.5, "threads": 1}, [0, 1, 2, 3, 4], cfg)
         target = rc.target_unitary(0.5)
-        for entry in report.entries:
-            assert not entry.failed
-            assert entry.fidelity <= verify.schmidt_fidelity_bound(target, entry.n_layers) + 1e-12
+        for n_layers, _, fidelity, _ in rows:  # a failed repetition's NaN fails too
+            assert fidelity <= verify.schmidt_fidelity_bound(target, n_layers) + 1e-12
