@@ -11,7 +11,7 @@ The drivers in ``jobs`` return a job's table and summary; ``main`` alone
 writes, once the driver has returned: the data file, then the summary,
 removing the data file again if the summary cannot be written, and the
 folders it made for them, so a failed job leaves neither file nor folder.
-It writes the ``verify`` report too.
+It writes the ``verify`` report too, under the same rule.
 
 Every setting is checked before numpy and the numerical modules load
 (this module reads only the standard library and ``params``; ``main``
@@ -269,6 +269,19 @@ def _fmt(x) -> str:
 
 
 @contextmanager
+def _folders_removed_on_failure(path: Path):
+    """If the body fails, remove the folders above ``path`` that were not
+    there before it, deepest first (its failed writes left them empty)."""
+    made = [folder for folder in path.parents if not folder.exists()]  # deepest first
+    try:
+        yield
+    except BaseException:
+        for folder in made:
+            folder.rmdir()
+        raise
+
+
+@contextmanager
 def _replacing(path: Path):
     """Write through a temp file beside ``path``, renamed over it only once
     complete, so a failure never leaves a partial file."""
@@ -360,24 +373,20 @@ def main(argv=None) -> int:
             if args.out is None:
                 sys.stdout.write(_json_text(report))
             else:
-                write_summary(args.out, report)
+                with _folders_removed_on_failure(args.out):
+                    write_summary(args.out, report)
             return 0 if report["passed"] else 3
         from . import jobs  # numpy and the numerical modules load for a valid job only
 
         columns, rows, summary = jobs.JOBS[args.command](cfg, *inputs)
         header = _header(cfg, args.command)
-        made = [folder for folder in args.out.parents if not folder.exists()]  # deepest first
-        try:
+        with _folders_removed_on_failure(args.out):
             write_rows(args.out, cfg["format"], header, columns, rows)
             try:
                 write_summary(summary_path(args.out), {"header": header, **summary})
             except BaseException:
                 args.out.unlink(missing_ok=True)
                 raise
-        except BaseException:
-            for folder in made:  # empty again: the failed writes removed what they wrote
-                folder.rmdir()
-            raise
         return 0
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -63,9 +63,12 @@ def run_project(cfg: dict, ns: list[int], config: mite.MiteConfig):
 
 
 def _repetition(target: np.ndarray, n_layers: int, rep: int, opt: recompile.OptimizerConfig):
-    """Repetition ``rep`` at depth ``n_layers``, seeded ``opt.seed + rep``, so
-    that any one can be re-run alone."""
-    entry = recompile.optimize_once(target, n_layers, np.random.default_rng(opt.seed + rep), opt)
+    """Repetition ``rep`` at depth ``n_layers``, seeded ``opt.seed + rep`` so
+    that any one can be re-run alone; a ``RuntimeError`` names the pair."""
+    try:
+        entry = recompile.optimize_once(target, n_layers, np.random.default_rng(opt.seed + rep), opt)
+    except RuntimeError as exc:
+        raise RuntimeError(f"depth {n_layers}, repetition {rep}: {exc}") from exc
     entry.repetition = rep
     return entry
 

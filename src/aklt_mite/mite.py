@@ -51,7 +51,7 @@ fidelity from ``statevec.bond_weights``.
 
 Between corrections a visit never leaves the plane span{P psi, (1 - P) psi}
 of its bond: both measurement operators are (1 + (g_q - 1) P) / sqrt(2).
-``two_level_sample`` therefore samples and collapses on the excited weight
+``TwoLevelBond.sample`` therefore collapses on the excited weight
 w = <psi|P|psi> alone, and the frame is built only before a correction
 and at the end of the visit.  This bond kernel is the one part of the loop
 a caller can swap: ``prepare`` takes a ``kernel`` (default
@@ -59,16 +59,17 @@ a caller can swap: ``prepare`` takes a ``kernel`` (default
 ``mite_subroutine`` visit, and ``verify`` runs the same loop with a
 full-state kernel that collapses the frame with the matrix Kraus pair
 (``verify.measurement_kraus``).  A kernel provides ``open(frame, j,
-projector)``, which returns a bond with ``sample(gains, rng) -> q``,
+projector)``, which returns a bond with ``sample(gains, u) -> q``,
 ``kick(u)`` (apply the correction ``u`` and return the bond of the new
 stretch), ``state()`` (the frame) and the excited weight ``w`` (read by
 ``verify.RecordingKernel``).
 
 RNG discipline (one trajectory = one ``numpy`` Generator): each round
 first draws the per-site noise angles as one ``standard_normal(N)`` (sites
-1..N, only when noise is active), then per measurement one uniform
-variate, and per correction one ``random(6)`` (three per site, x/y/z
-order, lower-numbered site first).
+1..N, only when noise is active); then ``mite_subroutine`` draws one
+uniform ``u`` per measurement, which picks the kernel's outcome, and one
+``random(6)`` per correction (three per site, x/y/z order, lower-numbered
+site first).  No kernel sees the generator.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ _SYM_WEIGHT_TOL = 1e-9
 
 @dataclass
 class MeasurementCounter:
-    """Per-bond outcome record since the last correction.
+    """Per-bond outcome record since the last correction; the visit loop keeps it.
 
     ``run1`` is the current streak of consecutive q = 1 outcomes (it resets
     on any q = 0 and on corrections; k0, k1 reset on corrections only).
@@ -114,23 +115,6 @@ class MeasurementCounter:
     k0: int = 0
     k1: int = 0
     run1: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.k0 + self.k1
-
-    def record(self, q: int):
-        if q == 0:
-            self.k0 += 1
-            self.run1 = 0
-        else:
-            self.k1 += 1
-            self.run1 += 1
-
-    def rescale(self):
-        """Halve both counts (ratio-preserving forgetting at the cap)."""
-        self.k0 //= 2
-        self.k1 //= 2
 
     def reset(self):
         self.k0 = 0
@@ -155,8 +139,8 @@ class TwoLevelBond:
     The state is alpha P psi0 + beta (1 - P) psi0 for the frame psi0 the
     stretch started from, with ``excited`` = P psi0, and ``w`` is its
     excited weight <psi|P|psi>.  ``open`` and ``kick`` pay the stretch's
-    one projector application; ``sample`` is ``two_level_sample``;
-    ``state`` builds the frame back.
+    one projector application; ``sample`` collapses the two scalars on the
+    uniform it is handed; ``state`` builds the frame back.
     """
 
     j: int
@@ -182,8 +166,23 @@ class TwoLevelBond:
         if not -_WEIGHT_TOL <= self.w <= 1.0 + _WEIGHT_TOL:
             raise RuntimeError(f"bond {self.j}: excited weight {self.w!r} outside [0, 1]")
 
-    def sample(self, gains: tuple[float, float], rng: np.random.Generator) -> int:
-        return two_level_sample(self, gains, rng)
+    def sample(self, gains: tuple[float, float], u: float) -> int:
+        """Collapse on the outcome q the uniform ``u`` in [0, 1) picks and return
+        it: q = 0 exactly when u < p0, with p_q = (g_q^2 w + 1 - w) / 2.  The
+        collapse scales alpha by g_q / sqrt(2 p_q) and beta by 1 / sqrt(2 p_q),
+        so the excited weight becomes g_q^2 w / (2 p_q)."""
+        w = self.w
+        g0, g1 = gains
+        p0 = (g0 * g0 * w + 1.0 - w) / 2
+        if u < p0:
+            q, g, p = 0, g0, p0
+        else:
+            q, g, p = 1, g1, (g1 * g1 * w + 1.0 - w) / 2
+        scale = 1.0 / math.sqrt(2 * p)
+        self.alpha *= g * scale
+        self.beta *= scale
+        self.w = g * g * w / (2 * p)
+        return q
 
     def state(self) -> np.ndarray:
         """alpha P psi0 + beta (1 - P) psi0, renormalized by its own norm.
@@ -200,30 +199,6 @@ class TwoLevelBond:
             raise RuntimeError(f"bond {self.j}: built state has norm {nrm!r}, not 1")
         amps /= nrm
         return amps
-
-
-def two_level_sample(
-    bond: TwoLevelBond, gains: tuple[float, float], rng: np.random.Generator
-) -> int:
-    """Sample one weak measurement on ``bond`` and collapse it in place.
-
-    Outcome q has probability p_q = (g_q^2 w + 1 - w) / 2; the collapse
-    scales alpha by g_q / sqrt(2 p_q) and beta by 1 / sqrt(2 p_q), so the
-    excited weight becomes g_q^2 w / (2 p_q).  Exactly one uniform variate
-    is consumed per call, as in ``statevec.born_sample``.
-    """
-    w = bond.w
-    g0, g1 = gains
-    p0 = (g0 * g0 * w + 1.0 - w) / 2
-    if rng.random() < p0:
-        q, g, p = 0, g0, p0
-    else:
-        q, g, p = 1, g1, (g1 * g1 * w + 1.0 - w) / 2
-    scale = 1.0 / math.sqrt(2 * p)
-    bond.alpha *= g * scale
-    bond.beta *= scale
-    bond.w = g * g * w / (2 * p)
-    return q
 
 
 def peak_energy(k0: int, k1: int, epsilon: float) -> float:
@@ -342,29 +317,37 @@ def mite_subroutine(
     before it converges or gives up.
 
     Measurements run on ``kernel``: it opens the bond at the start of the
-    visit, kicks it with each correction, and samples every outcome.  The
-    two-level kernel pays one projector application per opening and per
-    kick.  ``counter`` carries the bond's record across invocations.
+    visit, kicks it with each correction, and collapses on each uniform
+    drawn here.  The two-level kernel pays one projector application per
+    opening and per kick.  ``counter`` carries the bond's record across
+    invocations; the visit counts on locals and writes them back.
     """
     e_th = config.e_th(chain.mode)
     gains = measurement_gains(config.epsilon)
     stats = SubroutineStats(bond=j)
     bond = kernel.open(frame, j, chain.projector)
+    k0, k1, run1 = counter.k0, counter.k1, counter.run1
     streak = 0
     t = 0
     while t < config.n_iter:
-        q = bond.sample(gains, rng)
+        q = bond.sample(gains, rng.random())
         t += 1
         stats.measurements += 1
-        counter.record(q)
-        if counter.total > COUNTER_CAP:
-            counter.rescale()
-        e_peak = peak_energy(counter.k0, counter.k1, config.epsilon)
+        if q == 0:
+            k0 += 1
+            run1 = 0
+        else:
+            k1 += 1
+            run1 += 1
+        if k0 + k1 > COUNTER_CAP:  # halve both: forgetting that keeps their ratio
+            k0 //= 2
+            k1 //= 2
+        e_peak = peak_energy(k0, k1, config.epsilon)
         stats.e_peak_last = e_peak
-        if counter.run1 >= config.fire_window and e_peak >= e_th:
+        if run1 >= config.fire_window and e_peak >= e_th:
             bond = bond.kick(correction_unitary(chain.site, rng))
             stats.corrections += 1
-            counter.reset()
+            k0 = k1 = run1 = 0
             streak = 0
             t = 0
         else:
@@ -372,6 +355,7 @@ def mite_subroutine(
         if streak >= config.window:
             stats.converged = True
             break
+    counter.k0, counter.k1, counter.run1 = k0, k1, run1
     return bond.state(), stats
 
 

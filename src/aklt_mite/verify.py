@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,9 +42,9 @@ def measurement_kraus(epsilon: float, projector: np.ndarray) -> statevec.KrausPa
 
     Acts as 1/sqrt(2) on the projector's kernel and as
     (cos eps -+ sin eps)/sqrt(2) on its range; the 1/sqrt(2) prefactor makes
-    the pair complete (m0'm0 + m1'm1 = 1) exactly.  The job path samples
-    the same pair through ``mite.two_level_sample``; this matrix form feeds the
-    full-state oracle.
+    the pair complete (m0'm0 + m1'm1 = 1) exactly.  The job path collapses
+    on the same pair through ``mite.TwoLevelBond.sample``; this matrix form
+    feeds the full-state oracle.
     """
     projector = np.asarray(projector, dtype=complex)
     defect = np.max(np.abs(projector @ projector - projector))
@@ -442,10 +441,10 @@ def check_born_frequencies():
 def check_own_measurements_preserve_mean_weight():
     """Both Kraus operators commute with P, so sum_q m_q' P m_q = P and a
     bond's own measurements keep its expected excited weight: each outcome
-    of ``mite.two_level_sample``, weighted by its Born probability
+    of ``mite.TwoLevelBond.sample``, weighted by its Born probability
     p_q = |m_q psi|^2 under the matrix pair on the two-level model
-    psi = (sqrt w, sqrt(1 - w)), P = diag(1, 0), averages back to w.  A
-    stub generator picks the outcome: a draw of 0 gives q = 0, and of
+    psi = (sqrt w, sqrt(1 - w)), P = diag(1, 0), averages back to w.  The
+    uniform handed to the kernel picks the outcome: 0 gives q = 0, and
     1 - 2**-53, the largest value ``Generator.random`` returns, q = 1."""
     proj = np.diag([1.0, 0.0])
     worst = 0.0
@@ -458,8 +457,7 @@ def check_own_measurements_preserve_mean_weight():
             mean = 0.0
             for q, (m, u) in enumerate(((kraus.m0, 0.0), (kraus.m1, 1.0 - 2.0**-53))):
                 bond = mite.TwoLevelBond(0, None, None, float(w), None)
-                stub = SimpleNamespace(random=lambda: u)
-                outcomes_ok &= mite.two_level_sample(bond, gains, stub) == q
+                outcomes_ok &= bond.sample(gains, u) == q
                 mean += np.linalg.norm(m @ psi) ** 2 * bond.w
             worst = max(worst, float(abs(mean - w)))
     return outcomes_ok and worst <= 1e-15, f"max |p0 w0' + p1 w1' - w| {worst:.2e}"
@@ -489,10 +487,10 @@ class FullStateBond:
         excited = self.projector @ self.psi
         return float(np.vdot(excited, excited).real)
 
-    def sample(self, gains, rng) -> int:
+    def sample(self, gains, u) -> int:
         # ``gains`` feed the two-level kernel; this one collapses with its own pair
         psi0 = self.kraus.m0 @ self.psi
-        q, psi = (0, psi0) if rng.random() < np.vdot(psi0, psi0).real else (1, self.kraus.m1 @ self.psi)
+        q, psi = (0, psi0) if u < np.vdot(psi0, psi0).real else (1, self.kraus.m1 @ self.psi)
         self.psi = psi / np.linalg.norm(psi)
         return q
 
@@ -527,8 +525,8 @@ class RecordingBond:
     def _record(self):
         self.series.append((len(self.series) + 1, min(1.0, max(0.0, 1.0 - self.bond.w))))
 
-    def sample(self, gains, rng) -> int:
-        q = self.bond.sample(gains, rng)
+    def sample(self, gains, u) -> int:
+        q = self.bond.sample(gains, u)
         self._record()
         return q
 

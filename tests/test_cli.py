@@ -378,8 +378,20 @@ class TestRecompile:
         assert run(["recompile", "--layers", 1, "--reps", 1, "--maxiter", 5,
                     "--out", tmp_path / "rec.csv"]) == 2
         err = capsys.readouterr().err
-        assert f"RuntimeError: scipy {version('scipy')}'s L-BFGS-B core" in err
+        assert f"RuntimeError: depth 1, repetition 0: scipy {version('scipy')}'s L-BFGS-B core" in err
         assert "scipy >= 1.15" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_names_the_depth_and_repetition(self, tmp_path, monkeypatch, capsys):
+        """A repetition that fails fails the job, naming the depth and
+        repetition that replay it."""
+        def failing(*args):
+            raise RuntimeError("loss diverged")
+
+        monkeypatch.setattr(recompile, "loss_and_grad", failing)
+        assert run(["recompile", "--layers", 1, "--reps", 2, "--threads", 1,
+                    "--out", tmp_path / "rec.csv"]) == 2
+        assert "RuntimeError: depth 1, repetition 0: loss diverged" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_table_and_summary(self, tmp_path):
@@ -471,6 +483,19 @@ class TestVerify:
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
         assert (tmp_path / "afile").read_text() == "kept"
 
+    def test_failed_report_write_removes_the_folders_it_made(self, tmp_path, monkeypatch, capsys):
+        """A report that cannot be written removes the folders made for it,
+        and keeps the one that was there before."""
+        def disk_full(payload):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:1])
+        monkeypatch.setattr(cli, "_json_text", disk_full)
+        (tmp_path / "kept").mkdir()
+        assert run(["verify", "--out", tmp_path / "kept" / "a" / "b" / "report.json"]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [tmp_path / "kept"]
+
 
     @pytest.mark.parametrize("name", [name for name, _ in verify.CHECKS])
     def test_check_passes(self, verify_run, name):
@@ -481,15 +506,15 @@ class TestVerify:
 
     def test_mean_weight_check_sees_a_biased_collapse(self, monkeypatch):
         # a collapse that leaves w too high by 1e-12 (relative) on outcome 1 breaks lemma 2
-        sample = verify.mite.two_level_sample
+        sample = verify.mite.TwoLevelBond.sample
 
-        def biased(bond, gains, rng):
-            q = sample(bond, gains, rng)
+        def biased(bond, gains, u):
+            q = sample(bond, gains, u)
             bond.w *= 1 + 1e-12 * q
             return q
 
         assert verify.check_own_measurements_preserve_mean_weight()[0] is True
-        monkeypatch.setattr(verify.mite, "two_level_sample", biased)
+        monkeypatch.setattr(verify.mite.TwoLevelBond, "sample", biased)
         assert verify.check_own_measurements_preserve_mean_weight()[0] is False
 
 

@@ -255,7 +255,7 @@ def record_visits(monkeypatch):
     """Log what the subroutine does, in order: each measurement outcome q
     (0 or 1) and ``"fire"`` for each correction."""
     events = []
-    sample, correction = mite.two_level_sample, mite.correction_unitary
+    sample, correction = mite.TwoLevelBond.sample, mite.correction_unitary
 
     def logged_sample(*args):
         q = sample(*args)
@@ -266,7 +266,7 @@ def record_visits(monkeypatch):
         events.append("fire")
         return correction(*args)
 
-    monkeypatch.setattr(mite, "two_level_sample", logged_sample)
+    monkeypatch.setattr(mite.TwoLevelBond, "sample", logged_sample)
     monkeypatch.setattr(mite, "correction_unitary", logged_correction)
     return events
 
@@ -304,6 +304,36 @@ class TestSubroutine:
         assert min(first_fire_meas) >= cfg.fire_window
         # the trigger needs one clean run of excited outcomes: tens, not hundreds
         assert np.median(first_fire_meas) <= 3 * cfg.fire_window
+
+    def test_visit_loop_draws_every_uniform_the_kernel_sees(self):
+        """The loop owns the stream: the kernel is handed one uniform per
+        measurement, in the generator's order with one ``random(6)`` skipped
+        at each correction, and nothing else is drawn."""
+        log = []
+
+        class LoggedBond(mite.TwoLevelBond):
+            def sample(self, gains, u):
+                log.append(u)
+                return super().sample(gains, u)
+
+            def kick(self, u):
+                log.append("fire")
+                return super().kick(u)
+
+        chain = mite.build_chain(4, "spin1")
+        counters = {j: mite.MeasurementCounter() for j in range(1, 5)}
+        rng = np.random.default_rng(3)
+        state = chain.initial_state()
+        for _ in range(3):
+            state, _ = mite.sweep_round(state, chain, mite.MiteConfig(), rng, counters, LoggedBond)
+        assert "fire" in log
+        fresh = np.random.default_rng(3)
+        for event in log:
+            if event == "fire":
+                fresh.random(6)
+            else:
+                assert event == fresh.random()
+        assert fresh.bit_generator.state == rng.bit_generator.state
 
     def test_measurements_leave_reference_invariant(self, aklt, proj9):
         """The exact fixed point: both outcomes act as 1/sqrt(2) on the
@@ -424,7 +454,7 @@ class TestTwoLevelKernel:
         bond = mite.TwoLevelBond.open(frame_of(state, 2), 2, proj9)
         gains = mite.measurement_gains(0.5)
         for seed in range(20):
-            q = mite.two_level_sample(bond, gains, np.random.default_rng(seed))
+            q = bond.sample(gains, np.random.default_rng(seed).random())
             q_full, state = born_sample(kraus, 2, state, np.random.default_rng(seed))
             assert q == q_full
             assert abs(1 - bond.w - partial_fidelity(state, 2, proj9)) <= 1e-12
@@ -434,7 +464,7 @@ class TestTwoLevelKernel:
     def test_corrupted_scalars_raise_naming_the_bond(self, proj9, rng, field, value):
         state = StateVector(random_unit_vector(rng, 81), 4, 3)
         bond = mite.TwoLevelBond.open(frame_of(state, 3), 3, proj9)
-        mite.two_level_sample(bond, mite.measurement_gains(0.5), rng)
+        bond.sample(mite.measurement_gains(0.5), rng.random())
         setattr(bond, field, value if field == "w" else value * getattr(bond, field))
         with pytest.raises(RuntimeError, match="bond 3"):
             bond.state()
@@ -708,7 +738,7 @@ class TestSiteLayout:
         for j in range(1, n + 1):
             bond = mite.TwoLevelBond.open(frame_of(state, j), j, proj)
             for _ in range(5):
-                mite.two_level_sample(bond, gains, rng)
+                bond.sample(gains, rng.random())
             u = mite.correction_unitary(site, rng)
             full = state.with_amps(unrotated(bond.state(), j, n, d))
             old = mite.TwoLevelBond.open(frame_of(apply_two_site(u, j, full), j), j, proj)
