@@ -1,9 +1,12 @@
 """Experiment drivers: each runs one validated job, its independent runs
 seeded apart and spread by ``fan_out``, and returns its data table and
-summary, ``(columns, rows, summary)``; ``cli.main`` writes them.
-Importing this module loads numpy, ``mite`` and ``recompile`` whichever job
-runs, so that after any one job every module the benchmark's tracer wraps
-is loaded."""
+summary, ``(columns, rows, summary)``; ``cli.main`` writes them.  A
+driver lays its runs out as tasks and reads each result beside its task:
+the recompile scan's depth-major layout, its rows and its per-depth
+summary are built here alone, from what ``recompile.optimize_once``
+returns.  Importing this module loads numpy, ``mite`` and ``recompile``
+whichever job runs, so that after any one job every module the
+benchmark's tracer wraps is loaded."""
 
 from __future__ import annotations
 
@@ -66,21 +69,31 @@ def _repetition(target: np.ndarray, n_layers: int, rep: int, opt: recompile.Opti
     """Repetition ``rep`` at depth ``n_layers``, seeded ``opt.seed + rep`` so
     that any one can be re-run alone; a ``RuntimeError`` names the pair."""
     try:
-        entry = recompile.optimize_once(target, n_layers, np.random.default_rng(opt.seed + rep), opt)
+        return recompile.optimize_once(target, n_layers, np.random.default_rng(opt.seed + rep), opt)
     except RuntimeError as exc:
         raise RuntimeError(f"depth {n_layers}, repetition {rep}: {exc}") from exc
-    entry.repetition = rep
-    return entry
 
 
 def run_recompile(cfg: dict, layers: list[int], opt: recompile.OptimizerConfig):
     target = recompile.target_unitary(cfg["epsilon"])
     tasks = [(target, nl, rep, opt) for nl in layers for rep in range(opt.repetitions)]
-    report = recompile.RecompileReport(fan_out(_repetition, tasks, cfg["threads"]))
-    rows = [(e.n_layers, e.repetition, float(e.fidelity), e.hops_used) for e in report.entries]
+    results = fan_out(_repetition, tasks, cfg["threads"])
+    rows = [(nl, rep, float(res.fidelity), res.hops_used)
+            for (_, nl, rep, _), res in zip(tasks, results)]
+    per_depth = {}
+    for nl in layers:  # mean, std and max over the repetitions that did not fail
+        at_depth = [res for (_, d, _, _), res in zip(tasks, results) if d == nl]
+        fids = [res.fidelity for res in at_depth if not res.failed]
+        per_depth[str(nl)] = {
+            "mean_fidelity": float(np.mean(fids)) if fids else float("nan"),
+            "std_fidelity": float(np.std(fids)) if fids else float("nan"),
+            "max_fidelity": float(np.max(fids)) if fids else float("nan"),
+            "cnot_count": recompile.cnot_count(nl),
+            "failures": len(at_depth) - len(fids),
+        }
     return ["n_layers", "repetition", "final_fidelity", "hops_used"], rows, {
         "epsilon": cfg["epsilon"],
-        "per_depth": {str(k): v for k, v in report.summary().items()},
+        "per_depth": per_depth,
     }
 
 

@@ -35,10 +35,15 @@ their evidence describes a state that no longer exists, and fresh counters
 let real damage fire within tens of measurements instead of drifting
 through hundreds of stale counts.
 
-Counters persist across sweep rounds otherwise.  The iteration cap
-``n_iter`` bounds each unconverged stretch between corrections, so a
-subroutine visit resolves its bond (kick, re-collapse, re-check) instead
-of carrying half-finished repairs into the next round.
+Counters persist across sweep rounds otherwise.  A bond's counts are the
+tuple (k0, k1, run1), ``run1`` the current streak of consecutive q = 1
+outcomes (it resets on any q = 0; all three reset on corrections).
+``mite_subroutine`` takes its bond's tuple and returns the end counts in
+``SubroutineStats.counts``; ``sweep_round`` keeps them per bond and
+applies the neighbour reset.  The iteration cap ``n_iter`` bounds each
+unconverged stretch between corrections, so a subroutine visit resolves
+its bond (kick, re-collapse, re-check) instead of carrying half-finished
+repairs into the next round.
 
 A sweep round runs the subroutine over all odd bonds, then all even bonds
 (``sweep_order``).
@@ -102,24 +107,6 @@ from .statevec import (
 _BUILT_NORM_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
 _SYM_WEIGHT_TOL = 1e-9
-
-
-@dataclass
-class MeasurementCounter:
-    """Per-bond outcome record since the last correction; the visit loop keeps it.
-
-    ``run1`` is the current streak of consecutive q = 1 outcomes (it resets
-    on any q = 0 and on corrections; k0, k1 reset on corrections only).
-    """
-
-    k0: int = 0
-    k1: int = 0
-    run1: int = 0
-
-    def reset(self):
-        self.k0 = 0
-        self.k1 = 0
-        self.run1 = 0
 
 
 def measurement_gains(epsilon: float) -> tuple[float, float]:
@@ -294,6 +281,7 @@ class SubroutineStats:
     corrections: int = 0
     converged: bool = False
     e_peak_last: float = 0.0
+    counts: tuple[int, int, int] = (0, 0, 0)  # (k0, k1, run1) at the end of the visit
 
 
 def mite_subroutine(
@@ -302,7 +290,7 @@ def mite_subroutine(
     chain: ChainOps,
     config: MiteConfig,
     rng: np.random.Generator,
-    counter: MeasurementCounter,
+    counts: tuple[int, int, int],
     kernel,
 ) -> tuple[np.ndarray, SubroutineStats]:
     """Run one measure-and-correct subroutine on bond ``j``'s ``frame``
@@ -311,22 +299,23 @@ def mite_subroutine(
     Measures until either ``window`` consecutive in-threshold estimates
     declare convergence or ``n_iter`` measurements pass without a
     correction.  A correction fires the moment the peak estimate sits at
-    or above threshold while the counter's last ``fire_window`` outcomes
-    are all q = 1; it resets the counter and the iteration budget, so one
+    or above threshold while the last ``fire_window`` outcomes are all
+    q = 1; it resets the counts and the iteration budget, so one
     visit may fire several times (each backed by its own complete run)
     before it converges or gives up.
 
     Measurements run on ``kernel``: it opens the bond at the start of the
     visit, kicks it with each correction, and collapses on each uniform
     drawn here.  The two-level kernel pays one projector application per
-    opening and per kick.  ``counter`` carries the bond's record across
-    invocations; the visit counts on locals and writes them back.
+    opening and per kick.  ``counts`` is the bond's (k0, k1, run1) from
+    its last visit; the visit counts on from it and returns its end counts
+    in ``stats.counts``.
     """
     e_th = config.e_th(chain.mode)
     gains = measurement_gains(config.epsilon)
     stats = SubroutineStats(bond=j)
     bond = kernel.open(frame, j, chain.projector)
-    k0, k1, run1 = counter.k0, counter.k1, counter.run1
+    k0, k1, run1 = counts
     streak = 0
     t = 0
     while t < config.n_iter:
@@ -355,7 +344,7 @@ def mite_subroutine(
         if streak >= config.window:
             stats.converged = True
             break
-    counter.k0, counter.k1, counter.run1 = k0, k1, run1
+    stats.counts = (k0, k1, run1)
     return bond.state(), stats
 
 
@@ -364,19 +353,22 @@ def sweep_round(
     chain: ChainOps,
     config: MiteConfig,
     rng: np.random.Generator,
-    counters: dict[int, MeasurementCounter],
+    counts: dict[int, tuple[int, int, int]],
     kernel,
 ) -> tuple[StateVector, list[SubroutineStats]]:
     """One full sweep: subroutines on all odd bonds, then all even bonds,
-    each on its bond's frame with its counter from ``counters``."""
+    each on its bond's frame with its (k0, k1, run1) from ``counts``.  Each
+    visit's ``stats.counts`` goes back into ``counts``; a visit that fired
+    a correction sets both neighbouring bonds (bond n wrapping to 1) to
+    (0, 0, 0)."""
     stats: list[SubroutineStats] = []
 
     def visit(j: int, frame: np.ndarray) -> np.ndarray:
-        frame, st = mite_subroutine(frame, j, chain, config, rng, counters[j], kernel)
+        frame, st = mite_subroutine(frame, j, chain, config, rng, counts[j], kernel)
+        counts[j] = st.counts
         if st.corrections > 0:
             # neighbors' evidence refers to a state the correction destroyed
-            counters[1 + (j - 2) % chain.n].reset()
-            counters[1 + j % chain.n].reset()
+            counts[1 + (j - 2) % chain.n] = counts[1 + j % chain.n] = (0, 0, 0)
         stats.append(st)
         return frame
 
@@ -456,7 +448,7 @@ def prepare(config: MiteConfig, n: int, mode: str, kernel=TwoLevelBond) -> Traje
     config.e_th(mode)  # validate threshold up front
     rng = np.random.default_rng(config.seed)
     state = chain.initial_state()
-    counters = {j: MeasurementCounter() for j in range(1, n + 1)}
+    counts = dict.fromkeys(range(1, n + 1), (0, 0, 0))
     record = TrajectoryRecord(n=n, mode=mode, seed=config.seed, f_tot=[], partial=[], e_peak=[],
                               corrections=[], measurements=[],
                               sym_weight=[] if mode == "qubit" else None)
@@ -464,7 +456,7 @@ def prepare(config: MiteConfig, n: int, mode: str, kernel=TwoLevelBond) -> Traje
         for r in range(config.r_max + 1):  # round 0 records the initial state
             if r > 0:
                 state = apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
-                state, stats = sweep_round(state, chain, config, rng, counters, kernel)
+                state, stats = sweep_round(state, chain, config, rng, counts, kernel)
                 by_bond = {st.bond: st for st in stats}
                 record.e_peak.append([by_bond[j].e_peak_last for j in range(1, n + 1)])
                 record.corrections.append(sum(st.corrections for st in stats))

@@ -15,7 +15,10 @@ CNOT moment (odd layers entangle qubit pairs (1,2), (3,4); even layers
 (2,3), (4,5); control on the lower-numbered qubit) followed by another
 five-gate moment.  Parameters: 3 * 5 * (n_layers + 1) angles in [0, 2 pi].
 Optimization is box-constrained L-BFGS with analytic gradients, wrapped in
-random-restart hops around the best point found.  ``lbfgsb`` drives scipy's
+random-restart hops around the best point found: ``optimize_once`` is one
+repetition, and returns what it found.  The scan over depths and
+repetitions, its seeds, rows and per-depth summary belong to
+``jobs.run_recompile`` alone.  ``lbfgsb`` drives scipy's
 compiled L-BFGS-B core, loaded by file path, so no job imports the
 ``scipy.optimize`` package and its start-up cost.  ``verify`` holds the
 ansatz's unitary, its fidelity and the operator-Schmidt-rank bound on it.
@@ -230,10 +233,10 @@ def loss_and_grad(
     return loss, -(tc.real * dt.real - tc.imag * dt.imag) / (mag * DIM)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepetitionResult:
-    n_layers: int
-    repetition: int
+    """What one repetition found; ``jobs.run_recompile`` places it in the scan."""
+
     fidelity: float
     hops_used: int
     iterations: int
@@ -301,61 +304,29 @@ def lbfgsb(x0: np.ndarray, n_layers: int, target: np.ndarray, maxiter: int):
 def optimize_once(
     target: np.ndarray, n_layers: int, rng: np.random.Generator, cfg: OptimizerConfig
 ) -> RepetitionResult:
-    """One repetition: random start, local optimization, then hop restarts.
-
-    Each hop jitters the best parameters by uniform noise of amplitude
-    ``HOP_SIZE`` (clipped to the box) and re-runs the local optimizer.
-    A non-finite loss, from the first run or any hop, aborts the repetition,
-    which is recorded as failed.
+    """One repetition: ``cfg.n_hops + 1`` local optimizations, the first
+    from a uniform random start, each later one (a hop) from the best
+    parameters so far jittered by uniform noise of amplitude ``HOP_SIZE``
+    and clipped to the box.  A non-finite loss, from the first run or any
+    hop, aborts the repetition, which is recorded as failed.
     """
     npar = n_params(n_layers)
     iterations = 0
-
-    def local(x0):
-        nonlocal iterations
+    best_x, best_f = None, np.inf
+    for hop in range(cfg.n_hops + 1):
+        if hop == 0:
+            x0 = rng.uniform(0.0, 2 * np.pi, npar)
+        else:
+            x0 = np.clip(best_x + rng.uniform(-HOP_SIZE, HOP_SIZE, npar), 0.0, 2 * np.pi)
         x, f, nit = lbfgsb(x0, n_layers, target, cfg.maxiter)
         iterations += nit
-        return x, f
-
-    def failed(hops_used):
-        return RepetitionResult(n_layers, -1, float("nan"), hops_used, iterations, failed=True)
-
-    best_x, best_f = local(rng.uniform(0.0, 2 * np.pi, npar))
-    if not np.isfinite(best_f):
-        return failed(0)
-    hops_used = 0
-    for _ in range(cfg.n_hops):
-        jitter = rng.uniform(-HOP_SIZE, HOP_SIZE, npar)
-        x, f = local(np.clip(best_x + jitter, 0.0, 2 * np.pi))
-        hops_used += 1
         if not np.isfinite(f):
-            return failed(hops_used)
+            return RepetitionResult(float("nan"), hop, iterations, failed=True)
         if f < best_f:
             best_x, best_f = x, f
-    return RepetitionResult(n_layers, -1, 1.0 - float(best_f), hops_used, iterations)
+    return RepetitionResult(1.0 - float(best_f), cfg.n_hops, iterations)
 
 
 def cnot_count(n_layers: int) -> int:
     """Two CNOTs per layer by construction."""
     return 2 * n_layers
-
-
-@dataclass
-class RecompileReport:
-    """Per-repetition results plus per-depth aggregates."""
-
-    entries: list[RepetitionResult]
-
-    def summary(self) -> dict:
-        out = {}
-        depths = sorted({e.n_layers for e in self.entries})
-        for nl in depths:
-            fids = [e.fidelity for e in self.entries if e.n_layers == nl and not e.failed]
-            out[nl] = {
-                "mean_fidelity": float(np.mean(fids)) if fids else float("nan"),
-                "std_fidelity": float(np.std(fids)) if fids else float("nan"),
-                "max_fidelity": float(np.max(fids)) if fids else float("nan"),
-                "cnot_count": cnot_count(nl),
-                "failures": sum(1 for e in self.entries if e.n_layers == nl and e.failed),
-            }
-        return out

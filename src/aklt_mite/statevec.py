@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_NORM_TOL = 1e-12
-
 
 @dataclass
 class StateVector:
@@ -58,30 +56,6 @@ class StateVector:
 
     def with_amps(self, amps: np.ndarray) -> "StateVector":
         return StateVector(amps, self.n_sites, self.d)
-
-
-@dataclass
-class KrausPair:
-    """Two-outcome measurement operation {m0, m1} on one bond.
-
-    Completeness m0'm0 + m1'm1 = 1 is checked at construction; the pair is
-    unusable for Born sampling otherwise.
-    """
-
-    m0: np.ndarray
-    m1: np.ndarray
-
-    def __post_init__(self):
-        self.m0 = np.asarray(self.m0, dtype=complex)
-        self.m1 = np.asarray(self.m1, dtype=complex)
-        if self.m0.shape != self.m1.shape or self.m0.ndim != 2:
-            raise ValueError("Kraus operators must be two square matrices of equal shape")
-        ident = np.eye(self.m0.shape[0])
-        defect = self.m0.conj().T @ self.m0 + self.m1.conj().T @ self.m1 - ident
-        if np.max(np.abs(defect)) > _NORM_TOL:
-            raise ValueError(
-                f"Kraus pair violates completeness by {np.max(np.abs(defect)):.3e}"
-            )
 
 
 def product_state(n_sites: int, d: int) -> StateVector:
@@ -188,9 +162,10 @@ def partial_fidelity(state: StateVector, j: int, projector: np.ndarray) -> float
 
 
 def born_sample(
-    kraus: KrausPair, j: int, state: StateVector, rng: np.random.Generator
+    kraus, j: int, state: StateVector, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
-    """Sample one measurement outcome on bond ``j`` and collapse the state.
+    """Sample one measurement outcome on bond ``j`` and collapse the state
+    with the pair ``kraus.m0``, ``kraus.m1`` (``verify.measurement_kraus``).
 
     Outcome ``q`` is drawn with probability ||m_q psi||^2; the returned state
     is the renormalized post-measurement state.  Exactly one uniform variate

@@ -35,9 +35,34 @@ def _maxabs(x) -> float:
 
 SQRT2 = math.sqrt(2.0)
 _IDEMPOTENT_TOL = 1e-10
+_NORM_TOL = 1e-12
 
 
-def measurement_kraus(epsilon: float, projector: np.ndarray) -> statevec.KrausPair:
+@dataclasses.dataclass
+class KrausPair:
+    """Two-outcome measurement operation {m0, m1} on one bond.
+
+    Completeness m0'm0 + m1'm1 = 1 is checked at construction; the pair is
+    unusable for Born sampling otherwise.
+    """
+
+    m0: np.ndarray
+    m1: np.ndarray
+
+    def __post_init__(self):
+        self.m0 = np.asarray(self.m0, dtype=complex)
+        self.m1 = np.asarray(self.m1, dtype=complex)
+        if self.m0.shape != self.m1.shape or self.m0.ndim != 2:
+            raise ValueError("Kraus operators must be two square matrices of equal shape")
+        ident = np.eye(self.m0.shape[0])
+        defect = self.m0.conj().T @ self.m0 + self.m1.conj().T @ self.m1 - ident
+        if np.max(np.abs(defect)) > _NORM_TOL:
+            raise ValueError(
+                f"Kraus pair violates completeness by {np.max(np.abs(defect)):.3e}"
+            )
+
+
+def measurement_kraus(epsilon: float, projector: np.ndarray) -> KrausPair:
     """Weak-measurement pair m_q = (1 + (cos eps - 1 - (-1)^q sin eps) P) / sqrt(2).
 
     Acts as 1/sqrt(2) on the projector's kernel and as
@@ -54,7 +79,7 @@ def measurement_kraus(epsilon: float, projector: np.ndarray) -> statevec.KrausPa
     c, s = math.cos(epsilon), math.sin(epsilon)
     m0 = (eye + (c - 1 - s) * projector) / SQRT2
     m1 = (eye + (c - 1 + s) * projector) / SQRT2
-    return statevec.KrausPair(m0, m1)
+    return KrausPair(m0, m1)
 
 
 def bond_projector_short_form(mode: str) -> np.ndarray:
@@ -480,7 +505,7 @@ class FullStateKernel:
 class FullStateBond:
     psi: np.ndarray
     projector: np.ndarray
-    kraus: statevec.KrausPair
+    kraus: KrausPair
 
     @property
     def w(self) -> float:

@@ -63,8 +63,6 @@ HELD = {
     # named in perfbench/tracer.py's TRACED
     "statevec.born_sample", "statevec.apply_two_site", "statevec.apply_one_site",
     "statevec.partial_fidelity", "spin_ops.hamiltonian_apply", "qubit_map.qubit_aklt_state",
-    # taken by born_sample
-    "statevec.KrausPair",
     # called by qubit_aklt_state
     "spin_ops.zero_mode", "qubit_map.restrict_state",
 }

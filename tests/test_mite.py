@@ -289,11 +289,12 @@ class TestSubroutine:
         for _ in range(runs):
             events.clear()
             state = frame_of(product_state(2, 3), 1)
-            counter = mite.MeasurementCounter()
+            counts = (0, 0, 0)
             for _visit in range(3):  # the loop spans sweep rounds in practice
                 state, stats = mite.mite_subroutine(
-                    state, 1, two_site, cfg, rng, counter, mite.TwoLevelBond
+                    state, 1, two_site, cfg, rng, counts, mite.TwoLevelBond
                 )
+                counts = stats.counts
                 if stats.corrections > 0:
                     fired += 1
                     # measurements up to and including the one that fired
@@ -321,11 +322,11 @@ class TestSubroutine:
                 return super().kick(u)
 
         chain = mite.build_chain(4, "spin1")
-        counters = {j: mite.MeasurementCounter() for j in range(1, 5)}
+        counts = dict.fromkeys(range(1, 5), (0, 0, 0))
         rng = np.random.default_rng(3)
         state = chain.initial_state()
         for _ in range(3):
-            state, _ = mite.sweep_round(state, chain, mite.MiteConfig(), rng, counters, LoggedBond)
+            state, _ = mite.sweep_round(state, chain, mite.MiteConfig(), rng, counts, LoggedBond)
         assert "fire" in log
         fresh = np.random.default_rng(3)
         for event in log:
@@ -354,9 +355,9 @@ class TestSubroutine:
         chain = mite.build_chain(4, "spin1")
         state = aklt[4].state
         rng = np.random.default_rng(0)
-        counters = {j: mite.MeasurementCounter() for j in range(1, 5)}
+        counts = dict.fromkeys(range(1, 5), (0, 0, 0))
         for _ in range(5):
-            state, stats = mite.sweep_round(state, chain, cfg, rng, counters, mite.TwoLevelBond)
+            state, stats = mite.sweep_round(state, chain, cfg, rng, counts, mite.TwoLevelBond)
             assert sum(s.corrections for s in stats) == 0
             assert fidelity(state, chain.reference.state) == pytest.approx(1.0, abs=1e-9)
 
@@ -365,9 +366,8 @@ class TestSubroutine:
         chain = mite.build_chain(3, "spin1")
         state = frame_of(chain.initial_state(), 1)
         rng = np.random.default_rng(1)
-        counter = mite.MeasurementCounter()
         events = record_visits(monkeypatch)
-        _, stats = mite.mite_subroutine(state, 1, chain, cfg, rng, counter, mite.TwoLevelBond)
+        _, stats = mite.mite_subroutine(state, 1, chain, cfg, rng, (0, 0, 0), mite.TwoLevelBond)
         assert stats.corrections >= 1
         assert events.count("fire") == stats.corrections
         stretches = [[]]  # outcomes between corrections
@@ -379,8 +379,8 @@ class TestSubroutine:
         *fired, last = stretches
         for outcomes in fired:  # each trigger is a complete run of excited outcomes
             assert outcomes[-cfg.fire_window:] == [1] * cfg.fire_window
-        # the counter restarted at the last correction (too few outcomes to rescale)
-        assert (counter.k0, counter.k1) == (last.count(0), last.count(1))
+        # the counts restarted at the last correction (too few outcomes to rescale)
+        assert stats.counts[:2] == (last.count(0), last.count(1))
 
     def test_deterministic_replay(self, monkeypatch):
         cfg = mite.MiteConfig(seed=0)
@@ -392,7 +392,7 @@ class TestSubroutine:
             state = frame_of(chain.initial_state(), 2)
             rng = np.random.default_rng(7)
             state, stats = mite.mite_subroutine(
-                state, 2, chain, cfg, rng, mite.MeasurementCounter(), mite.TwoLevelBond
+                state, 2, chain, cfg, rng, (0, 0, 0), mite.TwoLevelBond
             )
             out.append((tuple(events), stats.corrections, state.copy()))
         assert out[0][0] == out[1][0]
@@ -434,15 +434,16 @@ class TestTwoLevelKernel:
         forbid_chain_order_applies(monkeypatch, forbidden)
         monkeypatch.setattr(statevec, "born_sample", forbidden)
         rng = np.random.default_rng(1)
-        counter = mite.MeasurementCounter()
+        counts = (0, 0, 0)
         corrections = 0
         for visit in range(6):
             calls.clear()
             j = 1 + visit % 3
             state, stats = mite.mite_subroutine(
-                frame_of(chain.initial_state(), j), j, chain, mite.MiteConfig(), rng, counter,
+                frame_of(chain.initial_state(), j), j, chain, mite.MiteConfig(), rng, counts,
                 mite.TwoLevelBond,
             )
+            counts = stats.counts
             corrections += stats.corrections
             assert calls.count("projector") == 1 + stats.corrections
             assert calls.count("kick") == stats.corrections
@@ -502,14 +503,52 @@ class TestSweepRound:
         cfg = mite.MiteConfig(seed=0)
         chain = mite.build_chain(6, "spin1")
         state = chain.initial_state()
-        counters = {j: mite.MeasurementCounter() for j in range(1, 7)}
+        counts = dict.fromkeys(range(1, 7), (0, 0, 0))
         _, stats = mite.sweep_round(
-            state, chain, cfg, np.random.default_rng(0), counters, mite.TwoLevelBond
+            state, chain, cfg, np.random.default_rng(0), counts, mite.TwoLevelBond
         )
         assert [s.bond for s in stats] == [1, 3, 5, 2, 4, 6]
 
     def test_bond_partition_n4(self):
         assert mite.sweep_order(4) == [1, 3, 2, 4]
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_a_correction_resets_both_neighbouring_bonds(self, monkeypatch, n):
+        """Replays the counts rule over four rounds of two trajectories:
+        every visit starts from its bond's counts at the end of its last
+        visit, or from (0, 0, 0) if a correction has fired since on a bond
+        sharing a site with it (bonds n and 1 share site 1).  Between them
+        the two trajectories reset nonzero counts on both sides of a
+        correction, at the wrap and away from it."""
+        visits, subroutine = [], mite.mite_subroutine
+
+        def logged(frame, j, chain, config, rng, counts, kernel):
+            frame, st = subroutine(frame, j, chain, config, rng, counts, kernel)
+            visits.append((j, counts, st))
+            return frame, st
+
+        monkeypatch.setattr(mite, "mite_subroutine", logged)
+        chain = mite.build_chain(n, "spin1")
+        cleared = set()  # (side, wrapped) of the resets of nonzero counts
+        for seed in (0, 3):
+            visits.clear()
+            counts = dict.fromkeys(range(1, n + 1), (0, 0, 0))
+            state, rng = chain.initial_state(), np.random.default_rng(seed)
+            for _ in range(4):
+                state, _ = mite.sweep_round(state, chain, mite.MiteConfig(), rng, counts,
+                                            mite.TwoLevelBond)
+            want = dict.fromkeys(range(1, n + 1), (0, 0, 0))
+            for j, handed, st in visits:
+                assert handed == want[j], (seed, j, handed, want[j])
+                want[j] = st.counts
+                if st.corrections:
+                    for side, k, wrapped in (("left", j - 1 or n, j == 1),
+                                             ("right", j % n + 1, j == n)):
+                        if want[k] != (0, 0, 0):
+                            cleared.add((side, wrapped))
+                        want[k] = (0, 0, 0)
+            assert counts == want
+        assert cleared == {(side, w) for side in ("left", "right") for w in (False, True)}
 
 
 @pytest.fixture

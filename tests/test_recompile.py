@@ -303,6 +303,30 @@ class TestOptimize:
             assert per_depth["cnot_count"] == 2 * int(nl)
         assert rc.cnot_count(6) == 12
 
+    def test_failed_repetition_is_left_out_of_its_depth_summary(self, monkeypatch):
+        """The scan's summary counts a failed repetition in ``failures``
+        and takes mean, std and max over the others; its row keeps a NaN."""
+        optimize_once, found = rc.optimize_once, []
+
+        def second_fails(target, n_layers, rng, cfg):
+            found.append(optimize_once(target, n_layers, rng, cfg))
+            if len(found) == 2:
+                return rc.RepetitionResult(float("nan"), 0, found[-1].iterations, failed=True)
+            return found[-1]
+
+        monkeypatch.setattr(rc, "optimize_once", second_fails)
+        cfg = rc.OptimizerConfig(maxiter=5, n_hops=1, repetitions=3, seed=0)
+        _, rows, summary = jobs.run_recompile({"epsilon": 0.5, "threads": 1}, [1], cfg)
+        per_depth = summary["per_depth"]["1"]
+        kept = [found[0].fidelity, found[2].fidelity]
+        assert per_depth["failures"] == 1
+        assert kept[0] != kept[1]
+        assert per_depth["mean_fidelity"] == np.mean(kept)
+        assert per_depth["std_fidelity"] == np.std(kept)
+        assert per_depth["max_fidelity"] == max(kept)
+        assert [row[:2] for row in rows] == [(1, 0), (1, 1), (1, 2)]
+        assert [np.isnan(row[2]) for row in rows] == [False, True, False]
+
     def test_first_run_nonfinite_loss_fails_without_hops(self):
         target = np.full((32, 32), np.nan, dtype=complex)
         cfg = rc.OptimizerConfig(maxiter=5, n_hops=0, repetitions=1, seed=0)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from aklt_mite.mite import sx_stretched_site_ket
 from aklt_mite.statevec import (
-    KrausPair,
     StateVector,
     apply_one_site,
     apply_two_site,
@@ -14,7 +13,7 @@ from aklt_mite.statevec import (
     partial_fidelity,
     product_state,
 )
-from aklt_mite.verify import coupled_basis, measurement_kraus
+from aklt_mite.verify import KrausPair, coupled_basis, measurement_kraus
 
 from conftest import product_of, random_unit_vector
 
