@@ -87,7 +87,6 @@ import numpy as np
 from . import qubit_map
 from .params import COUNTER_CAP, MiteConfig, check_chain_size
 from .spin_ops import (
-    AkltReference,
     SpinMatrices,
     _fix_phase,
     aklt_state,
@@ -96,7 +95,6 @@ from .spin_ops import (
     spin1_matrices,
 )
 from .statevec import (
-    StateVector,
     bond_weights,
     fidelity,
     map_sites,
@@ -255,9 +253,9 @@ class ChainOps:
     mode: str
     projector: np.ndarray
     site: SpinMatrices
-    reference: AkltReference
+    reference: np.ndarray
 
-    def initial_state(self) -> StateVector:
+    def initial_state(self) -> np.ndarray:
         return product_state(self.n, self.site.dim)
 
 
@@ -349,13 +347,13 @@ def mite_subroutine(
 
 
 def sweep_round(
-    state: StateVector,
+    state: np.ndarray,
     chain: ChainOps,
     config: MiteConfig,
     rng: np.random.Generator,
     counts: dict[int, tuple[int, int, int]],
     kernel,
-) -> tuple[StateVector, list[SubroutineStats]]:
+) -> tuple[np.ndarray, list[SubroutineStats]]:
     """One full sweep: subroutines on all odd bonds, then all even bonds,
     each on its bond's frame with its (k0, k1, run1) from ``counts``.  Each
     visit's ``stats.counts`` goes back into ``counts``; a visit that fired
@@ -379,12 +377,12 @@ _AXES = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}
 
 
 def apply_noise(
-    state: StateVector,
+    state: np.ndarray,
     axis: str | None,
     sigma2: float,
     rng: np.random.Generator,
     site: SpinMatrices,
-) -> StateVector:
+) -> np.ndarray:
     """Random local rotations exp(i xi_j S_j^axis) on every site.
 
     Angles are i.i.d. with density proportional to exp(-xi^2 / sigma2),
@@ -394,11 +392,11 @@ def apply_noise(
     """
     if sigma2 == 0.0:
         return state
-    xi = math.sqrt(sigma2 / 2.0) * rng.standard_normal(state.n_sites)
-    return state.with_amps(map_sites(site_rotations(xi[:, None] * _AXES[axis], site), state.amps))
+    xi = math.sqrt(sigma2 / 2.0) * rng.standard_normal(state.ndim)
+    return map_sites(site_rotations(xi[:, None] * _AXES[axis], site), state)
 
 
-def bond_partials(state: StateVector, projector: np.ndarray) -> list[float]:
+def bond_partials(state: np.ndarray, projector: np.ndarray) -> list[float]:
     """Partial fidelity <psi|(1 - P)|psi> of every bond 1..n, clamped to [0, 1]."""
     return [min(1.0, max(0.0, 1.0 - w)) for w in bond_weights(state, projector)]
 
@@ -424,7 +422,7 @@ class TrajectoryRecord:
     sym_weight: list[float] | None = None
 
 
-def _checked_symmetric_weight(state: StateVector) -> float:
+def _checked_symmetric_weight(state: np.ndarray) -> float:
     """A qubit trajectory's symmetric-sector weight, which every operation of
     the loop keeps at 1; a weight that left it means a broken operator."""
     w = qubit_map.symmetric_weight(state)
@@ -461,7 +459,7 @@ def prepare(config: MiteConfig, n: int, mode: str, kernel=TwoLevelBond) -> Traje
                 record.e_peak.append([by_bond[j].e_peak_last for j in range(1, n + 1)])
                 record.corrections.append(sum(st.corrections for st in stats))
                 record.measurements.append([by_bond[j].measurements for j in range(1, n + 1)])
-            record.f_tot.append(fidelity(state, chain.reference.state))
+            record.f_tot.append(fidelity(state, chain.reference))
             record.partial.append(bond_partials(state, chain.projector))
             if record.sym_weight is not None:
                 record.sym_weight.append(_checked_symmetric_weight(state))
@@ -489,7 +487,7 @@ def sx_stretched_site_ket() -> np.ndarray:
     return _fix_phase(vecs[:, int(np.argmax(vals))])
 
 
-def twisted_sx_product(n: int, theta: float) -> StateVector:
+def twisted_sx_product(n: int, theta: float) -> np.ndarray:
     """Product of x-stretched site states with a per-site twist about z:
     site j carries exp(-i theta (j-1) Sz) |m_x = +1>.
 
@@ -507,11 +505,11 @@ def twisted_sx_product(n: int, theta: float) -> StateVector:
     amps = np.array([1.0 + 0j])
     for twist in site_rotations([(0.0, 0.0, -theta * j) for j in range(n)], s1):
         amps = np.kron(amps, twist @ base)
-    return StateVector(amps, n, 3)
+    return amps.reshape((3,) * n)
 
 
 def direct_projection_converge(
-    n: int, r_max: int, reference: AkltReference | None = None
+    n: int, r_max: int, reference: np.ndarray | None = None
 ) -> np.ndarray:
     """Fidelity series of the deterministic projection cascade.
 
@@ -526,14 +524,14 @@ def direct_projection_converge(
         reference = aklt_state(n)
     comp = np.eye(9) - bond_projector("spin1")
     state = twisted_sx_product(n, 1.0)
-    series = [fidelity(state, reference.state)]
+    series = [fidelity(state, reference)]
     for r in range(1, r_max + 1):
         state = walk_bonds(state, sweep_order(n), lambda j, frame: comp @ frame)
-        nrm = state.norm()
+        nrm = float(np.linalg.norm(state))
         if nrm < 1e-15:
             raise RuntimeError(f"n = {n}, round {r}: projection cascade annihilated the state")
-        state = state.with_amps(state.amps / nrm)
-        series.append(fidelity(state, reference.state))
+        state = state / nrm
+        series.append(fidelity(state, reference))
     return np.array(series)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spin_ops
-from .statevec import StateVector, map_sites
+from .statevec import map_sites
 
 
 def triplet_isometry() -> np.ndarray:
@@ -43,30 +43,28 @@ _PI_SYM_SITE = symmetric_site_projector()
 _PI_SYM_SITE.flags.writeable = False
 
 
-def symmetric_weight(state: StateVector) -> float:
+def symmetric_weight(state: np.ndarray) -> float:
     """<psi| Pi_sym |psi>, the weight in the all-sites-triplet sector."""
-    if state.d != 4:
+    if state.shape[0] != 4:
         raise ValueError("symmetric weight is defined for qubit-pair states")
-    projected = map_sites([_PI_SYM_SITE] * state.n_sites, state.amps)
-    return float(np.vdot(state.amps, projected).real)
+    return float(np.vdot(state, map_sites([_PI_SYM_SITE] * state.ndim, state)).real)
 
 
-def lift_state(state: StateVector) -> StateVector:
+def lift_state(state: np.ndarray) -> np.ndarray:
     """Push a spin-1 chain state through the site-wise triplet isometry."""
-    if state.d != 3:
+    if state.shape[0] != 3:
         raise ValueError("lift_state expects a spin-1 chain state")
-    return StateVector(map_sites([triplet_isometry()] * state.n_sites, state.amps), state.n_sites, 4)
+    return map_sites([triplet_isometry()] * state.ndim, state)
 
 
-def restrict_state(state: StateVector) -> StateVector:
+def restrict_state(state: np.ndarray) -> np.ndarray:
     """Project a qubit-pair chain state back to spin-1 coordinates (V' per site)."""
-    if state.d != 4:
+    if state.shape[0] != 4:
         raise ValueError("restrict_state expects a qubit-pair chain state")
-    v_dag = triplet_isometry().conj().T
-    return StateVector(map_sites([v_dag] * state.n_sites, state.amps), state.n_sites, 3)
+    return map_sites([triplet_isometry().conj().T] * state.ndim, state)
 
 
-def qubit_aklt_state(n: int) -> spin_ops.AkltReference:
+def qubit_aklt_state(n: int) -> np.ndarray:
     """Zero-energy reference of the mapped Hamiltonian, restricted to the
     symmetric sector, by exact diagonalization (the oracle for
     :func:`reencoded_reference`).
@@ -80,23 +78,19 @@ def qubit_aklt_state(n: int) -> spin_ops.AkltReference:
     proj = spin_ops.bond_projector("qubit")
 
     def matvec(x):
-        sym = StateVector(np.asarray(x, dtype=complex), n, d=3)
-        lifted = lift_state(sym)
-        h_lifted = spin_ops.hamiltonian_apply(lifted, proj)
-        return restrict_state(h_lifted).amps
+        lifted = lift_state(x.reshape((3,) * n))
+        return restrict_state(spin_ops.hamiltonian_apply(lifted, proj)).reshape(-1)
 
-    energy, vec = spin_ops.zero_mode(matvec, 3**n)
-    lifted = lift_state(StateVector(vec, n, d=3))
-    lifted = lifted.with_amps(spin_ops._fix_phase(lifted.amps))
-    residual = np.linalg.norm(spin_ops.hamiltonian_apply(lifted, proj).amps)
+    vec = spin_ops.zero_mode(matvec, 3**n)
+    lifted = spin_ops._fix_phase(lift_state(vec.reshape((3,) * n)))
+    residual = np.linalg.norm(spin_ops.hamiltonian_apply(lifted, proj))
     if residual > spin_ops.REFERENCE_RESIDUAL_TOL:
         raise RuntimeError(f"H|ref> residual {residual:.3e} exceeds tolerance")
-    return spin_ops.AkltReference(lifted, energy, n)
+    return lifted
 
 
-def reencoded_reference(n: int) -> spin_ops.AkltReference:
+def reencoded_reference(n: int) -> np.ndarray:
     """The closed-form spin-1 reference pushed through the isometry: the
     qubit-mode reference every job uses."""
     spin_ops.check_chain_size(n, "qubit")
-    ref = spin_ops.aklt_state(n)
-    return spin_ops.AkltReference(lift_state(ref.state), ref.energy, n)
+    return lift_state(spin_ops.aklt_state(n))

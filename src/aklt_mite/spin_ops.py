@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import check_chain_size
-from .statevec import StateVector, apply_two_site, bond_weights
+from .statevec import apply_two_site, bond_weights
 
 SQRT2 = np.sqrt(2.0)
 
@@ -122,44 +122,35 @@ def bond_projector(mode: str) -> np.ndarray:
     return (mat + mat.conj().T) / 2
 
 
-def hamiltonian_apply(state: StateVector, projector: np.ndarray | None = None) -> StateVector:
-    """Apply the projector-sum Hamiltonian: sum over bonds j of P_{j,j+1} |psi>.
+def hamiltonian_apply(state: np.ndarray, projector: np.ndarray) -> np.ndarray:
+    """Apply the projector-sum Hamiltonian: sum over bonds j of P_{j,j+1} |psi>,
+    with ``projector`` the bond projector of the state's encoding.
 
-    Matrix-free; the wraparound bond (n_sites, 1) is included.  ``projector``
-    defaults to the bond projector matching the state's site dimension.
+    Matrix-free; the wraparound bond (N, 1) is included.
     """
-    if state.n_sites < 3:
+    if state.ndim < 3:
         raise ValueError("chain Hamiltonian needs at least 3 sites")
-    if projector is None:
-        projector = bond_projector("spin1" if state.d == 3 else "qubit")
-    out = np.zeros_like(state.amps)
-    for j in range(1, state.n_sites + 1):
-        out += apply_two_site(projector, j, state).amps
-    return state.with_amps(out)
-
-
-@dataclass(frozen=True)
-class AkltReference:
-    """Unit-norm zero-energy reference state for an N-site periodic chain."""
-
-    state: StateVector
-    energy: float
-    n: int
+    out = np.zeros_like(state)
+    for j in range(1, state.ndim + 1):
+        out += apply_two_site(projector, j, state)
+    return out
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Make the first amplitude of (near-)largest magnitude real positive.
+    """Make the first amplitude (in flat order) of (near-)largest magnitude
+    real positive, for a flat vector or a chain state alike.
 
     AKLT states hold many amplitudes tied in magnitude; a relative 1e-9
     tolerance keeps rounding from deciding which of them sets the phase.
     """
     mags = np.abs(vec)
     k = int(np.argmax(mags >= (1.0 - 1e-9) * mags.max()))
-    return vec * (abs(vec[k]) / vec[k])
+    return vec * (abs(vec.flat[k]) / vec.flat[k])
 
 
-def zero_mode(matvec, dim: int) -> tuple[float, np.ndarray]:
-    """Energy and unit vector of the unique zero mode of a Hermitian PSD map.
+def zero_mode(matvec, dim: int) -> np.ndarray:
+    """Unit vector of the unique zero mode of a Hermitian PSD map on flat
+    vectors of length ``dim``.
 
     Dense diagonalization below ``_DENSE_ED_LIMIT``, Lanczos (fixed start
     vector, hence deterministic) above it.  Fails if the lowest eigenvalue
@@ -187,20 +178,20 @@ def zero_mode(matvec, dim: int) -> tuple[float, np.ndarray]:
         raise RuntimeError(f"lowest eigenvalue {vals[0]:.3e} is not a zero mode")
     if vals[1] <= ZERO_ENERGY_TOL:
         raise RuntimeError("zero-energy space is degenerate; reference state undefined")
-    return float(vals[0]), vec / np.linalg.norm(vec)
+    return vec / np.linalg.norm(vec)
 
 
-def aklt_state(n: int) -> AkltReference:
+def aklt_state(n: int) -> np.ndarray:
     """AKLT reference state for an ``n``-site spin-1 periodic chain, in closed form.
 
     Contracts psi(s_1..s_N) = Tr(A^{s_1} ... A^{s_N}) site by site (site 1 the
     slowest digit), normalizes, and fixes the global phase (first
     largest-magnitude amplitude real positive).  The bond weights
-    w_j = |P_j psi|^2 certify the result: ``energy`` = sum_j w_j = <psi|H psi>
-    >= 0, and sum_j sqrt(w_j) >= |H psi| must stay below
-    ``REFERENCE_RESIDUAL_TOL``.  ``verify.exact_aklt_state`` is the
-    diagonalization oracle.  Each A^s has one nonzero entry per column, so
-    each entry of a site's stacked matmul is one product and an exact zero.
+    w_j = |P_j psi|^2 certify the result: sum_j sqrt(w_j) >= |H psi| must
+    stay below ``REFERENCE_RESIDUAL_TOL``, or this raises.
+    ``verify.exact_aklt_state`` is the diagonalization oracle.  Each A^s has
+    one nonzero entry per column, so each entry of a site's stacked matmul
+    is one product and an exact zero.
     """
     check_chain_size(n)
     # A^s for digits s = 0, 1, 2 (m = +1, 0, -1): A^{+1} = sqrt(2/3) sigma^+,
@@ -213,10 +204,8 @@ def aklt_state(n: int) -> AkltReference:
     for _ in range(n - 1):
         chain = np.matmul(chain[:, None], a).reshape(-1, 2, 2)
     vec = np.einsum("kaa->k", chain).astype(complex)
-    vec = _fix_phase(vec / np.linalg.norm(vec))
-    state = StateVector(vec, n, 3)
-    weights = bond_weights(state, bond_projector("spin1"))
-    residual = sum(np.sqrt(weights))
+    state = _fix_phase(vec / np.linalg.norm(vec)).reshape((3,) * n)
+    residual = sum(np.sqrt(bond_weights(state, bond_projector("spin1"))))
     if residual > REFERENCE_RESIDUAL_TOL:
         raise RuntimeError(f"H|ref> residual bound {residual:.3e} exceeds tolerance")
-    return AkltReference(state, sum(weights), n)
+    return state

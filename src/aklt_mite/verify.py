@@ -161,7 +161,7 @@ def _orthogonal_complement_vector(
     return vec / phase
 
 
-def exact_aklt_state(n: int) -> spin_ops.AkltReference:
+def exact_aklt_state(n: int) -> np.ndarray:
     """AKLT reference state by exact diagonalization (the oracle for
     ``spin_ops.aklt_state``).
 
@@ -173,15 +173,13 @@ def exact_aklt_state(n: int) -> spin_ops.AkltReference:
     proj = spin_ops.bond_projector("spin1")
 
     def matvec(x):
-        sv = statevec.StateVector(np.asarray(x, dtype=complex), n, 3)
-        return spin_ops.hamiltonian_apply(sv, proj).amps
+        return spin_ops.hamiltonian_apply(x.reshape((3,) * n), proj).reshape(-1)
 
-    energy, vec = spin_ops.zero_mode(matvec, 3**n)
-    state = statevec.StateVector(spin_ops._fix_phase(vec), n, 3)
-    residual = np.linalg.norm(spin_ops.hamiltonian_apply(state, proj).amps)
+    state = spin_ops._fix_phase(spin_ops.zero_mode(matvec, 3**n)).reshape((3,) * n)
+    residual = np.linalg.norm(spin_ops.hamiltonian_apply(state, proj))
     if residual > spin_ops.REFERENCE_RESIDUAL_TOL:
         raise RuntimeError(f"H|ref> residual {residual:.3e} exceeds tolerance")
-    return spin_ops.AkltReference(state, energy, n)
+    return state
 
 
 def isometry_pullback(op: np.ndarray) -> np.ndarray:
@@ -316,15 +314,16 @@ def check_kraus_completeness():
 
 def check_aklt_zero_energy():
     ref = spin_ops.aklt_state(4)
-    resid = float(np.linalg.norm(spin_ops.hamiltonian_apply(ref.state).amps))
-    return resid <= 1e-10, f"|H psi| = {resid:.2e}, E0 = {ref.energy:.2e}"
+    h_ref = spin_ops.hamiltonian_apply(ref, spin_ops.bond_projector("spin1"))
+    resid = float(np.linalg.norm(h_ref))
+    return resid <= 1e-10, f"|H psi| = {resid:.2e}, E0 = {np.vdot(ref, h_ref).real:.2e}"
 
 
 def check_aklt_closed_form_matches_ed():
     worst = 0.0
     for n in (4, 5, 6):
-        closed = spin_ops.aklt_state(n).state.amps
-        exact = exact_aklt_state(n).state.amps
+        closed = spin_ops.aklt_state(n)
+        exact = exact_aklt_state(n)
         overlap = np.vdot(exact, closed)
         worst = max(worst, float(np.linalg.norm(closed - overlap / abs(overlap) * exact)))
     return worst <= 1e-12, f"worst |psi_closed - psi_ED| = {worst:.2e} (N = 4..6)"
@@ -334,7 +333,7 @@ def check_aklt_common_projector():
     ref = spin_ops.aklt_state(4)
     p = spin_ops.bond_projector("spin1")
     worst = max(
-        abs(1.0 - statevec.partial_fidelity(ref.state, j, p)) for j in range(1, 5)
+        abs(1.0 - statevec.partial_fidelity(ref, j, p)) for j in range(1, 5)
     )
     return worst <= 1e-9, f"worst |1 - partial fidelity| = {worst:.2e}"
 
@@ -378,8 +377,7 @@ def check_mapped_isometry_pullback():
 
 def check_qubit_reference_equivalence():
     # the diagonalized qubit reference against the re-encoded closed form
-    fid = statevec.fidelity(qubit_map.qubit_aklt_state(3).state,
-                            qubit_map.reencoded_reference(3).state)
+    fid = statevec.fidelity(qubit_map.qubit_aklt_state(3), qubit_map.reencoded_reference(3))
     return fid >= 1 - 1e-9, f"fidelity {fid:.12f}"
 
 

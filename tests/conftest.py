@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from aklt_mite import spin_ops
-from aklt_mite.statevec import StateVector
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +30,11 @@ def random_unit_vector(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def random_state(rng, n, d):
+    """A random unit chain state of ``n`` sites of dimension ``d``."""
+    return random_unit_vector(rng, d**n).reshape((d,) * n)
+
+
 def product_of(n_sites, ket):
     """The product state with the unit ket ``ket`` on each of ``n_sites``
     sites, for the product states other than ``statevec.product_state``'s."""
@@ -38,7 +42,7 @@ def product_of(n_sites, ket):
     amps = ket
     for _ in range(n_sites - 1):
         amps = np.kron(amps, ket)
-    return StateVector(amps, n_sites, len(ket))
+    return amps.reshape((len(ket),) * n_sites)
 
 
 def phase_aligned_distance(a, b):

@@ -168,9 +168,8 @@ class TestPrepare:
         def corrupt_round_2(state, *args):
             rounds.append(state)
             if len(rounds) == 2:  # every bond of 2 |+1 ... +1> has excited weight 4
-                amps = np.zeros_like(state.amps)
-                amps[0] = 2.0
-                state = state.with_amps(amps)
+                state = np.zeros_like(state)
+                state.flat[0] = 2.0
             return sweep(state, *args)
 
         monkeypatch.setattr(mite, "sweep_round", corrupt_round_2)

@@ -12,7 +12,6 @@ from scipy.linalg import expm
 
 from aklt_mite import jobs, mite, qubit_map, recompile, spin_ops, statevec, verify
 from aklt_mite.statevec import (
-    StateVector,
     apply_one_site,
     apply_two_site,
     born_sample,
@@ -24,7 +23,7 @@ from aklt_mite.statevec import (
     walk_bonds,
 )
 
-from conftest import product_of, random_unit_vector
+from conftest import product_of, random_state
 
 GOLDEN_BOND_SERIES = Path(__file__).parent / "data" / "golden_bond_series.json"
 
@@ -32,12 +31,12 @@ GOLDEN_BOND_SERIES = Path(__file__).parent / "data" / "golden_bond_series.json"
 def frame_of(state, j):
     """Bond ``j``'s frame: the amplitudes rotated to start at site j, as a
     (d^2, d^(n-2)) matrix."""
-    return rotate_sites(state.amps, state.d, j - 1).reshape(state.d**2, -1)
+    return rotate_sites(state, j - 1).reshape(state.shape[0] ** 2, -1)
 
 
 def unrotated(frame, j, n, d):
-    """The flat amplitudes of bond ``j``'s frame back in chain order."""
-    return rotate_sites(frame.reshape(-1), d, (n - j + 1) % n)
+    """The chain state of bond ``j``'s frame, back in chain order."""
+    return rotate_sites(frame.reshape((d,) * n), (n - j + 1) % n)
 
 
 def forbid_chain_order_applies(monkeypatch, forbidden):
@@ -340,12 +339,12 @@ class TestSubroutine:
         """The exact fixed point: both outcomes act as 1/sqrt(2) on the
         zero-eigenvalue sector, so sampling never moves the reference."""
         kraus = verify.measurement_kraus(0.5, proj9)
-        state = aklt[4].state
+        state = aklt[4]
         rng = np.random.default_rng(2)
         for j in (1, 2, 3, 4):
             for _ in range(25):
                 _, out = born_sample(kraus, j, state, rng)
-                assert np.max(np.abs(out.amps - state.amps)) <= 1e-12
+                assert np.max(np.abs(out - state)) <= 1e-12
 
     def test_reference_round_trip_without_corrections(self, aklt):
         """While no correction fires, a sweep from the reference returns it
@@ -353,13 +352,13 @@ class TestSubroutine:
         per fresh run) but not impossible, so the invariant is conditional."""
         cfg = mite.MiteConfig(seed=0)
         chain = mite.build_chain(4, "spin1")
-        state = aklt[4].state
+        state = aklt[4]
         rng = np.random.default_rng(0)
         counts = dict.fromkeys(range(1, 5), (0, 0, 0))
         for _ in range(5):
             state, stats = mite.sweep_round(state, chain, cfg, rng, counts, mite.TwoLevelBond)
             assert sum(s.corrections for s in stats) == 0
-            assert fidelity(state, chain.reference.state) == pytest.approx(1.0, abs=1e-9)
+            assert fidelity(state, chain.reference) == pytest.approx(1.0, abs=1e-9)
 
     def test_counter_resets_after_each_correction(self, monkeypatch):
         cfg = mite.MiteConfig(seed=0)
@@ -450,7 +449,7 @@ class TestTwoLevelKernel:
         assert corrections > 0
 
     def test_sampling_matches_the_full_state_collapse(self, proj9, rng):
-        state = StateVector(random_unit_vector(rng, 81), 4, 3)
+        state = random_state(rng, 4, 3)
         kraus = verify.measurement_kraus(0.5, proj9)
         bond = mite.TwoLevelBond.open(frame_of(state, 2), 2, proj9)
         gains = mite.measurement_gains(0.5)
@@ -463,7 +462,7 @@ class TestTwoLevelKernel:
 
     @pytest.mark.parametrize("field, value", [("alpha", 1.1), ("beta", 0.9), ("w", 1.01), ("w", -0.01)])
     def test_corrupted_scalars_raise_naming_the_bond(self, proj9, rng, field, value):
-        state = StateVector(random_unit_vector(rng, 81), 4, 3)
+        state = random_state(rng, 4, 3)
         bond = mite.TwoLevelBond.open(frame_of(state, 3), 3, proj9)
         bond.sample(mite.measurement_gains(0.5), rng.random())
         setattr(bond, field, value if field == "w" else value * getattr(bond, field))
@@ -667,7 +666,7 @@ class TestPrepare:
         assert not hasattr(mite, "apply_two_site")
         cfg = mite.MiteConfig(seed=1, r_max=3, noise_axis="x", noise_sigma2=1e-2)
         assert len(mite.prepare(cfg, 4, mode).f_tot) == 4
-        assert mite.build_chain(5, mode).reference.n == 5
+        assert mite.build_chain(5, mode).reference.shape == (spin_ops.site_matrices(mode).dim,) * 5
         assert mite.direct_projection_converge(5, 2).shape == (3,)
 
     def test_fidelity_improves_at_small_size(self):
@@ -681,19 +680,19 @@ class TestNoise:
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         out = mite.apply_noise(state, "x", 0.0, rng, spin_ops.site_matrices("spin1"))
-        assert np.array_equal(out.amps, state.amps)
+        assert np.array_equal(out, state)
         assert rng.bit_generator.state == before
 
     def test_z_noise_preserves_amplitude_magnitudes(self):
         # diagonal generator: only phases move on an Sz-basis product state
         state = product_state(3, 3)
         out = mite.apply_noise(state, "z", 0.01, np.random.default_rng(4), spin_ops.site_matrices("spin1"))
-        assert np.allclose(np.abs(out.amps), np.abs(state.amps), atol=1e-12)
+        assert np.allclose(np.abs(out), np.abs(state), atol=1e-12)
 
     def test_norm_preserved(self, rng):
-        state = StateVector(random_unit_vector(rng, 81), 4, 3)
+        state = random_state(rng, 4, 3)
         out = mite.apply_noise(state, "x", 0.05, rng, spin_ops.site_matrices("spin1"))
-        assert abs(out.norm() - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["spin1", "qubit"])
     @pytest.mark.parametrize("axis", ["x", "z"])
@@ -701,14 +700,14 @@ class TestNoise:
         site = spin_ops.site_matrices(mode)
         unit = np.array([1.0, 0.0, 0.0]) if axis == "x" else np.array([0.0, 0.0, 1.0])
         rng = np.random.default_rng(9)
-        state = StateVector(random_unit_vector(rng, site.dim**4), 4, site.dim)
+        state = random_state(rng, 4, site.dim)
         for seed in range(10):
             expected, oracle_rng = state, np.random.default_rng(seed)
             for j in range(1, 5):
                 xi = math.sqrt(0.05 / 2.0) * oracle_rng.standard_normal()
                 expected = statevec.apply_one_site(_site_rotation(xi * unit, site), j, expected)
             out = mite.apply_noise(state, axis, 0.05, np.random.default_rng(seed), site)
-            assert np.array_equal(out.amps, expected.amps)
+            assert np.array_equal(out, expected)
 
     def test_noiseless_config_matches_noise_free_run(self):
         plain = mite.prepare(mite.MiteConfig(seed=2, r_max=6), 3, "spin1")
@@ -732,21 +731,21 @@ class TestSiteLayout:
     of ``statevec``, on every bond, the wrap bond n included."""
 
     def test_rotation_round_trip_is_exact(self, rng, d, n):
-        amps = random_unit_vector(rng, d**n)
+        state = random_state(rng, n, d)
         for k in range(n + 1):
-            assert np.array_equal(rotate_sites(rotate_sites(amps, d, k), d, n - k), amps)
+            assert np.array_equal(rotate_sites(rotate_sites(state, k), n - k), state)
 
     def test_frame_matmul_is_the_bond_apply(self, rng, d, n):
-        state = StateVector(random_unit_vector(rng, d**n), n, d)
+        state = random_state(rng, n, d)
         for j in range(1, n + 1):
             op = _random_op(rng, d * d)
             got = unrotated(op @ frame_of(state, j), j, n, d)
-            assert np.max(np.abs(got - apply_two_site(op, j, state).amps)) <= 1e-14
+            assert np.max(np.abs(got - apply_two_site(op, j, state))) <= 1e-14
 
     @pytest.mark.parametrize("order", ["sweep", "repeating"])
     def test_walk_is_the_chain_of_bond_applies(self, rng, d, n, order):
         bonds = mite.sweep_order(n) if order == "sweep" else [2, 2, n, 1, 3, 1, n]
-        state = StateVector(random_unit_vector(rng, d**n), n, d)
+        state = random_state(rng, n, d)
         ops = [_random_op(rng, d * d) for _ in bonds]
         expected = state
         for j, op in zip(bonds, ops):
@@ -759,27 +758,27 @@ class TestSiteLayout:
             return op @ frame
 
         got = walk_bonds(state, bonds, visit)
-        assert np.max(np.abs(got.amps - expected.amps)) <= 1e-14
+        assert np.max(np.abs(got - expected)) <= 1e-14
 
     def test_site_chain_is_the_per_site_apply(self, rng, d, n):
-        state = StateVector(random_unit_vector(rng, d**n), n, d)
+        state = random_state(rng, n, d)
         ops = [_random_op(rng, d) for _ in range(n)]
         expected = state
         for j, op in enumerate(ops, start=1):
             expected = apply_one_site(op, j, expected)
-        assert np.array_equal(map_sites(ops, state.amps), expected.amps)
+        assert np.array_equal(map_sites(ops, state), expected)
 
     def test_kick_is_the_rebuilt_bond_apply(self, rng, d, n):
         proj = spin_ops.bond_projector("spin1" if d == 3 else "qubit")
         site = spin_ops.site_matrices("spin1" if d == 3 else "qubit")
         gains = mite.measurement_gains(0.5)
-        state = StateVector(random_unit_vector(rng, d**n), n, d)
+        state = random_state(rng, n, d)
         for j in range(1, n + 1):
             bond = mite.TwoLevelBond.open(frame_of(state, j), j, proj)
             for _ in range(5):
                 bond.sample(gains, rng.random())
             u = mite.correction_unitary(site, rng)
-            full = state.with_amps(unrotated(bond.state(), j, n, d))
+            full = unrotated(bond.state(), j, n, d)
             old = mite.TwoLevelBond.open(frame_of(apply_two_site(u, j, full), j), j, proj)
             new = bond.kick(u)
             assert np.max(np.abs(new.base - old.base)) <= 1e-14
@@ -788,7 +787,7 @@ class TestSiteLayout:
 
     def test_partials_and_symmetric_weight_are_the_per_bond_values(self, rng, d, n):
         proj = spin_ops.bond_projector("spin1" if d == 3 else "qubit")
-        state = StateVector(random_unit_vector(rng, d**n), n, d)
+        state = random_state(rng, n, d)
         expected = [partial_fidelity(state, j, proj) for j in range(1, n + 1)]
         assert np.max(np.abs(np.subtract(mite.bond_partials(state, proj), expected))) <= 1e-14
         if d == 4:  # each site's triplet projector, applied through the transposing bond apply
@@ -796,7 +795,7 @@ class TestSiteLayout:
             projected = state
             for j in range(1, n + 1):
                 projected = apply_two_site(site_proj, j, projected)
-            expected_w = float(np.vdot(state.amps, projected.amps).real)
+            expected_w = float(np.vdot(state, projected).real)
             assert abs(qubit_map.symmetric_weight(state) - expected_w) <= 1e-14
 
 
@@ -807,7 +806,7 @@ class TestNoDiagonalization:
 
         monkeypatch.setattr(spin_ops, "zero_mode", forbidden)
         for mode in ("spin1", "qubit"):
-            assert mite.build_chain(4, mode).reference.n == 4
+            assert mite.build_chain(4, mode).reference.shape == (spin_ops.site_matrices(mode).dim,) * 4
         series = mite.direct_projection_converge(7, 2)
         assert series.shape == (3,)
 
@@ -815,10 +814,10 @@ class TestNoDiagonalization:
 class TestDirectProjection:
     def test_bond_factor_idempotent(self, proj9, rng):
         comp = np.eye(9) - proj9
-        state = StateVector(random_unit_vector(rng, 27), 3, 3)
+        state = random_state(rng, 3, 3)
         once = apply_two_site(comp, 2, state)
         twice = apply_two_site(comp, 2, once)
-        assert np.max(np.abs(once.amps - twice.amps)) <= 1e-12
+        assert np.max(np.abs(once - twice)) <= 1e-12
 
     def test_converges_within_eight_rounds_small_sizes(self, aklt):
         for n in (3, 4, 5, 6):
@@ -840,7 +839,7 @@ class TestDirectProjection:
             amps = np.array([1.0 + 0j])
             for j in range(n):
                 amps = np.kron(amps, _site_rotation((0.0, 0.0, -theta * j), s1) @ base)
-            assert np.array_equal(mite.twisted_sx_product(n, theta).amps, amps)
+            assert np.array_equal(mite.twisted_sx_product(n, theta).reshape(-1), amps)
 
     def test_untwisted_product_is_annihilated(self, aklt, monkeypatch):
         """The stretched x-product is a pure total-spin-2 pair on every bond,

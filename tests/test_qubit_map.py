@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from aklt_mite import mite, qubit_map, spin_ops, verify
-from aklt_mite.statevec import StateVector, apply_two_site, product_state
+from aklt_mite.statevec import apply_two_site, product_state
 
-from conftest import phase_aligned_distance, product_of, random_unit_vector
+from conftest import phase_aligned_distance, product_of, random_state
 
 
 class TestIsometry:
@@ -21,13 +21,13 @@ class TestIsometry:
         assert v[3, 2] == 1.0
 
     def test_lift_restrict_roundtrip(self, rng):
-        state = StateVector(random_unit_vector(rng, 27), 3, 3)
+        state = random_state(rng, 3, 3)
         lifted = qubit_map.lift_state(state)
         v = qubit_map.triplet_isometry()
         dense = np.kron(np.kron(v, v), v)
-        assert np.max(np.abs(lifted.amps - dense @ state.amps)) <= 1e-12
+        assert np.max(np.abs(lifted.reshape(-1) - dense @ state.reshape(-1))) <= 1e-12
         back = qubit_map.restrict_state(lifted)
-        assert np.max(np.abs(back.amps - state.amps)) <= 1e-12
+        assert np.max(np.abs(back - state)) <= 1e-12
 
     def test_lifted_spin_action_matches(self, rng):
         # mapped per-site operators reproduce spin-1 operators through the lift
@@ -80,14 +80,15 @@ class TestSymmetricWeight:
         trajectory loop's check must see rather than a weight clamped to 1."""
         state = qubit_map.lift_state(product_state(3, 3))
         with pytest.raises(RuntimeError, match="symmetric-sector weight 1.44"):
-            mite._checked_symmetric_weight(state.with_amps(1.2 * state.amps))
+            mite._checked_symmetric_weight(1.2 * state)
 
 
 class TestQubitReference:
-    def test_zero_energy_and_residual(self):
+    def test_zero_energy_and_residual(self, proj16):
         ref = qubit_map.qubit_aklt_state(3)
-        assert abs(ref.energy) <= 1e-8
-        resid = np.linalg.norm(spin_ops.hamiltonian_apply(ref.state).amps)
+        h_ref = spin_ops.hamiltonian_apply(ref, proj16)
+        assert abs(np.vdot(ref, h_ref).real) <= 1e-8
+        resid = np.linalg.norm(h_ref)
         assert resid <= 1e-10
 
     def test_out_of_range(self):
@@ -96,8 +97,8 @@ class TestQubitReference:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_job_reference_matches_sector_diagonalization(self, n):
-        lifted = mite.build_chain(n, "qubit").reference.state.amps
-        exact = qubit_map.qubit_aklt_state(n).state.amps
+        lifted = mite.build_chain(n, "qubit").reference
+        exact = qubit_map.qubit_aklt_state(n)
         assert phase_aligned_distance(lifted, exact) <= 1e-12
 
     def test_job_reference_out_of_range(self):
@@ -108,7 +109,7 @@ class TestQubitReference:
 class TestQubitDynamics:
     def test_corrections_preserve_symmetric_sector(self, rng):
         site = spin_ops.paired_site_matrices()
-        state = qubit_map.lift_state(StateVector(random_unit_vector(rng, 27), 3, 3))
+        state = qubit_map.lift_state(random_state(rng, 3, 3))
         for _ in range(20):
             u = mite.correction_unitary(site, rng)
             state = apply_two_site(u, int(rng.integers(1, 4)), state)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from aklt_mite import spin_ops, verify
-from aklt_mite.statevec import StateVector, apply_two_site, product_state
+from aklt_mite.statevec import apply_two_site, bond_weights, product_state
 
-from conftest import random_unit_vector
+from conftest import random_state, random_unit_vector
 
 
 def comm(a, b):
@@ -89,28 +89,28 @@ def _embedded_bond(op, j, n):
     basis = np.zeros(dim, dtype=complex)
     for k in range(dim):
         basis[k] = 1.0
-        mat[:, k] = apply_two_site(op, j, StateVector(basis.copy(), n, 3)).amps
+        mat[:, k] = apply_two_site(op, j, basis.reshape((3,) * n)).reshape(-1)
         basis[k] = 0.0
     return mat
 
 
 class TestHamiltonian:
-    def test_annihilates_reference(self, aklt):
+    def test_annihilates_reference(self, aklt, proj9):
         for n, ref in aklt.items():
-            resid = np.linalg.norm(spin_ops.hamiltonian_apply(ref.state).amps)
+            resid = np.linalg.norm(spin_ops.hamiltonian_apply(ref, proj9))
             assert resid <= 1e-10
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_stretched_product_expectation(self, n):
+    def test_stretched_product_expectation(self, n, proj9):
         # every bond of the all-(m=1) product is the stretched S=2 pair
         state = product_state(n, 3)
-        hpsi = spin_ops.hamiltonian_apply(state)
-        assert abs(np.vdot(state.amps, hpsi.amps).real - n) <= 1e-12
+        hpsi = spin_ops.hamiltonian_apply(state, proj9)
+        assert abs(np.vdot(state, hpsi).real - n) <= 1e-12
 
-    def test_positive_semidefinite(self, rng):
+    def test_positive_semidefinite(self, rng, proj9):
         for _ in range(100):
-            state = StateVector(random_unit_vector(rng, 81), 4, 3)
-            val = np.vdot(state.amps, spin_ops.hamiltonian_apply(state).amps).real
+            state = random_state(rng, 4, 3)
+            val = np.vdot(state, spin_ops.hamiltonian_apply(state, proj9)).real
             assert val >= -1e-12
 
     def test_matches_dense_oracle(self, proj9):
@@ -119,24 +119,24 @@ class TestHamiltonian:
         h = sum(_embedded_bond(proj9, j, n) for j in (1, 2, 3))
         rng = np.random.default_rng(0)
         v = random_unit_vector(rng, 27)
-        via_op = spin_ops.hamiltonian_apply(StateVector(v.copy(), n, 3)).amps
+        via_op = spin_ops.hamiltonian_apply(v.reshape((3,) * n), proj9).reshape(-1)
         assert np.max(np.abs(h @ v - via_op)) <= 1e-12
 
-    def test_requires_three_sites(self):
+    def test_requires_three_sites(self, proj9):
         with pytest.raises(ValueError):
-            spin_ops.hamiltonian_apply(product_state(2, 3))
+            spin_ops.hamiltonian_apply(product_state(2, 3), proj9)
 
 
 class TestAkltState:
-    def test_zero_energy_and_unit_norm(self, aklt):
+    def test_zero_energy_and_unit_norm(self, aklt, proj9):
         for ref in aklt.values():
-            assert abs(ref.energy) <= 1e-8
-            assert abs(ref.state.norm() - 1.0) <= 1e-12
+            assert abs(np.vdot(ref, spin_ops.hamiltonian_apply(ref, proj9)).real) <= 1e-8
+            assert abs(np.linalg.norm(ref) - 1.0) <= 1e-12
 
     def test_self_fidelity(self, aklt):
         from aklt_mite.statevec import fidelity
 
-        assert abs(fidelity(aklt[4].state, aklt[4].state) - 1.0) <= 1e-12
+        assert abs(fidelity(aklt[4], aklt[4]) - 1.0) <= 1e-12
 
     def test_gap_positive_full_spectrum(self, proj9):
         # oracle: full diagonalization of the 27x27 Hamiltonian
@@ -146,12 +146,12 @@ class TestAkltState:
         assert vals[1] > 0.1
 
     def test_phase_convention_reproducible(self):
-        a = spin_ops.aklt_state(3).state.amps
-        b = spin_ops.aklt_state(3).state.amps
+        a = spin_ops.aklt_state(3)
+        b = spin_ops.aklt_state(3)
         assert np.array_equal(a, b)
         k = int(np.argmax(np.abs(a)))
-        assert a[k].imag == pytest.approx(0.0, abs=1e-12)
-        assert a[k].real > 0
+        assert a.flat[k].imag == pytest.approx(0.0, abs=1e-12)
+        assert a.flat[k].real > 0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -175,8 +175,8 @@ class TestClosedFormReference:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_matches_exact_diagonalization(self, n):
         # both builds fix the global phase by the same rule, so no alignment
-        closed = spin_ops.aklt_state(n).state.amps
-        exact = verify.exact_aklt_state(n).state.amps
+        closed = spin_ops.aklt_state(n)
+        exact = verify.exact_aklt_state(n)
         assert np.linalg.norm(closed - exact) <= 1e-12
 
     @pytest.mark.parametrize("n", range(3, 10))
@@ -191,22 +191,25 @@ class TestClosedFormReference:
         for _ in range(n - 1):
             chain = np.einsum("kab,sbc->ksac", chain, a).reshape(-1, 2, 2)
         vec = np.einsum("kaa->k", chain).astype(complex)
-        want = spin_ops._fix_phase(vec / np.linalg.norm(vec))
-        got = spin_ops.aklt_state(n).state.amps
+        want = spin_ops._fix_phase(vec / np.linalg.norm(vec)).reshape((3,) * n)
+        got = spin_ops.aklt_state(n)
         assert np.array_equal(got, want)
         for part in (np.real, np.imag):
             assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
     @pytest.mark.parametrize("n", range(3, 10))
-    def test_energy_is_zero(self, n):
-        assert abs(spin_ops.aklt_state(n).energy) <= 1e-12
+    def test_energy_is_zero(self, n, proj9):
+        ref = spin_ops.aklt_state(n)
+        assert abs(np.vdot(ref, spin_ops.hamiltonian_apply(ref, proj9)).real) <= 1e-12
 
     @pytest.mark.parametrize("n", range(3, 10))
-    def test_energy_is_the_hamiltonian_expectation(self, n):
+    def test_energy_is_the_hamiltonian_expectation(self, n, proj9):
+        """The certificate's bond weights sum to <psi|H psi>."""
         ref = spin_ops.aklt_state(n)
-        expected = np.vdot(ref.state.amps, spin_ops.hamiltonian_apply(ref.state).amps).real
-        assert ref.energy >= 0.0
-        assert abs(ref.energy - expected) <= 1e-15
+        energy = sum(bond_weights(ref, proj9))
+        expected = np.vdot(ref, spin_ops.hamiltonian_apply(ref, proj9)).real
+        assert energy >= 0.0
+        assert abs(energy - expected) <= 1e-15
 
     def test_perturbed_state_fails_the_certificate(self, monkeypatch):
         fix_phase = spin_ops._fix_phase
