@@ -86,14 +86,7 @@ import numpy as np
 
 from . import qubit_map
 from .params import COUNTER_CAP, MiteConfig, check_chain_size
-from .spin_ops import (
-    SpinMatrices,
-    _fix_phase,
-    aklt_state,
-    bond_projector,
-    site_matrices,
-    spin1_matrices,
-)
+from .spin_ops import _fix_phase, aklt_state, bond_projector, site_matrices, spin1_matrices
 from .statevec import (
     bond_weights,
     fidelity,
@@ -194,10 +187,10 @@ def peak_energy(k0: int, k1: int, epsilon: float) -> float:
     return math.asin((k1 - k0) / total) / (2.0 * epsilon)
 
 
-def site_rotations(vs, site: SpinMatrices) -> np.ndarray:
+def site_rotations(vs, site: np.ndarray) -> np.ndarray:
     """exp(i v.S) for each rotation vector v of the (k, 3) stack ``vs``, in
-    closed form (one vector is a stack of one); returns the (k, d, d)
-    stack of site matrices.
+    closed form (one vector is a stack of one), with S the (3, d, d) stack
+    ``site``; returns the (k, d, d) stack of site matrices.
 
     For a unit vector n, n.S has spectrum in {-1, 0, 1} in both encodings
     (spin 1; triplet plus singlet of a qubit pair), so (n.S)^3 = n.S and
@@ -222,11 +215,11 @@ def site_rotations(vs, site: SpinMatrices) -> np.ndarray:
             coef.append((1j * math.sin(t) / t, 2 * half * half))
     lin, quad = np.array(coef).T[:, :, None, None]
     vx, vy, vz = vs.T[:, :, None, None]
-    gen = vx * site.sx + vy * site.sy + vz * site.sz
-    return np.eye(site.dim) + lin * gen - quad * (gen @ gen)
+    gen = vx * site[0] + vy * site[1] + vz * site[2]
+    return np.eye(site.shape[-1]) + lin * gen - quad * (gen @ gen)
 
 
-def correction_unitary(site: SpinMatrices, rng: np.random.Generator) -> np.ndarray:
+def correction_unitary(site: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Independent random spin rotations exp(2 pi i a.S) on the two sites of
     a bond.
 
@@ -236,7 +229,7 @@ def correction_unitary(site: SpinMatrices, rng: np.random.Generator) -> np.ndarr
     ``np.kron``.
     """
     left, right = site_rotations(2 * np.pi * rng.random(6).reshape(2, 3), site)
-    d2 = site.dim * site.dim
+    d2 = site.shape[-1] ** 2
     return (left[:, None, :, None] * right[None, :, None, :]).reshape(d2, d2)
 
 
@@ -247,22 +240,19 @@ def sweep_order(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ChainOps:
-    """Operators and reference state for one (n, mode) chain."""
+    """Operators and reference state of one encoding ``mode``: the bond
+    projector, the (3, d, d) site spin stack and the reference state, whose
+    shape (d,) * N gives the chain length."""
 
-    n: int
     mode: str
     projector: np.ndarray
-    site: SpinMatrices
+    site: np.ndarray
     reference: np.ndarray
-
-    def initial_state(self) -> np.ndarray:
-        return product_state(self.n, self.site.dim)
 
 
 def build_chain(n: int, mode: str) -> ChainOps:
     reference = aklt_state(n) if mode == "spin1" else qubit_map.reencoded_reference(n)
     return ChainOps(
-        n=n,
         mode=mode,
         projector=bond_projector(mode),
         site=site_matrices(mode),
@@ -360,17 +350,18 @@ def sweep_round(
     a correction sets both neighbouring bonds (bond n wrapping to 1) to
     (0, 0, 0)."""
     stats: list[SubroutineStats] = []
+    n = state.ndim
 
     def visit(j: int, frame: np.ndarray) -> np.ndarray:
         frame, st = mite_subroutine(frame, j, chain, config, rng, counts[j], kernel)
         counts[j] = st.counts
         if st.corrections > 0:
             # neighbors' evidence refers to a state the correction destroyed
-            counts[1 + (j - 2) % chain.n] = counts[1 + j % chain.n] = (0, 0, 0)
+            counts[1 + (j - 2) % n] = counts[1 + j % n] = (0, 0, 0)
         stats.append(st)
         return frame
 
-    return walk_bonds(state, sweep_order(chain.n), visit), stats
+    return walk_bonds(state, sweep_order(n), visit), stats
 
 
 _AXES = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}
@@ -381,7 +372,7 @@ def apply_noise(
     axis: str | None,
     sigma2: float,
     rng: np.random.Generator,
-    site: SpinMatrices,
+    site: np.ndarray,
 ) -> np.ndarray:
     """Random local rotations exp(i xi_j S_j^axis) on every site.
 
@@ -445,7 +436,7 @@ def prepare(config: MiteConfig, n: int, mode: str, kernel=TwoLevelBond) -> Traje
     chain = build_chain(n, mode)
     config.e_th(mode)  # validate threshold up front
     rng = np.random.default_rng(config.seed)
-    state = chain.initial_state()
+    state = product_state(n, chain.site.shape[-1])
     counts = dict.fromkeys(range(1, n + 1), (0, 0, 0))
     record = TrajectoryRecord(n=n, mode=mode, seed=config.seed, f_tot=[], partial=[], e_peak=[],
                               corrections=[], measurements=[],
@@ -483,7 +474,7 @@ def padded_series(record: TrajectoryRecord, r_max: int) -> np.ndarray:
 
 def sx_stretched_site_ket() -> np.ndarray:
     """The Sx eigenvalue +1 eigenvector of one spin-1 site, in the Sz basis."""
-    vals, vecs = np.linalg.eigh(spin1_matrices().sx)
+    vals, vecs = np.linalg.eigh(spin1_matrices()[0])
     return _fix_phase(vecs[:, int(np.argmax(vals))])
 
 

@@ -74,7 +74,7 @@ class MiteConfig:
         return e_th
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for one recompilation run."""
 

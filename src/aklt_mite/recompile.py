@@ -13,7 +13,10 @@ The ansatz is a layered circuit on 5 qubits: an initial moment of one
 three-angle single-qubit gate per qubit, then ``n_layers`` repetitions of a
 CNOT moment (odd layers entangle qubit pairs (1,2), (3,4); even layers
 (2,3), (4,5); control on the lower-numbered qubit) followed by another
-five-gate moment.  Parameters: 3 * 5 * (n_layers + 1) angles in [0, 2 pi].
+five-gate moment.  Its angles, each in [0, 2 pi], are one flat vector of
+3 * 5 * (n_layers + 1) entries, moment by moment, gate by gate; the
+vector's length gives the depth, read as ``params.reshape(-1, N_QUBITS,
+3)``, and a length that is not a multiple of 15 raises ``ValueError``.
 Optimization is box-constrained L-BFGS with analytic gradients, wrapped in
 random-restart hops around the best point found: ``optimize_once`` is one
 repetition, and returns what it found.  The scan over depths and
@@ -36,8 +39,7 @@ from .spin_ops import bond_projector
 
 N_QUBITS = 5
 DIM = 2**N_QUBITS
-GATES_PER_MOMENT = N_QUBITS
-PARAMS_PER_MOMENT = 3 * GATES_PER_MOMENT
+PARAMS_PER_MOMENT = 3 * N_QUBITS
 HOP_SIZE = 0.3  # amplitude of the uniform jitter a restart hop adds to every angle
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -99,35 +101,20 @@ def cnot_moment(parity: str) -> np.ndarray:
     raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
-def cnot_gathers(parity: str) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables ``rows, cols`` of the permutation ``m = cnot_moment(parity)``:
-    ``m @ x`` is ``x[rows]`` and ``x @ m`` is ``x.take(cols, axis=1)``, with
-    the bits of the matrix products (each sum has one term times 1)."""
-    m = cnot_moment(parity).real
-    return m.argmax(axis=1), m.argmax(axis=0)
+def cnot_gather(parity: str) -> np.ndarray:
+    """Index table ``g`` of the permutation ``m = cnot_moment(parity)``:
+    ``m @ x`` is ``x[g]`` and ``x @ m`` is ``x.take(g, axis=1)``, with the
+    bits of the matrix products (each sum has one term times 1).  One table
+    serves both sides because ``m``, a kron of CX and identities, is
+    symmetric."""
+    return cnot_moment(parity).real.argmax(axis=1)
 
 
-_CNOT_GATHERS = (cnot_gathers("even"), cnot_gathers("odd"))  # indexed by layer % 2
+_CNOT_GATHERS = (cnot_gather("even"), cnot_gather("odd"))  # indexed by layer % 2
 
 
 def n_params(n_layers: int) -> int:
     return PARAMS_PER_MOMENT * (n_layers + 1)
-
-
-@dataclass(frozen=True)
-class ParamCircuit:
-    """Layered ansatz: ``n_layers`` CNOT+gate layers after an initial moment."""
-
-    n_layers: int
-    params: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", np.asarray(self.params, dtype=float))
-        if self.params.shape != (n_params(self.n_layers),):
-            raise ValueError(
-                f"expected {n_params(self.n_layers)} parameters for "
-                f"{self.n_layers} layers, got {self.params.size}"
-            )
 
 
 def _kron_gates(gates: np.ndarray) -> np.ndarray:
@@ -151,8 +138,8 @@ def _factor_rows(gd: np.ndarray) -> np.ndarray:
     shape ``(n_layers + 1, 16, 5, 2, 2)``, from ``u3_and_derivatives`` of the
     angles: row 0 holds the moment's gates, row 1 + 3 q + a the same gates
     with gate q replaced by its derivative in angle a."""
-    q = np.repeat(np.arange(GATES_PER_MOMENT), 3)
-    a = np.tile(np.arange(1, 4), GATES_PER_MOMENT)
+    q = np.repeat(np.arange(N_QUBITS), 3)
+    a = np.tile(np.arange(1, 4), N_QUBITS)
     rows = np.repeat(gd[:, None, :, 0], 1 + PARAMS_PER_MOMENT, axis=1)
     rows[:, 1 + np.arange(PARAMS_PER_MOMENT), q] = gd[:, q, a]
     return rows
@@ -166,7 +153,7 @@ def _forward(moments: np.ndarray) -> tuple[list, np.ndarray]:
     before = [None]
     acc = moments[0]
     for layer in range(1, len(moments)):
-        acc = acc[_CNOT_GATHERS[layer % 2][0]]
+        acc = acc[_CNOT_GATHERS[layer % 2]]
         before.append(acc)
         acc = moments[layer] @ acc
     return before, acc
@@ -183,10 +170,9 @@ def target_unitary(epsilon: float) -> np.ndarray:
     )
 
 
-def loss_and_grad(
-    params: np.ndarray, n_layers: int, target: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Loss 1 - |Tr(V'U)|/d and its analytic gradient.
+def loss_and_grad(params: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Loss 1 - |Tr(V'U)|/d and its analytic gradient, at the flat angle
+    vector ``params`` of any depth.
 
     The gradient differentiates one gate moment at a time against cached
     products of the moments before and after it; CNOT moments enter those
@@ -197,9 +183,10 @@ def loss_and_grad(
     Cross-checked against central finite differences, and bit for bit
     against a per-angle ``np.kron`` oracle, in the test suite.
     """
-    params = ParamCircuit(n_layers, params).params
-    rows = _factor_rows(u3_and_derivatives(params.reshape(-1, GATES_PER_MOMENT, 3)))
-    all_moments = _kron_gates(rows.reshape(-1, GATES_PER_MOMENT, 2, 2))
+    angles = params.reshape(-1, N_QUBITS, 3)
+    n_layers = len(angles) - 1
+    rows = _factor_rows(u3_and_derivatives(angles))
+    all_moments = _kron_gates(rows.reshape(-1, N_QUBITS, 2, 2))
     all_moments = all_moments.reshape(rows.shape[:2] + all_moments.shape[1:])
     moments = all_moments[:, 0]
     before, v = _forward(moments)
@@ -214,7 +201,7 @@ def loss_and_grad(
     after = [None] * (n_layers + 1)
     acc = moments[n_layers]
     for layer in range(n_layers, 0, -1):
-        acc = acc.take(_CNOT_GATHERS[layer % 2][1], axis=1)
+        acc = acc.take(_CNOT_GATHERS[layer % 2], axis=1)
         after[layer - 1] = acc
         if layer > 1:
             acc = acc @ moments[layer - 1]
@@ -262,7 +249,7 @@ def _lbfgsb_core():
     return sys.modules[name]
 
 
-def lbfgsb(x0: np.ndarray, n_layers: int, target: np.ndarray, maxiter: int):
+def lbfgsb(x0: np.ndarray, target: np.ndarray, maxiter: int):
     """Minimize ``loss_and_grad`` over the box [0, 2 pi] from ``x0`` and
     return (x, f, nit).  This is the loop of scipy's
     ``minimize(method="L-BFGS-B")`` at its defaults (m = 10, ftol, gtol =
@@ -289,7 +276,7 @@ def lbfgsb(x0: np.ndarray, n_layers: int, target: np.ndarray, maxiter: int):
             raise RuntimeError(f"scipy {version('scipy')}'s L-BFGS-B core does not take the "
                                f"arguments of the scipy >= 1.15 core this driver calls: {exc}") from exc
         if task[0] == 3:  # evaluate f and g at x
-            f, g = loss_and_grad(x.copy(), n_layers, target)
+            f, g = loss_and_grad(x.copy(), target)
             nfev += 1
         elif task[0] == 1:  # new iterate
             nit += 1
@@ -318,7 +305,7 @@ def optimize_once(
             x0 = rng.uniform(0.0, 2 * np.pi, npar)
         else:
             x0 = np.clip(best_x + rng.uniform(-HOP_SIZE, HOP_SIZE, npar), 0.0, 2 * np.pi)
-        x, f, nit = lbfgsb(x0, n_layers, target, cfg.maxiter)
+        x, f, nit = lbfgsb(x0, target, cfg.maxiter)
         iterations += nit
         if not np.isfinite(f):
             return RepetitionResult(float("nan"), hop, iterations, failed=True)

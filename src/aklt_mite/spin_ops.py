@@ -26,8 +26,6 @@ the Casimir Sx^2 + Sy^2 + Sz^2 = (3/4) 1 hold exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .params import check_chain_size
@@ -47,48 +45,33 @@ ZERO_ENERGY_TOL = 1e-8
 REFERENCE_RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SpinMatrices:
-    """The three Cartesian spin components for one site."""
-
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-    def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.sx, self.sy, self.sz)
-
-    @property
-    def dim(self) -> int:
-        return self.sx.shape[0]
-
-
-def spin1_matrices() -> SpinMatrices:
-    """Spin-1 matrices in the m = +1, 0, -1 basis."""
+def spin1_matrices() -> np.ndarray:
+    """Spin-1 matrices (Sx, Sy, Sz) in the m = +1, 0, -1 basis, stacked as
+    one complex (3, 3, 3) array."""
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
     sy = 1j * np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]], dtype=complex) / SQRT2
     sz = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
-    return SpinMatrices(sx, sy, sz)
+    return np.stack([sx, sy, sz])
 
 
-def spin_half_matrices() -> SpinMatrices:
-    """Spin-1/2 matrices (Pauli over 2) in the |0>, |1> basis, sigma^z |n> = (-1)^n |n>."""
+def spin_half_matrices() -> np.ndarray:
+    """Spin-1/2 matrices (Pauli over 2) in the |0>, |1> basis, sigma^z |n> =
+    (-1)^n |n>, stacked (Sx, Sy, Sz) as one complex (3, 2, 2) array."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex) / 2
     sz = np.array([[1, 0], [0, -1]], dtype=complex) / 2
-    return SpinMatrices(sx, sy, sz)
+    return np.stack([sx, sy, sz])
 
 
-def paired_site_matrices() -> SpinMatrices:
-    """Per-site spin components of the two-qubit encoding: S = s_a + s_b (4x4)."""
-    half = spin_half_matrices()
+def paired_site_matrices() -> np.ndarray:
+    """Per-site spin components of the two-qubit encoding, S = s_a + s_b,
+    stacked (Sx, Sy, Sz) as one complex (3, 4, 4) array."""
     eye = np.eye(2)
-    return SpinMatrices(
-        *(np.kron(s, eye) + np.kron(eye, s) for s in half.as_tuple())
-    )
+    return np.stack([np.kron(s, eye) + np.kron(eye, s) for s in spin_half_matrices()])
 
 
-def site_matrices(mode: str) -> SpinMatrices:
+def site_matrices(mode: str) -> np.ndarray:
+    """The (3, d, d) stack (Sx, Sy, Sz) of one site of encoding ``mode``."""
     if mode == "spin1":
         return spin1_matrices()
     if mode == "qubit":
@@ -96,10 +79,10 @@ def site_matrices(mode: str) -> SpinMatrices:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _two_site_total_spin_sq(site: SpinMatrices) -> np.ndarray:
-    eye = np.eye(site.dim)
+def _two_site_total_spin_sq(site: np.ndarray) -> np.ndarray:
+    eye = np.eye(site.shape[-1])
     total = 0.0
-    for s in site.as_tuple():
+    for s in site:
         j = np.kron(s, eye) + np.kron(eye, s)
         total = total + j @ j
     return total

@@ -89,8 +89,8 @@ def bond_projector_short_form(mode: str) -> np.ndarray:
     genuine spin-1 degrees of freedom.
     """
     site = spin_ops.site_matrices(mode)
-    eye_site = np.eye(site.dim)
-    dot = sum(np.kron(s, s) for s in site.as_tuple())
+    eye_site = np.eye(site.shape[-1])
+    dot = sum(np.kron(s, s) for s in site)
     eye = np.kron(eye_site, eye_site)
     return (dot + dot @ dot / 3.0 + 2.0 / 3.0 * eye) / 2.0
 
@@ -112,9 +112,9 @@ def coupled_basis() -> list[CoupledState]:
     next multiplet by orthogonality within the fixed-m subspace
     (Condon-Shortley phases: first nonzero coefficient positive).
     """
-    s1 = spin_ops.spin1_matrices()
+    sx, sy, _ = spin_ops.spin1_matrices()
     eye = np.eye(3)
-    s_minus = (s1.sx - 1j * s1.sy)
+    s_minus = (sx - 1j * sy)
     lower = np.kron(s_minus, eye) + np.kron(eye, s_minus)
 
     states: list[CoupledState] = []
@@ -188,9 +188,10 @@ def isometry_pullback(op: np.ndarray) -> np.ndarray:
     return v2.conj().T @ op @ v2
 
 
-def circuit_unitary(circ: recompile.ParamCircuit) -> np.ndarray:
-    """Evaluate the ansatz to its 32x32 unitary."""
-    angles = circ.params.reshape(-1, recompile.GATES_PER_MOMENT, 3)
+def circuit_unitary(params: np.ndarray) -> np.ndarray:
+    """Evaluate the ansatz at the flat angle vector ``params`` to its 32x32
+    unitary; the vector's length gives the depth."""
+    angles = params.reshape(-1, recompile.N_QUBITS, 3)
     gates = recompile.u3_and_derivatives(angles)[:, :, 0]
     return recompile._forward(recompile._kron_gates(gates))[1]
 
@@ -232,26 +233,26 @@ def schmidt_fidelity_bound(target: np.ndarray, n_layers: int) -> float:
 
 
 def check_spin1_algebra():
-    s = spin_ops.spin1_matrices()
+    sx, sy, sz = spin_ops.spin1_matrices()
     defect = max(
-        _maxabs(s.sx @ s.sy - s.sy @ s.sx - 1j * s.sz),
-        _maxabs(s.sy @ s.sz - s.sz @ s.sy - 1j * s.sx),
-        _maxabs(s.sz @ s.sx - s.sx @ s.sz - 1j * s.sy),
+        _maxabs(sx @ sy - sy @ sx - 1j * sz),
+        _maxabs(sy @ sz - sz @ sy - 1j * sx),
+        _maxabs(sz @ sx - sx @ sz - 1j * sy),
     )
     return defect <= 1e-12, f"max commutator defect {defect:.2e}"
 
 
 def check_spin1_casimir():
-    s = spin_ops.spin1_matrices()
-    defect = _maxabs(s.sx @ s.sx + s.sy @ s.sy + s.sz @ s.sz - 2 * np.eye(3))
+    sx, sy, sz = spin_ops.spin1_matrices()
+    defect = _maxabs(sx @ sx + sy @ sy + sz @ sz - 2 * np.eye(3))
     return defect <= 1e-12, f"S^2 - 2*1 defect {defect:.2e}"
 
 
 def check_spin_half_algebra():
-    s = spin_ops.spin_half_matrices()
+    sx, sy, sz = spin_ops.spin_half_matrices()
     defect = max(
-        _maxabs(s.sx @ s.sy - s.sy @ s.sx - 1j * s.sz),
-        _maxabs(s.sx @ s.sx + s.sy @ s.sy + s.sz @ s.sz - 0.75 * np.eye(2)),
+        _maxabs(sx @ sy - sy @ sx - 1j * sz),
+        _maxabs(sx @ sx + sy @ sy + sz @ sz - 0.75 * np.eye(2)),
     )
     return defect <= 1e-12, f"algebra/casimir defect {defect:.2e}"
 
@@ -350,7 +351,7 @@ def check_correction_unitarity():
             # correction-sized and noise-sized rotation vectors
             vs = np.stack([2 * np.pi * rng.random(3), 0.1 * rng.standard_normal(3)])
             for v, rot in zip(vs, mite.site_rotations(vs, mats)):
-                gen = v[0] * mats.sx + v[1] * mats.sy + v[2] * mats.sz
+                gen = v[0] * mats[0] + v[1] * mats[1] + v[2] * mats[2]
                 worst_expm = max(worst_expm, _maxabs(rot - expm(1j * gen)))
     passed = worst <= 1e-12 and worst_expm <= 1e-12
     return passed, f"worst unitarity defect {worst:.2e}, closed form vs expm {worst_expm:.2e}"
@@ -400,8 +401,7 @@ def check_target_unitary_closed_form():
 
 def check_circuit_unitarity():
     rng = np.random.default_rng(3)
-    circ = recompile.ParamCircuit(2, rng.uniform(0, 2 * np.pi, recompile.n_params(2)))
-    u = circuit_unitary(circ)
+    u = circuit_unitary(rng.uniform(0, 2 * np.pi, recompile.n_params(2)))
     defect = _maxabs(u @ u.conj().T - np.eye(32))
     return defect <= 1e-10, f"unitarity defect {defect:.2e}"
 
@@ -410,7 +410,7 @@ def check_gradient_finite_difference():
     rng = np.random.default_rng(5)
     target = recompile.target_unitary(0.5)
     x = rng.uniform(0, 2 * np.pi, recompile.n_params(1))
-    _, grad = recompile.loss_and_grad(x, 1, target)
+    _, grad = recompile.loss_and_grad(x, target)
     h = 1e-5
     worst = 0.0
     for k in range(len(x)):
@@ -418,8 +418,8 @@ def check_gradient_finite_difference():
         xp[k] += h
         xm[k] -= h
         fd = (
-            recompile.loss_and_grad(xp, 1, target)[0]
-            - recompile.loss_and_grad(xm, 1, target)[0]
+            recompile.loss_and_grad(xp, target)[0]
+            - recompile.loss_and_grad(xm, target)[0]
         ) / (2 * h)
         worst = max(worst, abs(grad[k] - fd) / max(abs(fd), 1e-8))
     return worst <= 1e-4, f"max relative error {worst:.2e}"
@@ -435,7 +435,7 @@ def check_schmidt_fidelity_bound():
     own, below, over = 1.0, 0.0, 0.0
     for n_layers in range(1, 5):
         params = rng.uniform(0, 2 * np.pi, recompile.n_params(n_layers))
-        u = circuit_unitary(recompile.ParamCircuit(n_layers, params))
+        u = circuit_unitary(params)
         own = min(own, schmidt_fidelity_bound(u, n_layers))
         below = max(below, schmidt_fidelity_bound(u, n_layers - 1))
         over = max(over, unitary_fidelity(u, target)

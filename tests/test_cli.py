@@ -680,8 +680,7 @@ class TestQubitMode:
         """Corrections that rotate one sub-spin of a site break the a<->b swap
         symmetry; the trajectory leaves the symmetric sector and the job
         stops with exit 2, naming the seed and the round."""
-        half = spin_ops.spin_half_matrices()
-        one_sub_spin = spin_ops.SpinMatrices(*(np.kron(2 * s, np.eye(2)) for s in half.as_tuple()))
+        one_sub_spin = np.stack([np.kron(2 * s, np.eye(2)) for s in spin_ops.spin_half_matrices()])
         monkeypatch.setattr(mite, "site_matrices", lambda mode: one_sub_spin)
         out = tmp_path / "never.csv"
         assert run(["prepare", "--mode", "qubit", "--n", 3, "--runs", 1, "--rounds", 3,

@@ -118,11 +118,13 @@ def _site_rotation(v, site):
     of ``mite.site_rotations``."""
     vx, vy, vz = map(float, v)
     t = math.hypot(vx, vy, vz)
+    d = site.shape[-1]
     if t == 0.0:
-        return np.eye(site.dim, dtype=complex)
-    gen = vx * site.sx + vy * site.sy + vz * site.sz
+        return np.eye(d, dtype=complex)
+    sx, sy, sz = site
+    gen = vx * sx + vy * sy + vz * sz
     half = math.sin(t / 2) / t
-    return np.eye(site.dim) + (1j * math.sin(t) / t) * gen - (2 * half * half) * (gen @ gen)
+    return np.eye(d) + (1j * math.sin(t) / t) * gen - (2 * half * half) * (gen @ gen)
 
 
 SITES = [spin_ops.spin1_matrices, spin_ops.paired_site_matrices]
@@ -155,7 +157,7 @@ class TestCorrectionUnitary:
         vectors += [2 * np.pi * rng.random(3) for _ in range(50)]  # correction-sized
         vectors += [0.1 * rng.standard_normal(3) for _ in range(50)]  # noise-sized
         for v, rot in zip(vectors, mite.site_rotations(vectors, site)):
-            gen = v[0] * site.sx + v[1] * site.sy + v[2] * site.sz
+            gen = v[0] * site[0] + v[1] * site[1] + v[2] * site[2]
             assert np.max(np.abs(rot - expm(1j * gen))) <= 1e-12
 
     @pytest.mark.parametrize("maker", SITES)
@@ -172,7 +174,7 @@ class TestCorrectionUnitary:
         for k in (1, 2, 5, 9, len(vectors)):
             for start in range(0, len(vectors) - k + 1, max(k, 37)):
                 rots = mite.site_rotations(vectors[start:start + k], site)
-                assert rots.shape == (k, site.dim, site.dim)
+                assert rots.shape == (k,) + site.shape[1:]
                 for v, rot in zip(vectors[start:start + k], rots):
                     assert np.array_equal(rot, _site_rotation(v, site))
 
@@ -276,10 +278,7 @@ class TestSubroutine:
         the feedback loop fires a correction almost surely within a few
         visits of the persistent-counter subroutine."""
         cfg = mite.MiteConfig(seed=0)
-        chain = mite.build_chain(3, "spin1")
-        two_site = mite.ChainOps(
-            n=2, mode="spin1", projector=chain.projector, site=chain.site, reference=None,
-        )
+        chain = mite.build_chain(3, "spin1")  # a visit reads only the frame of its bond
         events = record_visits(monkeypatch)
         fired = 0
         first_fire_meas = []
@@ -291,7 +290,7 @@ class TestSubroutine:
             counts = (0, 0, 0)
             for _visit in range(3):  # the loop spans sweep rounds in practice
                 state, stats = mite.mite_subroutine(
-                    state, 1, two_site, cfg, rng, counts, mite.TwoLevelBond
+                    state, 1, chain, cfg, rng, counts, mite.TwoLevelBond
                 )
                 counts = stats.counts
                 if stats.corrections > 0:
@@ -323,7 +322,7 @@ class TestSubroutine:
         chain = mite.build_chain(4, "spin1")
         counts = dict.fromkeys(range(1, 5), (0, 0, 0))
         rng = np.random.default_rng(3)
-        state = chain.initial_state()
+        state = product_state(4, 3)
         for _ in range(3):
             state, _ = mite.sweep_round(state, chain, mite.MiteConfig(), rng, counts, LoggedBond)
         assert "fire" in log
@@ -363,7 +362,7 @@ class TestSubroutine:
     def test_counter_resets_after_each_correction(self, monkeypatch):
         cfg = mite.MiteConfig(seed=0)
         chain = mite.build_chain(3, "spin1")
-        state = frame_of(chain.initial_state(), 1)
+        state = frame_of(product_state(3, 3), 1)
         rng = np.random.default_rng(1)
         events = record_visits(monkeypatch)
         _, stats = mite.mite_subroutine(state, 1, chain, cfg, rng, (0, 0, 0), mite.TwoLevelBond)
@@ -388,7 +387,7 @@ class TestSubroutine:
         out = []
         for _ in range(2):
             events.clear()
-            state = frame_of(chain.initial_state(), 2)
+            state = frame_of(product_state(3, 3), 2)
             rng = np.random.default_rng(7)
             state, stats = mite.mite_subroutine(
                 state, 2, chain, cfg, rng, (0, 0, 0), mite.TwoLevelBond
@@ -439,7 +438,7 @@ class TestTwoLevelKernel:
             calls.clear()
             j = 1 + visit % 3
             state, stats = mite.mite_subroutine(
-                frame_of(chain.initial_state(), j), j, chain, mite.MiteConfig(), rng, counts,
+                frame_of(product_state(3, 3), j), j, chain, mite.MiteConfig(), rng, counts,
                 mite.TwoLevelBond,
             )
             counts = stats.counts
@@ -501,7 +500,7 @@ class TestSweepRound:
     def test_bond_order_n6(self):
         cfg = mite.MiteConfig(seed=0)
         chain = mite.build_chain(6, "spin1")
-        state = chain.initial_state()
+        state = product_state(6, 3)
         counts = dict.fromkeys(range(1, 7), (0, 0, 0))
         _, stats = mite.sweep_round(
             state, chain, cfg, np.random.default_rng(0), counts, mite.TwoLevelBond
@@ -532,7 +531,7 @@ class TestSweepRound:
         for seed in (0, 3):
             visits.clear()
             counts = dict.fromkeys(range(1, n + 1), (0, 0, 0))
-            state, rng = chain.initial_state(), np.random.default_rng(seed)
+            state, rng = product_state(n, 3), np.random.default_rng(seed)
             for _ in range(4):
                 state, _ = mite.sweep_round(state, chain, mite.MiteConfig(), rng, counts,
                                             mite.TwoLevelBond)
@@ -666,7 +665,8 @@ class TestPrepare:
         assert not hasattr(mite, "apply_two_site")
         cfg = mite.MiteConfig(seed=1, r_max=3, noise_axis="x", noise_sigma2=1e-2)
         assert len(mite.prepare(cfg, 4, mode).f_tot) == 4
-        assert mite.build_chain(5, mode).reference.shape == (spin_ops.site_matrices(mode).dim,) * 5
+        d = spin_ops.site_matrices(mode).shape[-1]
+        assert mite.build_chain(5, mode).reference.shape == (d,) * 5
         assert mite.direct_projection_converge(5, 2).shape == (3,)
 
     def test_fidelity_improves_at_small_size(self):
@@ -700,7 +700,7 @@ class TestNoise:
         site = spin_ops.site_matrices(mode)
         unit = np.array([1.0, 0.0, 0.0]) if axis == "x" else np.array([0.0, 0.0, 1.0])
         rng = np.random.default_rng(9)
-        state = random_state(rng, 4, site.dim)
+        state = random_state(rng, 4, site.shape[-1])
         for seed in range(10):
             expected, oracle_rng = state, np.random.default_rng(seed)
             for j in range(1, 5):
@@ -806,7 +806,8 @@ class TestNoDiagonalization:
 
         monkeypatch.setattr(spin_ops, "zero_mode", forbidden)
         for mode in ("spin1", "qubit"):
-            assert mite.build_chain(4, mode).reference.shape == (spin_ops.site_matrices(mode).dim,) * 4
+            d = spin_ops.site_matrices(mode).shape[-1]
+            assert mite.build_chain(4, mode).reference.shape == (d,) * 4
         series = mite.direct_projection_converge(7, 2)
         assert series.shape == (3,)
 

@@ -34,7 +34,7 @@ class TestIsometry:
         v = qubit_map.triplet_isometry()
         s1 = spin_ops.spin1_matrices()
         mapped = spin_ops.paired_site_matrices()
-        for a, b in zip(s1.as_tuple(), mapped.as_tuple()):
+        for a, b in zip(s1, mapped):
             assert np.max(np.abs(v.conj().T @ b @ v - a)) <= 1e-12
 
 

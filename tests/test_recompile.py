@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -96,35 +98,37 @@ class TestCircuit:
     @pytest.mark.parametrize("parity", ["odd", "even"])
     def test_gathers_match_cnot_products_bitwise(self, rng, parity):
         m = rc.cnot_moment(parity)
-        rows, cols = rc.cnot_gathers(parity)
+        assert np.array_equal(m, m.T)  # so one table gathers rows and columns alike
+        g = rc.cnot_gather(parity)
         for _ in range(5):
             x = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-            assert np.array_equal(x[rows], m @ x)
-            assert np.array_equal(x.take(cols, axis=1), x @ m)
+            assert np.array_equal(x[g], m @ x)
+            assert np.array_equal(x.take(g, axis=1), x @ m)
 
     def test_bad_parity(self):
         with pytest.raises(ValueError):
             rc.cnot_moment("diagonal")
 
     def test_zero_depth_zero_params_is_identity(self):
-        circ = rc.ParamCircuit(0, np.zeros(rc.n_params(0)))
-        assert np.allclose(verify.circuit_unitary(circ), np.eye(32), atol=1e-14)
+        assert np.allclose(verify.circuit_unitary(np.zeros(rc.n_params(0))), np.eye(32), atol=1e-14)
 
     def test_zero_params_leaves_cnot_layers(self):
-        circ = rc.ParamCircuit(2, np.zeros(rc.n_params(2)))
         expected = rc.cnot_moment("even") @ rc.cnot_moment("odd")
-        assert np.allclose(verify.circuit_unitary(circ), expected, atol=1e-14)
+        assert np.allclose(verify.circuit_unitary(np.zeros(rc.n_params(2))), expected, atol=1e-14)
 
     def test_unitary_for_random_params(self, rng):
-        circ = rc.ParamCircuit(3, rng.uniform(0, 2 * np.pi, rc.n_params(3)))
-        u = verify.circuit_unitary(circ)
+        u = verify.circuit_unitary(rng.uniform(0, 2 * np.pi, rc.n_params(3)))
         assert np.max(np.abs(u @ u.conj().T - np.eye(32))) <= 1e-10
 
     def test_param_count(self):
         assert rc.n_params(0) == 15
         assert rc.n_params(4) == 75
+        # the angle vector's length gives the depth: it must be a multiple of 15
+        target = rc.target_unitary(0.5)
         with pytest.raises(ValueError):
-            rc.ParamCircuit(2, np.zeros(10))
+            rc.loss_and_grad(np.zeros(10), target)
+        with pytest.raises(ValueError):
+            verify.circuit_unitary(np.zeros(10))
 
 
 class TestUnitaryFidelity:
@@ -219,14 +223,14 @@ class TestGradient:
         target = rc.target_unitary(0.5)
         for n_layers in (0, 2, 4):
             x = rng.uniform(0, 2 * np.pi, rc.n_params(n_layers))
-            _, grad = rc.loss_and_grad(x, n_layers, target)
+            _, grad = rc.loss_and_grad(x, target)
             h = 1e-5
             for k in range(len(x)):
                 xp, xm = x.copy(), x.copy()
                 xp[k] += h
                 xm[k] -= h
-                fd = (rc.loss_and_grad(xp, n_layers, target)[0]
-                      - rc.loss_and_grad(xm, n_layers, target)[0]) / (2 * h)
+                fd = (rc.loss_and_grad(xp, target)[0]
+                      - rc.loss_and_grad(xm, target)[0]) / (2 * h)
                 assert abs(grad[k] - fd) / max(abs(fd), 1e-8) <= 1e-4, (n_layers, k)
 
     @pytest.mark.parametrize("n_layers", range(8))
@@ -236,12 +240,11 @@ class TestGradient:
             target = rc.target_unitary(epsilon)
             for _ in range(4):
                 x = rng.uniform(0, 2 * np.pi, rc.n_params(n_layers))
-                loss, grad = rc.loss_and_grad(x, n_layers, target)
+                loss, grad = rc.loss_and_grad(x, target)
                 want_loss, want_grad = _oracle_loss_and_grad(x, n_layers, target)
                 assert loss == want_loss
                 assert np.array_equal(grad, want_grad)
-                assert np.array_equal(verify.circuit_unitary(rc.ParamCircuit(n_layers, x)),
-                                      _oracle_unitary(x, n_layers))
+                assert np.array_equal(verify.circuit_unitary(x), _oracle_unitary(x, n_layers))
 
     def test_batched_kron_matches_np_kron(self, rng):
         gates = rng.standard_normal((7, 5, 2, 2)) + 1j * rng.standard_normal((7, 5, 2, 2))
@@ -254,23 +257,23 @@ class TestGradient:
         # zero angles at depth 0 give the identity, whose overlap with
         # Z (x) 1 is its trace, exactly 0: no gradient direction exists
         target = np.kron(np.diag([1.0, -1.0]), np.eye(16)).astype(complex)
-        loss, grad = rc.loss_and_grad(np.zeros(rc.n_params(0)), 0, target)
+        loss, grad = rc.loss_and_grad(np.zeros(rc.n_params(0)), target)
         assert loss == 1.0
         assert np.array_equal(grad, np.zeros(rc.n_params(0)))
 
     def test_descent_direction(self, rng):
         target = rc.target_unitary(0.5)
         x = rng.uniform(0, 2 * np.pi, rc.n_params(1))
-        loss, grad = rc.loss_and_grad(x, 1, target)
+        loss, grad = rc.loss_and_grad(x, target)
         assert np.linalg.norm(grad, np.inf) > 1e-6  # non-stationary point
         step = 1e-4 * grad / np.linalg.norm(grad)
-        assert rc.loss_and_grad(x - step, 1, target)[0] < loss
+        assert rc.loss_and_grad(x - step, target)[0] < loss
 
     def test_gradient_vanishes_at_self_target_optimum(self, rng):
         # recompiling a circuit against itself has a known exact optimum
         x_star = rng.uniform(0.5, 2 * np.pi - 0.5, rc.n_params(1))
-        target = verify.circuit_unitary(rc.ParamCircuit(1, x_star))
-        loss, grad = rc.loss_and_grad(x_star, 1, target)
+        target = verify.circuit_unitary(x_star)
+        loss, grad = rc.loss_and_grad(x_star, target)
         assert loss <= 1e-14
         assert np.linalg.norm(grad, np.inf) <= 1e-5
 
@@ -278,13 +281,19 @@ class TestGradient:
 class TestOptimize:
     def test_self_target_recovers_unit_fidelity(self, rng):
         x_star = rng.uniform(0.5, 2 * np.pi - 0.5, rc.n_params(1))
-        target = verify.circuit_unitary(rc.ParamCircuit(1, x_star))
+        target = verify.circuit_unitary(x_star)
         cfg = rc.OptimizerConfig(maxiter=300, n_hops=2, repetitions=1, seed=0)
         best = max(
             rc.optimize_once(target, 1, np.random.default_rng(seed), cfg).fidelity
             for seed in range(3)
         )
         assert best >= 0.9999
+
+    def test_config_is_frozen(self):
+        # a field can change only through __post_init__'s checks
+        cfg = rc.OptimizerConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.maxiter = 0
 
     def test_deterministic_given_seed(self):
         target = rc.target_unitary(0.5)
@@ -373,9 +382,9 @@ class TestLbfgsb:
         convergence ends the run."""
         loss_and_grad, points = rc.loss_and_grad, []
 
-        def recorded(params, n_layers, target):
+        def recorded(params, target):
             points.append(params.tobytes())
-            return loss_and_grad(params, n_layers, target)
+            return loss_and_grad(params, target)
 
         monkeypatch.setattr(rc, "loss_and_grad", recorded)  # lbfgsb looks it up per call
         target, converged = rc.target_unitary(0.5), 0
@@ -383,11 +392,11 @@ class TestLbfgsb:
             for maxiter in (5, 30, 200):
                 for seed in (0, 1):
                     x0 = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, rc.n_params(n_layers))
-                    x, fun, nit = rc.lbfgsb(x0, n_layers, target, maxiter)
+                    x, fun, nit = rc.lbfgsb(x0, target, maxiter)
                     ours = points.copy()
                     points.clear()
                     res = scipy.optimize.minimize(
-                        recorded, x0, args=(n_layers, target), jac=True, method="L-BFGS-B",
+                        recorded, x0, args=(target,), jac=True, method="L-BFGS-B",
                         bounds=[(0.0, 2 * np.pi)] * len(x0), options={"maxiter": maxiter},
                     )
                     case = (n_layers, maxiter, seed)
@@ -402,12 +411,12 @@ class TestLbfgsb:
     def test_type_error_of_the_loss_is_not_a_core_mismatch(self, monkeypatch):
         """Only a ``TypeError`` of the core's own call is read as a scipy it
         cannot drive; one raised by the loss passes through unchanged."""
-        def broken(params, n_layers, target):
+        def broken(params, target):
             raise TypeError("broken loss")
 
         monkeypatch.setattr(rc, "loss_and_grad", broken)
         with pytest.raises(TypeError, match="broken loss"):
-            rc.lbfgsb(np.zeros(rc.n_params(0)), 0, rc.target_unitary(0.5), 5)
+            rc.lbfgsb(np.zeros(rc.n_params(0)), rc.target_unitary(0.5), 5)
 
 
 class TestSchmidtBound:
@@ -422,7 +431,7 @@ class TestSchmidtBound:
     def test_ansatz_meets_its_own_bound_only_at_its_depth(self, rng):
         for n_layers in range(1, 6):
             x = rng.uniform(0, 2 * np.pi, rc.n_params(n_layers))
-            u = verify.circuit_unitary(rc.ParamCircuit(n_layers, x))
+            u = verify.circuit_unitary(x)
             assert verify.schmidt_fidelity_bound(u, n_layers) >= 1 - 1e-12
             assert verify.schmidt_fidelity_bound(u, n_layers - 1) < 0.99
 

@@ -11,13 +11,17 @@ def comm(a, b):
     return a @ b - b @ a
 
 
+SITE_DIMS = {spin_ops.spin1_matrices: 3, spin_ops.spin_half_matrices: 2,
+             spin_ops.paired_site_matrices: 4}
+
+
 class TestSpinMatrices:
     def test_spin1_entries(self):
-        s = spin_ops.spin1_matrices()
-        assert np.allclose(np.diag(s.sz), [1, 0, -1])
+        sx, sy, sz = spin_ops.spin1_matrices()
+        assert np.allclose(np.diag(sz), [1, 0, -1])
         r2 = np.sqrt(2)
-        assert np.allclose(s.sx, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / r2)
-        assert np.allclose(s.sy, 1j * np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]) / r2)
+        assert np.allclose(sx, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / r2)
+        assert np.allclose(sy, 1j * np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]) / r2)
 
     @pytest.mark.parametrize("maker,casimir", [
         (spin_ops.spin1_matrices, 2.0),        # S(S+1), S=1
@@ -26,14 +30,20 @@ class TestSpinMatrices:
     ])
     def test_su2_algebra(self, maker, casimir):
         s = maker()
-        eye = np.eye(s.dim)
-        assert np.max(np.abs(comm(s.sx, s.sy) - 1j * s.sz)) <= 1e-12
-        assert np.max(np.abs(comm(s.sy, s.sz) - 1j * s.sx)) <= 1e-12
-        assert np.max(np.abs(comm(s.sz, s.sx) - 1j * s.sy)) <= 1e-12
-        for m in s.as_tuple():
+        # one complex (3, d, d) stack in (Sx, Sy, Sz) order
+        d = SITE_DIMS[maker]
+        assert isinstance(s, np.ndarray)
+        assert s.shape == (3, d, d)
+        assert s.dtype == complex
+        sx, sy, sz = s
+        eye = np.eye(d)
+        assert np.max(np.abs(comm(sx, sy) - 1j * sz)) <= 1e-12
+        assert np.max(np.abs(comm(sy, sz) - 1j * sx)) <= 1e-12
+        assert np.max(np.abs(comm(sz, sx) - 1j * sy)) <= 1e-12
+        for m in s:
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
         if casimir is not None:
-            total = sum(m @ m for m in s.as_tuple())
+            total = sum(m @ m for m in s)
             assert np.max(np.abs(total - casimir * eye)) <= 1e-12
 
 
@@ -47,9 +57,9 @@ class TestBondProjector:
     @pytest.mark.parametrize("mode", ["spin1", "qubit"])
     def test_commutes_with_pair_sz(self, mode):
         p = spin_ops.bond_projector(mode)
-        site = spin_ops.site_matrices(mode)
-        eye = np.eye(site.dim)
-        sz_tot = np.kron(site.sz, eye) + np.kron(eye, site.sz)
+        sz = spin_ops.site_matrices(mode)[2]
+        eye = np.eye(sz.shape[0])
+        sz_tot = np.kron(sz, eye) + np.kron(eye, sz)
         assert np.max(np.abs(p @ sz_tot - sz_tot @ p)) <= 1e-12
 
     def test_mapped_restriction_same_spectrum(self, proj16):
@@ -75,9 +85,9 @@ class TestCoupledBasis:
         assert np.max(np.abs(gram - np.eye(9))) <= 1e-12
 
     def test_m_eigenvalues(self):
-        s1 = spin_ops.spin1_matrices()
+        sz = spin_ops.spin1_matrices()[2]
         eye = np.eye(3)
-        sz_tot = np.kron(s1.sz, eye) + np.kron(eye, s1.sz)
+        sz_tot = np.kron(sz, eye) + np.kron(eye, sz)
         for cs in verify.coupled_basis():
             assert np.linalg.norm(sz_tot @ cs.vec - cs.m * cs.vec) <= 1e-12
 

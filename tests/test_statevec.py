@@ -24,9 +24,9 @@ def chain_states(mode, n):
     by name: the builders of that encoding, the change of encoding into it,
     a noise step, a bond walk, a sweep round and the chain-order applies."""
     chain = mite.build_chain(n, mode)
-    d = chain.site.dim
+    d = chain.site.shape[-1]
     rng = np.random.default_rng(3)
-    noisy = mite.apply_noise(chain.initial_state(), "x", 1e-2, rng, chain.site)
+    noisy = mite.apply_noise(product_state(n, d), "x", 1e-2, rng, chain.site)
     counts = dict.fromkeys(range(1, n + 1), (0, 0, 0))
     states = {
         "product_state": product_state(n, d),
@@ -35,7 +35,7 @@ def chain_states(mode, n):
         "sweep_round": mite.sweep_round(noisy, chain, mite.MiteConfig(), rng, counts,
                                         mite.TwoLevelBond)[0],
         "apply_two_site": apply_two_site(chain.projector, n, noisy),
-        "apply_one_site": apply_one_site(chain.site.sx, 2, noisy),
+        "apply_one_site": apply_one_site(chain.site[0], 2, noisy),
         "hamiltonian_apply": spin_ops.hamiltonian_apply(noisy, chain.projector),
     }
     if mode == "spin1":
@@ -56,7 +56,7 @@ class TestChainState:
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("mode", ["spin1", "qubit"])
     def test_every_builder_and_step_returns_the_tensor(self, mode, n):
-        d = spin_ops.site_matrices(mode).dim
+        d = spin_ops.site_matrices(mode).shape[-1]
         for name, state in chain_states(mode, n).items():
             assert state.shape == (d,) * n, name
             assert state.dtype == complex, name
