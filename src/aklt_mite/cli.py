@@ -4,8 +4,8 @@ Subcommands: prepare | project | noise | recompile | verify.  Each
 experiment's parser lists exactly the settings its driver reads.  A
 setting is a flag or the same key in a JSON config file (``--config``;
 flags override file values), read alike by the flag's type and choices;
-any other is an invalid configuration.  Every data file opens with a
-header block (version, config hash, base seed) for exact replay.
+any other is an invalid configuration.  Every data file is CSV and opens
+with a header block (version, config hash, base seed) for exact replay.
 
 The drivers in ``jobs`` return a job's table and summary; ``main`` alone
 writes, once the driver has returned: the data file, then the summary,
@@ -61,7 +61,6 @@ def _build_parser() -> _Parser:
     shared.add_argument("--seed", type=int, help="base RNG seed")
     shared.add_argument("--threads", type=int, help="worker processes for a job's independent runs")
     shared.add_argument("--out", type=Path, help="output file path")
-    shared.add_argument("--format", choices=["csv", "jsonl"], help="output format")
     trajectory = argparse.ArgumentParser(add_help=False, parents=[shared])  # prepare, noise
     trajectory.add_argument("--runs", type=int, help="trajectory count")
     trajectory.add_argument("--n", type=str, help="chain length")
@@ -119,8 +118,7 @@ _DEFAULTS = {
     "n": "4",
     "runs": 20,
     "layers": "1,2,3,4,5,6",
-    "format": "csv",
-    "threads": None,  # AKLT_MITE_THREADS, else 1
+    "threads": 1,
     **{key: getattr(OptimizerConfig(), f) for key, f in OPTIMIZER_FIELDS.items()},
     **{key: getattr(MiteConfig(), f) for key, f in MITE_FIELDS.items()},
     # The one override of a library default: the library and the acceptance
@@ -138,7 +136,7 @@ def _read_setting(key: str, val, action: argparse.Action | None):
     """A config-file value, read by its flag's choices or type from its text,
     as the flag reads a word, so it is the value the flag would give.
     ``fire_window``, the one key with no flag, reads as an integer; ``null``
-    only where the default is ``None``."""
+    only where the default is ``None`` (``eta``, ``noise_axis``)."""
     if val is None and _DEFAULTS[key] is None:
         return None
     if action is not None and action.choices is not None:
@@ -185,12 +183,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    if cfg["threads"] is None:
-        env = os.environ.get("AKLT_MITE_THREADS", "1")
-        try:
-            cfg["threads"] = int(env)
-        except ValueError:
-            raise ConfigError(f"AKLT_MITE_THREADS must be an integer, got {env!r}")
     return cfg
 
 
@@ -296,18 +288,13 @@ def _replacing(path: Path):
         raise
 
 
-def write_rows(path: Path, fmt: str, header: dict, columns: list[str], rows) -> None:
+def write_rows(path: Path, header: dict, columns: list[str], rows) -> None:
     with _replacing(path) as fh:
-        if fmt == "csv":
-            for key, val in header.items():
-                fh.write(f"# {key}: {val}\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        else:
-            fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-            for row in rows:
-                fh.write(json.dumps(dict(zip(columns, row)), sort_keys=True) + "\n")
+        for key, val in header.items():
+            fh.write(f"# {key}: {val}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _json_text(payload: dict) -> str:
@@ -381,7 +368,7 @@ def main(argv=None) -> int:
         columns, rows, summary = jobs.JOBS[args.command](cfg, *inputs)
         header = _header(cfg, args.command)
         with _folders_removed_on_failure(args.out):
-            write_rows(args.out, cfg["format"], header, columns, rows)
+            write_rows(args.out, header, columns, rows)
             try:
                 write_summary(summary_path(args.out), {"header": header, **summary})
             except BaseException:

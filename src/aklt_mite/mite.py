@@ -394,7 +394,8 @@ def bond_partials(state: np.ndarray, projector: np.ndarray) -> list[float]:
 
 @dataclass
 class TrajectoryRecord:
-    """Everything one prepared trajectory reports.
+    """Everything one prepared trajectory reports; the chain length, mode
+    and seed it ran with are ``prepare``'s arguments, not part of it.
 
     Round-indexed series: ``f_tot[r]`` and ``partial[r]`` include the
     initial state at r = 0; ``e_peak``, ``corrections`` and
@@ -402,9 +403,6 @@ class TrajectoryRecord:
     the last peak estimate seen on bond b+1 during round r+1 (signed).
     """
 
-    n: int
-    mode: str
-    seed: int
     f_tot: list[float]
     partial: list[list[float]]
     e_peak: list[list[float]]
@@ -438,8 +436,7 @@ def prepare(config: MiteConfig, n: int, mode: str, kernel=TwoLevelBond) -> Traje
     rng = np.random.default_rng(config.seed)
     state = product_state(n, chain.site.shape[-1])
     counts = dict.fromkeys(range(1, n + 1), (0, 0, 0))
-    record = TrajectoryRecord(n=n, mode=mode, seed=config.seed, f_tot=[], partial=[], e_peak=[],
-                              corrections=[], measurements=[],
+    record = TrajectoryRecord(f_tot=[], partial=[], e_peak=[], corrections=[], measurements=[],
                               sym_weight=[] if mode == "qubit" else None)
     try:
         for r in range(config.r_max + 1):  # round 0 records the initial state

@@ -15,8 +15,7 @@ CNOT moment (odd layers entangle qubit pairs (1,2), (3,4); even layers
 (2,3), (4,5); control on the lower-numbered qubit) followed by another
 five-gate moment.  Its angles, each in [0, 2 pi], are one flat vector of
 3 * 5 * (n_layers + 1) entries, moment by moment, gate by gate; the
-vector's length gives the depth, read as ``params.reshape(-1, N_QUBITS,
-3)``, and a length that is not a multiple of 15 raises ``ValueError``.
+vector's length gives the depth, read by ``moment_angles``.
 Optimization is box-constrained L-BFGS with analytic gradients, wrapped in
 random-restart hops around the best point found: ``optimize_once`` is one
 repetition, and returns what it found.  The scan over depths and
@@ -117,6 +116,15 @@ def n_params(n_layers: int) -> int:
     return PARAMS_PER_MOMENT * (n_layers + 1)
 
 
+def moment_angles(params: np.ndarray) -> np.ndarray:
+    """The flat angle vector as ``(n_layers + 1, N_QUBITS, 3)``, one row per
+    gate moment; a length that is not a positive multiple of 15 raises
+    ``ValueError``."""
+    if len(params) == 0:
+        raise ValueError("an angle vector holds at least one gate moment")
+    return params.reshape(-1, N_QUBITS, 3)
+
+
 def _kron_gates(gates: np.ndarray) -> np.ndarray:
     """Kron each row of a ``(B, k, 2, 2)`` gate stack into a ``(B, 2^k, 2^k)``
     moment, the first gate slowest, factor by factor from the left.  Each
@@ -183,7 +191,7 @@ def loss_and_grad(params: np.ndarray, target: np.ndarray) -> tuple[float, np.nda
     Cross-checked against central finite differences, and bit for bit
     against a per-angle ``np.kron`` oracle, in the test suite.
     """
-    angles = params.reshape(-1, N_QUBITS, 3)
+    angles = moment_angles(params)
     n_layers = len(angles) - 1
     rows = _factor_rows(u3_and_derivatives(angles))
     all_moments = _kron_gates(rows.reshape(-1, N_QUBITS, 2, 2))

@@ -191,8 +191,7 @@ def isometry_pullback(op: np.ndarray) -> np.ndarray:
 def circuit_unitary(params: np.ndarray) -> np.ndarray:
     """Evaluate the ansatz at the flat angle vector ``params`` to its 32x32
     unitary; the vector's length gives the depth."""
-    angles = params.reshape(-1, recompile.N_QUBITS, 3)
-    gates = recompile.u3_and_derivatives(angles)[:, :, 0]
+    gates = recompile.u3_and_derivatives(recompile.moment_angles(params))[:, :, 0]
     return recompile._forward(recompile._kron_gates(gates))[1]
 
 

@@ -88,15 +88,6 @@ class TestPrepare:
     def test_missing_out_rejected(self):
         assert run(["prepare", "--n", 3, "--runs", 1]) == 1
 
-    def test_jsonl_format(self, tmp_path):
-        out = tmp_path / "prep.jsonl"
-        assert run(["prepare", "--n", 3, "--runs", 1, "--rounds", 2, "--seed", 0,
-                    "--format", "jsonl", "--out", out]) == 0
-        lines = out.read_text().splitlines()
-        assert "header" in json.loads(lines[0])
-        row = json.loads(lines[1])
-        assert set(row) == {"run_id", "r", "f_tot", "min_partial_fidelity", "corrections_so_far"}
-
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -638,28 +629,28 @@ class TestThreadsEnv:
             one, two = (tmp_path / name.format(t) for t in (1, 2))
             assert one.read_bytes() == two.read_bytes(), name
 
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("AKLT_MITE_THREADS", "2")
-        out = tmp_path / "env.csv"
-        assert run(["prepare", "--n", 3, "--runs", 2, "--rounds", 3, "--seed", 2, "--out", out]) == 0
+    def test_env_var_ignored(self, tmp_path, monkeypatch):
+        """The thread count is ``--threads`` or its config key alone:
+        ``AKLT_MITE_THREADS`` in the environment neither fails the job nor
+        changes its data."""
+        argv = ["prepare", "--n", 3, "--runs", 2, "--rounds", 3, "--seed", 2]
         ref = tmp_path / "ref.csv"
-        monkeypatch.delenv("AKLT_MITE_THREADS")
-        assert run(["prepare", "--n", 3, "--runs", 2, "--rounds", 3, "--seed", 2, "--out", ref]) == 0
-        assert out.read_bytes() == ref.read_bytes()
+        assert run([*argv, "--out", ref]) == 0
+        monkeypatch.setenv("AKLT_MITE_THREADS", "x")
+        out = tmp_path / "env.csv"
+        assert run([*argv, "--out", out]) == 0
+        for suffix in ("", ".summary.json"):
+            assert (tmp_path / f"env.csv{suffix}").read_bytes() == (tmp_path / f"ref.csv{suffix}").read_bytes()
 
-    @pytest.mark.parametrize("flags, env", [
-        (["--threads", -3], None),
-        ([], "x"),
-        ([], "-1"),
-        (["--threads", 0], "2"),
-        (["--config", {"threads": 0}], "2"),
+    @pytest.mark.parametrize("flags", [
+        ["--threads", -3],
+        ["--threads", 0],
+        ["--config", {"threads": 0}],
+        ["--config", {"threads": None}],
     ])
-    def test_bad_thread_count_rejected(self, tmp_path, monkeypatch, capsys, flags, env):
-        # validation runs before any pool starts, so no worker is spawned here;
-        # where the setting is 0, the environment holds a valid count to fall back on
-        if env is not None:
-            monkeypatch.setenv("AKLT_MITE_THREADS", env)
-        if flags and isinstance(flags[-1], dict):  # a config-file setting
+    def test_bad_thread_count_rejected(self, tmp_path, capsys, flags):
+        # validation runs before any pool starts, so no worker is spawned here
+        if isinstance(flags[-1], dict):  # a config-file setting
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(flags[-1]))
             flags = [*flags[:-1], cfg]
@@ -694,7 +685,7 @@ class TestQubitMode:
                     "--out", tmp_path / "x.csv"]) == 1
 
 
-TRAJECTORY_SETTINGS = {"seed", "threads", "format", "runs", "n", "mode", "epsilon", "eta",
+TRAJECTORY_SETTINGS = {"seed", "threads", "runs", "n", "mode", "epsilon", "eta",
                        "rounds", "n_iter", "window", "fire_window"}
 
 
@@ -707,8 +698,8 @@ class TestSettings:
                 for cmd in ("prepare", "noise", "project", "recompile")} == {
             "prepare": TRAJECTORY_SETTINGS,
             "noise": TRAJECTORY_SETTINGS | {"noise_axis", "sigma2"},
-            "project": {"seed", "threads", "format", "n", "rounds"},
-            "recompile": {"seed", "threads", "format", "epsilon", "layers", "reps",
+            "project": {"seed", "threads", "n", "rounds"},
+            "recompile": {"seed", "threads", "epsilon", "layers", "reps",
                           "maxiter", "hops"},
         }
 
@@ -719,6 +710,7 @@ class TestSettings:
         ["recompile", "--layers", 1, "--window", 40],
         ["recompile", "--layers", 1, "--n", 9],
         ["recompile", "--layers", 1, "--rounds", 5],
+        ["prepare", "--n", 3, "--format", "csv"],
     ])
     def test_unread_flag_rejected_without_output(self, tmp_path, capsys, argv):
         out = tmp_path / "never.csv"
@@ -731,6 +723,7 @@ class TestSettings:
         ("prepare", "sigma2", 1e-2),
         ("prepare", "layers", "1"),
         ("prepare", "fire_window", 65),  # above COUNTER_CAP // 4
+        ("prepare", "format", "csv"),
     ])
     def test_config_key_rejected_without_output(self, tmp_path, capsys, command, key, val):
         cfg = tmp_path / "cfg.json"

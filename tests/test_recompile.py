@@ -123,12 +123,13 @@ class TestCircuit:
     def test_param_count(self):
         assert rc.n_params(0) == 15
         assert rc.n_params(4) == 75
-        # the angle vector's length gives the depth: it must be a multiple of 15
+        # the angle vector's length gives the depth: it must be a positive multiple of 15
         target = rc.target_unitary(0.5)
-        with pytest.raises(ValueError):
-            rc.loss_and_grad(np.zeros(10), target)
-        with pytest.raises(ValueError):
-            verify.circuit_unitary(np.zeros(10))
+        for length in (0, 10):
+            with pytest.raises(ValueError):
+                rc.loss_and_grad(np.zeros(length), target)
+            with pytest.raises(ValueError):
+                verify.circuit_unitary(np.zeros(length))
 
 
 class TestUnitaryFidelity:
