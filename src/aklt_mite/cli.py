@@ -1,11 +1,10 @@
 """Command-line harness: every experiment as a subcommand.
 
 Subcommands: prepare | project | noise | recompile | verify.  Each
-experiment's parser lists exactly the settings its driver reads.  A
-setting is a flag or the same key in a JSON config file (``--config``;
-flags override file values), read alike by the flag's type and choices;
-any other is an invalid configuration.  Every data file is CSV and opens
-with a header block (version, config hash, base seed) for exact replay.
+experiment's parser lists exactly the settings its driver reads, each as
+one flag read by its type and choices; any other flag is an invalid
+configuration.  Every data file is CSV and opens with a header block
+(version, config hash, base seed) for exact replay.
 
 The drivers in ``jobs`` return a job's table and summary; ``main`` alone
 writes, once the driver has returned: the data file, then the summary,
@@ -57,7 +56,6 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     shared = argparse.ArgumentParser(add_help=False)  # every experiment
-    shared.add_argument("--config", type=Path, help="JSON config file (flags override)")
     shared.add_argument("--seed", type=int, help="base RNG seed")
     shared.add_argument("--threads", type=int, help="worker processes for a job's independent runs")
     shared.add_argument("--out", type=Path, help="output file path")
@@ -70,7 +68,7 @@ def _build_parser() -> _Parser:
     trajectory.add_argument("--rounds", type=int, help="max sweep rounds")
     trajectory.add_argument("--n-iter", type=int, help="iteration cap per subroutine stretch")
     trajectory.add_argument("--window", type=int, help="convergence window")
-    trajectory.set_defaults(fire_window=None)  # a config-file key, no flag
+    trajectory.add_argument("--fire-window", type=int, help="excited outcomes in a row a correction needs")
 
     sub.add_parser("prepare", parents=[trajectory], help="MITE state-preparation trajectories")
     proj = sub.add_parser("project", parents=[shared], help="deterministic projection-cascade convergence")
@@ -91,15 +89,15 @@ def _build_parser() -> _Parser:
 
 
 def accepted_keys(args: argparse.Namespace) -> set[str]:
-    """The settings the subcommand of ``args`` reads, as flags or config-file
-    keys: every destination of its parser but the command, config and output."""
-    return set(vars(args)) - {"command", "config", "out"}
+    """The settings the subcommand of ``args`` reads: every destination of
+    its parser but the command and the output."""
+    return set(vars(args)) - {"command", "out"}
 
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-# config key -> the run-parameter field that owns its default and validation
+# setting -> the run-parameter field that owns its default and validation
 MITE_FIELDS = {
     "seed": "seed",
     "epsilon": "epsilon",
@@ -113,6 +111,8 @@ MITE_FIELDS = {
 }
 OPTIMIZER_FIELDS = {"seed": "seed", "reps": "repetitions", "maxiter": "maxiter", "hops": "n_hops"}
 
+# every setting's default, also where a subcommand takes no flag for it:
+# science_hash reads them (project hashes mode and runs)
 _DEFAULTS = {
     "mode": "spin1",
     "n": "4",
@@ -121,65 +121,19 @@ _DEFAULTS = {
     "threads": 1,
     **{key: getattr(OptimizerConfig(), f) for key, f in OPTIMIZER_FIELDS.items()},
     **{key: getattr(MiteConfig(), f) for key, f in MITE_FIELDS.items()},
-    # The one override of a library default: the library and the acceptance
-    # gate use 10 (the gate's criteria 4a and 4c fail at 12), but the
-    # benchmark's pinned prepare/noise outputs were recorded at 12.
+    # The one override of a library default: without --fire-window the CLI
+    # runs 12, while the library and the acceptance gate use 10 (the gate's
+    # criteria 4a and 4c fail at 12); the benchmark's pinned prepare/noise
+    # outputs were recorded at 12.
     "fire_window": 12,
 }
 
-# the JSON values a flag's type reads from a config file; a bool is none of them
-_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               str: ((str, int), "a string or an integer")}  # str: the lists --n, --layers
-
-
-def _read_setting(key: str, val, action: argparse.Action | None):
-    """A config-file value, read by its flag's choices or type from its text,
-    as the flag reads a word, so it is the value the flag would give.
-    ``fire_window``, the one key with no flag, reads as an integer; ``null``
-    only where the default is ``None`` (``eta``, ``noise_axis``)."""
-    if val is None and _DEFAULTS[key] is None:
-        return None
-    if action is not None and action.choices is not None:
-        if val not in action.choices:
-            raise ConfigError(f"{key} must be one of {action.choices}, got {val!r}")
-        return val
-    kind = int if action is None else action.type
-    kinds, name = _JSON_KINDS[kind]
-    if isinstance(val, bool) or not isinstance(val, kinds):
-        raise ConfigError(f"{key} must be {name}, got {val!r}")
-    return kind(str(val))  # a float's str reads back exactly
-
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, and flags (flags win).  Only the keys
-    the subcommand reads may be set, a file's as its flag reads them; every
-    other key keeps its default.  A file may also name its
-    ``schema_version``, which must be the JSON integer ``SCHEMA_VERSION``,
-    and the ``experiment`` it is for, which must be this subcommand; the
-    output path is ``--out``'s alone."""
+    """The defaults, with every flag the subcommand reads and ``args`` sets
+    over them; every other key keeps its default."""
     cfg = dict(_DEFAULTS)
-    accepted = accepted_keys(args)
-    if args.config is not None:
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}")
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config {args.config} does not hold a JSON object")
-        version = loaded.get("schema_version", SCHEMA_VERSION)
-        if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {version!r}")
-        if loaded.get("experiment", args.command) != args.command:
-            raise ConfigError(f"config is for experiment {loaded['experiment']!r}, not {args.command}")
-        commands = {a.dest: a for a in _build_parser()._actions}["command"].choices
-        actions = {a.dest: a for a in commands[args.command]._actions}  # by setting name
-        for key, val in loaded.items():
-            if key in ("schema_version", "experiment"):
-                continue
-            if key not in accepted:  # also "out": the output path is the --out flag's
-                raise ConfigError(f"{args.command} takes no config key {key!r}")
-            cfg[key] = _read_setting(key, val, actions.get(key))
-    for key in accepted:
+    for key in accepted_keys(args):
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
@@ -201,7 +155,7 @@ def _parse_list(key: str, text: str) -> list[int]:
 
 
 def _build_config(cfg: dict, cls, fields: dict):
-    """``cls`` built from the config keys in ``fields``, each to its field."""
+    """``cls`` built from the settings in ``fields``, each to its field."""
     return cls(**{name: cfg[key] for key, name in fields.items()})
 
 

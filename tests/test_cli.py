@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,7 +72,7 @@ class TestPrepare:
         out = tmp_path / "never.csv"
         assert run(["prepare", "--n", 2, "--runs", 1, "--out", out]) == 1
         assert not out.exists()
-        assert "invalid configuration" in capsys.readouterr().err
+        assert "n = 2 outside the supported spin1 range 3..9" in capsys.readouterr().err
 
     def test_threshold_above_midpoint_rejected_without_output(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
@@ -83,25 +84,11 @@ class TestPrepare:
         out = tmp_path / "never.csv"
         assert run(["prepare", "--n", 3, "--runs", 1, "--seed", -1, "--out", out]) == 1
         assert not out.exists()
-        assert "invalid configuration" in capsys.readouterr().err
+        assert "seed must be nonnegative" in capsys.readouterr().err
 
-    def test_missing_out_rejected(self):
+    def test_missing_out_rejected(self, capsys):
         assert run(["prepare", "--n", 3, "--runs", 1]) == 1
-
-    def test_config_file_with_flag_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "schema_version": 1, "n": 3, "runs": 1, "rounds": 3, "seed": 5,
-        }))
-        direct = tmp_path / "direct.csv"
-        viafile = tmp_path / "viafile.csv"
-        assert run(["prepare", "--config", cfg, "--out", viafile]) == 0
-        assert run(["prepare", "--n", 3, "--runs", 1, "--rounds", 3, "--seed", 5, "--out", direct]) == 0
-        assert data_rows(direct) == data_rows(viafile)
-        # flag overrides the file seed, changing the trajectory
-        overridden = tmp_path / "override.csv"
-        assert run(["prepare", "--config", cfg, "--seed", 6, "--out", overridden]) == 0
-        assert data_rows(overridden) != data_rows(viafile)
+        assert "--out is required" in capsys.readouterr().err
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -174,110 +161,45 @@ class TestPrepare:
         assert "RuntimeError: seed 7, round 2: bond 1: excited weight 4.0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 3, "wibble": True}))
-        assert run(["prepare", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
-
-    @pytest.mark.parametrize("extra", [{"experiment": "project"}, {"out": "elsewhere.csv"}])
-    def test_foreign_experiment_or_out_in_config_rejected(self, tmp_path, capsys, extra):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 3, "runs": 1, "rounds": 2, **extra}))
-        out = tmp_path / "here.csv"
-        assert run(["prepare", "--config", cfg, "--out", out]) == 1
-        assert "invalid configuration" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
-    def test_own_experiment_in_config_accepted(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": "prepare", "n": 3, "runs": 1, "rounds": 2}))
-        out = tmp_path / "here.csv"
-        assert run(["prepare", "--config", cfg, "--out", out]) == 0
-        assert "# experiment: prepare" in out.read_text()
-
     @pytest.mark.parametrize("command, key, val", [
         ("prepare", "seed", 1.5),
-        ("prepare", "seed", True),
         ("noise", "runs", 2.0),
         ("prepare", "fire_window", 12.0),
-        ("prepare", "threads", True),
         ("project", "rounds", 15.5),
         ("recompile", "maxiter", 30.0),
-        ("recompile", "reps", "2"),
     ])
     def test_non_integer_setting_rejected_without_output(self, tmp_path, capsys, command, key, val):
-        small = {"n": 3, "runs": 1, "rounds": 2} if command in ("prepare", "noise") else {}
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**small, key: val}))
-        assert run([command, "--config", cfg, "--out", tmp_path / "never.csv"]) == 1
-        assert "invalid configuration" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        small = ["--n", 3, "--runs", 1, "--rounds", 2] if command in ("prepare", "noise") else []
+        flag = "--" + key.replace("_", "-")
+        assert run([command, *small, flag, val, "--out", tmp_path / "never.csv"]) == 1
+        assert f"argument {flag}: invalid int value: '{val}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, setting", [
-        (["prepare"], {"format": "xml"}),
-        (["prepare"], {"epsilon": True}),
-        (["prepare"], {"epsilon": "0.5"}),
-        (["prepare"], {"epsilon": 0.3, "eta": True}),
-        (["noise", "--noise-axis", "z"], {"sigma2": "1e-2"}),
-        (["noise"], {"noise_axis": "y"}),
-        (["prepare"], {"mode": "qutrit"}),
-        (["recompile"], {"layers": True}),
-    ], ids=["format-xml", "epsilon-bool", "epsilon-string", "eta-bool", "sigma2-string",
-            "noise_axis-y", "mode-qutrit", "layers-bool"])
-    def test_value_its_flag_cannot_read_rejected_without_output(self, tmp_path, capsys, argv, setting):
-        """A config-file value goes through its flag's type and choices: a
-        bool is no number, a string no real, and a choice must be listed."""
-        small = {} if argv[0] == "recompile" else {"n": 3, "runs": 1, "rounds": 2}
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**small, **setting}))
-        assert run([*argv, "--config", cfg, "--out", tmp_path / "never.csv"]) == 1
-        assert "invalid configuration" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    @pytest.mark.parametrize("argv", [
+        ["prepare", "--mode", "qutrit"],
+        ["noise", "--noise-axis", "y"],
+    ], ids=["mode-qutrit", "noise_axis-y"])
+    def test_value_its_flag_cannot_read_rejected_without_output(self, tmp_path, capsys, argv):
+        """A choice must be one its flag lists."""
+        assert run([*argv, "--n", 3, "--runs", 1, "--rounds", 2, "--out", tmp_path / "never.csv"]) == 1
+        assert f"argument {argv[1]}: invalid choice: {argv[2]!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, key, val", [
-        (["prepare"], "epsilon", 1),
-        (["prepare"], "eta", 2),
-        (["noise", "--noise-axis", "z"], "sigma2", 0),
-    ], ids=["epsilon", "eta", "sigma2"])
-    def test_file_and_flag_write_the_same_bytes(self, tmp_path, argv, key, val):
-        """A real setting given as a JSON integer is the float its flag
-        reads, so the data, the summary and the config hash all agree."""
-        small = ["--n", 3, "--runs", 2, "--rounds", 3, "--seed", 1]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: val}))
-        viafile, viaflag = tmp_path / "file.csv", tmp_path / "flag.csv"
-        assert run([*argv, *small, "--config", cfg, "--out", viafile]) == 0
-        assert run([*argv, *small, f"--{key}", val, "--out", viaflag]) == 0
-        assert viafile.read_bytes() == viaflag.read_bytes()
-        assert (tmp_path / "file.csv.summary.json").read_bytes() == \
-            (tmp_path / "flag.csv.summary.json").read_bytes()
+    def test_fire_window_flag_defaults_to_twelve(self, tmp_path):
+        """``--fire-window 12`` writes the bytes of no flag, and 10 other ones."""
+        small = ["prepare", "--n", 3, "--runs", 2, "--rounds", 5, "--seed", 7]
+        for name, flags in (("none", []), ("12", ["--fire-window", 12]), ("10", ["--fire-window", 10])):
+            assert run([*small, *flags, "--out", tmp_path / f"{name}.csv"]) == 0
+        for suffix in ("", ".summary.json"):
+            read = {name: (tmp_path / f"{name}.csv{suffix}").read_bytes() for name in ("none", "12", "10")}
+            assert read["12"] == read["none"] != read["10"]
 
-    @pytest.mark.parametrize("text", [b"\xff", b'{"seed": 1' + b"0" * 5000 + b"}"],
-                             ids=["not-utf8", "too-many-digits"])
-    def test_unreadable_config_rejected_without_output(self, tmp_path, capsys, text):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(text)
-        assert run(["prepare", "--config", cfg, "--out", tmp_path / "never.csv"]) == 1
-        assert "invalid configuration" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
-    @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
-    def test_schema_version_other_than_integer_one_rejected_without_output(
-        self, tmp_path, capsys, version
-    ):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"schema_version": version, "n": 3, "runs": 1, "rounds": 2}))
-        assert run(["prepare", "--config", cfg, "--out", tmp_path / "never.csv"]) == 1
-        assert f"unsupported schema_version {version!r}" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
-    @pytest.mark.parametrize("loaded", [[1, 2], 3, "x", None])
-    def test_non_object_config_rejected_without_output(self, tmp_path, capsys, loaded):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(loaded))
-        assert run(["prepare", "--config", cfg, "--out", tmp_path / "never.csv"]) == 1
-        assert "invalid configuration" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    @pytest.mark.parametrize("window", [0, 65])  # COUNTER_CAP // 4 = 64
+    def test_fire_window_out_of_range_rejected_without_output(self, tmp_path, capsys, window):
+        assert run(["prepare", "--n", 3, "--runs", 1, "--rounds", 2, "--fire-window", window,
+                    "--out", tmp_path / "never.csv"]) == 1
+        assert "need 1 <= fire_window <= 64" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNoise:
@@ -301,14 +223,14 @@ class TestNoise:
         assert run(["noise", "--n", 3, "--runs", 1, "--rounds", 3, "--noise-axis", "z",
                     "--sigma2", 1e-2, *flags, "--out", out]) == 1
         assert not out.exists()
-        assert "invalid configuration" in capsys.readouterr().err
+        assert "and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--sigma", 0.01, "--noise-axis", "z"],
                                        ["--sigma2", 0.01, "--noise-ax", "z"]])
     def test_flag_prefix_rejected_without_output(self, tmp_path, capsys, flags):
         out = tmp_path / "never.csv"
         assert run(["noise", "--n", 3, "--runs", 1, "--rounds", 3, *flags, "--out", out]) == 1
-        assert "invalid configuration" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_noise_smoke(self, tmp_path):
@@ -342,18 +264,18 @@ class TestProject:
         assert rows[0] == "n,r,f_tot"
         assert len(rows) == 12  # header + r = 0..10
 
-    @pytest.mark.parametrize("argv", [
-        ["project", "--n", ",", "--rounds", 3],
-        ["project", "--n", "", "--rounds", 3],
-        ["project", "--n", "3,3", "--rounds", 2],
-        ["project", "--n", "3,03", "--rounds", 2],
-        ["recompile", "--layers", "1,1", "--reps", 1, "--maxiter", 5],
-        ["recompile", "--layers", "1, 01", "--reps", 1, "--maxiter", 5],
+    @pytest.mark.parametrize("argv, reason", [
+        (["project", "--n", ",", "--rounds", 3], "n must list at least one integer"),
+        (["project", "--n", "", "--rounds", 3], "n must list at least one integer"),
+        (["project", "--n", "3,3", "--rounds", 2], "n lists an integer twice"),
+        (["project", "--n", "3,03", "--rounds", 2], "n lists an integer twice"),
+        (["recompile", "--layers", "1,1", "--reps", 1, "--maxiter", 5], "layers lists an integer twice"),
+        (["recompile", "--layers", "1, 01", "--reps", 1, "--maxiter", 5], "layers lists an integer twice"),
     ], ids=["comma", "empty", "repeat", "repeat-respelled", "layers-repeat", "layers-repeat-respelled"])
-    def test_empty_list_rejected_without_output(self, tmp_path, capsys, argv):
+    def test_empty_list_rejected_without_output(self, tmp_path, capsys, argv, reason):
         """An empty list, or one naming a value twice, is no job to run."""
         assert run([*argv, "--out", tmp_path / "never.csv"]) == 1
-        assert "invalid configuration" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -395,23 +317,25 @@ class TestRecompile:
         assert summary["per_depth"]["1"]["cnot_count"] == 2
         assert summary["per_depth"]["1"]["max_fidelity"] >= summary["per_depth"]["1"]["mean_fidelity"]
 
-    @pytest.mark.parametrize("flags", [
-        ["--layers", "abc"],
-        ["--layers", "1,-1"],
-        ["--layers", ","],
-        ["--reps", 0],
-        ["--maxiter", 0],
-        ["--hops", -1],
-        ["--seed", -1],
-        ["--epsilon", "nan"],
-        ["--epsilon", "inf"],
-    ])
-    def test_bad_inputs_rejected_without_output(self, tmp_path, capsys, flags):
+    BAD_INPUTS = [
+        (["--layers", "abc"], "cannot parse integer list layers"),
+        (["--layers", "1,-1"], "layers must list depths >= 0"),
+        (["--layers", ","], "layers must list at least one integer"),
+        (["--reps", 0], "repetitions must be at least 1"),
+        (["--maxiter", 0], "maxiter must be at least 1"),
+        (["--hops", -1], "n_hops must be nonnegative"),
+        (["--seed", -1], "seed must be nonnegative"),
+        (["--epsilon", "nan"], "epsilon must be positive and finite"),
+        (["--epsilon", "inf"], "epsilon must be positive and finite"),
+    ]
+
+    @pytest.mark.parametrize("flags, reason", BAD_INPUTS, ids=[f"flags{i}" for i in range(len(BAD_INPUTS))])
+    def test_bad_inputs_rejected_without_output(self, tmp_path, capsys, flags, reason):
         out = tmp_path / "never.csv"
         assert run(["recompile", "--layers", "1", "--reps", 1, "--maxiter", 5,
                     *flags, "--out", out]) == 1
         assert not out.exists()
-        assert "invalid configuration" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
 
 
 @pytest.fixture(scope="class")
@@ -630,7 +554,7 @@ class TestThreadsEnv:
             assert one.read_bytes() == two.read_bytes(), name
 
     def test_env_var_ignored(self, tmp_path, monkeypatch):
-        """The thread count is ``--threads`` or its config key alone:
+        """The thread count is ``--threads`` alone:
         ``AKLT_MITE_THREADS`` in the environment neither fails the job nor
         changes its data."""
         argv = ["prepare", "--n", 3, "--runs", 2, "--rounds", 3, "--seed", 2]
@@ -642,22 +566,13 @@ class TestThreadsEnv:
         for suffix in ("", ".summary.json"):
             assert (tmp_path / f"env.csv{suffix}").read_bytes() == (tmp_path / f"ref.csv{suffix}").read_bytes()
 
-    @pytest.mark.parametrize("flags", [
-        ["--threads", -3],
-        ["--threads", 0],
-        ["--config", {"threads": 0}],
-        ["--config", {"threads": None}],
-    ])
+    @pytest.mark.parametrize("flags", [["--threads", -3], ["--threads", 0]])
     def test_bad_thread_count_rejected(self, tmp_path, capsys, flags):
         # validation runs before any pool starts, so no worker is spawned here
-        if isinstance(flags[-1], dict):  # a config-file setting
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(flags[-1]))
-            flags = [*flags[:-1], cfg]
         out = tmp_path / "never.csv"
         assert run(["prepare", "--n", 3, "--runs", 1, *flags, "--out", out]) == 1
         assert not out.exists()
-        assert "invalid configuration" in capsys.readouterr().err
+        assert f"threads must be at least 1, got {flags[1]}" in capsys.readouterr().err
 
 
 class TestQubitMode:
@@ -680,9 +595,10 @@ class TestQubitMode:
         assert "RuntimeError: seed 4, round 1: symmetric-sector weight" in err
         assert not out.exists()
 
-    def test_qubit_bounds(self, tmp_path):
+    def test_qubit_bounds(self, tmp_path, capsys):
         assert run(["prepare", "--mode", "qubit", "--n", 9, "--runs", 1,
                     "--out", tmp_path / "x.csv"]) == 1
+        assert "n = 9 outside the supported qubit range 3..8" in capsys.readouterr().err
 
 
 TRAJECTORY_SETTINGS = {"seed", "threads", "runs", "n", "mode", "epsilon", "eta",
@@ -711,27 +627,30 @@ class TestSettings:
         ["recompile", "--layers", 1, "--n", 9],
         ["recompile", "--layers", 1, "--rounds", 5],
         ["prepare", "--n", 3, "--format", "csv"],
+        ["prepare", "--n", 3, "--sigma2", 1e-2],
+        ["prepare", "--n", 3, "--layers", 1],
+        ["prepare", "--n", 3, "--config", "x.json"],
     ])
     def test_unread_flag_rejected_without_output(self, tmp_path, capsys, argv):
         out = tmp_path / "never.csv"
         assert run([*argv, "--out", out]) == 1
         assert not out.exists()
-        assert "invalid configuration" in capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, key, val", [
-        ("project", "epsilon", 0.3),
-        ("prepare", "sigma2", 1e-2),
-        ("prepare", "layers", "1"),
-        ("prepare", "fire_window", 65),  # above COUNTER_CAP // 4
-        ("prepare", "format", "csv"),
-    ])
-    def test_config_key_rejected_without_output(self, tmp_path, capsys, command, key, val):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 3, "rounds": 2, key: val}))
-        out = tmp_path / "never.csv"
-        assert run([command, "--config", cfg, "--out", out]) == 1
-        assert not out.exists()
-        assert "invalid configuration" in capsys.readouterr().err
+    def test_readme_table_lists_every_flag(self):
+        """The README's settings table names each experiment's flags, no
+        more and no fewer: its own row, the row of all four, and for
+        ``noise`` the ``prepare`` row it points to."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme[readme.index("| subcommand "):].split("\n\n")[0]
+        rows = dict(re.findall(r"^\| `?([a-z ]+?)`? +\| (.*) \|$", table, re.MULTILINE))
+        flags = {name: set(re.findall(r"`(--[a-z0-9-]+)", row)) for name, row in rows.items()}
+        commands, = (a.choices for a in cli._build_parser()._actions if a.dest == "command")
+        for cmd in ("prepare", "noise", "project", "recompile"):
+            documented = flags[cmd] | flags["all four"]
+            if "the `prepare` flags" in rows[cmd]:
+                documented |= flags["prepare"]
+            assert documented == set(commands[cmd]._option_string_actions) - {"-h", "--help"}, cmd
 
 
 SCIPY_PROBE = """
@@ -805,10 +724,11 @@ def test_validation_loads_no_numpy(tmp_path):
      "f3a708195eeb59b7"),
     ("project --n 3,4,5,6,7,8,9 --rounds 15 --threads 1", "404093c9b039e788"),
     ("recompile --layers 4 --reps 2 --maxiter 30 --threads 1 --seed 0", "b9fbc5f03c79ae00"),
+    ("prepare --n 3 --runs 2 --rounds 5 --seed 7 --fire-window 10", "71f55d2af5edfbd6"),
 ])
 def test_science_hash_pinned(argv, expected):
     """Config hashes in data-file headers stay stable across refactors of
-    the defaults (the benchmark's pinned outputs carry these five)."""
+    the defaults (the benchmark's pinned outputs carry the middle four)."""
     args = cli._build_parser().parse_args(argv.split())
     cfg = cli.resolve_config(args)
     cli.validate(cfg, args.command)
