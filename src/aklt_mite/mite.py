@@ -88,6 +88,7 @@ from . import qubit_map
 from .params import COUNTER_CAP, MiteConfig, check_chain_size
 from .spin_ops import _fix_phase, aklt_state, bond_projector, site_matrices, spin1_matrices
 from .statevec import (
+    apply_real,
     bond_weights,
     fidelity,
     map_sites,
@@ -131,7 +132,7 @@ class TwoLevelBond:
 
     @classmethod
     def open(cls, frame: np.ndarray, j: int, projector: np.ndarray) -> "TwoLevelBond":
-        excited = projector @ frame
+        excited = apply_real(projector, frame)
         bond = cls(j, frame, excited, float(np.vdot(excited, excited).real), projector)
         bond._check_weight()
         return bond
@@ -514,7 +515,7 @@ def direct_projection_converge(
     state = twisted_sx_product(n, 1.0)
     series = [fidelity(state, reference)]
     for r in range(1, r_max + 1):
-        state = walk_bonds(state, sweep_order(n), lambda j, frame: comp @ frame)
+        state = walk_bonds(state, sweep_order(n), lambda j, frame: apply_real(comp, frame))
         nrm = float(np.linalg.norm(state))
         if nrm < 1e-15:
             raise RuntimeError(f"n = {n}, round {r}: projection cascade annihilated the state")

@@ -97,12 +97,17 @@ def bond_projector(mode: str) -> np.ndarray:
     quadratic short form (``verify.bond_projector_short_form``) agrees with
     it only where every site carries genuine spin 1, i.e. everywhere in
     spin1 mode but only on the symmetric sector in qubit mode.
+
+    The matrix is real: in both encodings Sy is imaginary and Sx, Sz are
+    real, so (S_j + S_{j+1})^2 is built with an imaginary part of exactly 0.
+    It is returned as a C-contiguous float64 array, which applies to a
+    complex frame as one real matmul (``statevec.apply_real``).
     """
     site = site_matrices(mode)
     csq = _two_site_total_spin_sq(site)
     eye = np.eye(csq.shape[0])
     mat = csq @ (csq - 2 * eye) / 24.0
-    return (mat + mat.conj().T) / 2
+    return np.ascontiguousarray(((mat + mat.conj().T) / 2).real)
 
 
 def hamiltonian_apply(state: np.ndarray, projector: np.ndarray) -> np.ndarray:

@@ -23,8 +23,9 @@ Bond indices are 1-based: bond ``j`` couples chain sites ``(j, j+1)`` with
 site at digit 0 (flat index 0).  The job path works in a rotating site
 layout: ``rotate_sites`` shifts the site order cyclically, ``walk_bonds``
 visits a sequence of bonds on their (d^2, d^(N-2)) *frames*,
-``bond_weights`` reads <psi|P|psi> on every bond in one rotation pass, and
-``map_sites`` applies one operator per site.  The chain-order functions
+``bond_weights`` reads <psi|P|psi> on every bond in one rotation pass,
+``apply_real`` applies a real operator (the bond projector) to a frame as
+one real matmul, and ``map_sites`` applies one operator per site.  The chain-order functions
 ``apply_two_site``, ``apply_one_site``, ``partial_fidelity`` and
 ``born_sample`` are the independent oracles those are tested against.
 """
@@ -101,12 +102,29 @@ def walk_bonds(state: np.ndarray, bonds, visit) -> np.ndarray:
     return rotate_sites(state, -at % n)
 
 
+def apply_real(op: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """``op @ frame`` for a real float64 ``op`` and a C-contiguous complex
+    ``frame``, as one real matmul on the frame's float64 view, whose rows
+    hold the real and imaginary parts interleaved.  A real operator mixes
+    no real part into an imaginary one, so the complex product is the
+    view of the real one.  Any other dtype or layout raises ``ValueError``
+    instead of being converted or copied."""
+    if op.dtype != np.float64 or frame.dtype != np.complex128 or not frame.flags.c_contiguous:
+        raise ValueError(
+            f"apply_real needs a float64 operator and a C-contiguous complex128 frame, "
+            f"not {op.dtype} and {frame.dtype} (C-contiguous: {frame.flags.c_contiguous})"
+        )
+    return (op @ frame.view(np.float64)).view(np.complex128)
+
+
 def bond_weights(state: np.ndarray, projector: np.ndarray) -> list[float]:
     """<psi|P_{j,j+1}|psi> = |P frame_j|^2 for every bond j = 1..N, each
-    frame rotated straight from chain order: one rotation pass."""
+    frame rotated straight from chain order: one rotation pass.  The
+    projector is real (``spin_ops.bond_projector``), so each frame is hit
+    by ``apply_real``."""
     weights = []
     for k in range(state.ndim):
-        excited = projector @ rotate_sites(state, k).reshape(len(projector), -1)
+        excited = apply_real(projector, rotate_sites(state, k).reshape(len(projector), -1))
         weights.append(float(np.vdot(excited, excited).real))
     return weights
 

@@ -265,7 +265,7 @@ def check_projector_idempotent():
 def check_projector_hermitian_trace():
     p = spin_ops.bond_projector("spin1")
     herm = _maxabs(p - p.conj().T)
-    tr = abs(np.trace(p).real - 5.0)
+    tr = abs(math.fsum(p.diagonal()) - 5.0)  # the correctly rounded trace
     return herm <= 1e-12 and tr <= 1e-12, f"hermiticity {herm:.2e}, trace-5 {tr:.2e}"
 
 

@@ -62,6 +62,18 @@ class TestBondProjector:
         sz_tot = np.kron(sz, eye) + np.kron(eye, sz)
         assert np.max(np.abs(p @ sz_tot - sz_tot @ p)) <= 1e-12
 
+    @pytest.mark.parametrize("mode", ["spin1", "qubit"])
+    def test_real_because_built_with_an_imaginary_part_of_exactly_zero(self, mode):
+        """The quartic is built in complex arithmetic from the (Sx, Sy, Sz)
+        stack; its imaginary part is exactly 0 in both encodings, so the
+        float64 projector drops nothing."""
+        csq = spin_ops._two_site_total_spin_sq(spin_ops.site_matrices(mode))
+        built = csq @ (csq - 2 * np.eye(len(csq))) / 24.0
+        assert not built.imag.any()
+        p = spin_ops.bond_projector(mode)
+        assert p.dtype == np.float64 and p.flags.c_contiguous
+        assert np.array_equal(p, ((built + built.conj().T) / 2).real)
+
     def test_mapped_restriction_same_spectrum(self, proj16):
 
         vals = np.sort(np.linalg.eigvalsh(verify.isometry_pullback(proj16)))

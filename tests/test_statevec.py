@@ -7,11 +7,13 @@ from aklt_mite import mite, qubit_map, spin_ops
 from aklt_mite.mite import sx_stretched_site_ket
 from aklt_mite.statevec import (
     apply_one_site,
+    apply_real,
     apply_two_site,
     born_sample,
     fidelity,
     partial_fidelity,
     product_state,
+    rotate_sites,
     walk_bonds,
 )
 from aklt_mite.verify import KrausPair, coupled_basis, measurement_kraus
@@ -93,6 +95,42 @@ class TestProductState:
         st_ = product_state(3, 4)
         assert st_.shape == (4, 4, 4)
         assert st_.flat[0] == 1.0
+
+
+class TestApplyReal:
+    @pytest.mark.parametrize("mode", ["spin1", "qubit"])
+    def test_matches_the_complex_matmul_on_every_bond(self, mode):
+        p = spin_ops.bond_projector(mode)
+        d = spin_ops.site_matrices(mode).shape[-1]
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for n in range(3, 7):
+            for _ in range(3):
+                state = random_state(rng, n, d)
+                for j in range(1, n + 1):
+                    frame = rotate_sites(state, j - 1).reshape(d * d, -1)
+                    got = apply_real(p, frame)
+                    assert got.dtype == np.complex128 and got.shape == frame.shape
+                    worst = max(worst, float(np.max(np.abs(got - p.astype(complex) @ frame))))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("frame_of", [
+        lambda amps: amps[:81].reshape(9, 9).T,
+        # each row contiguous, so the float view alone would not raise
+        lambda amps: amps.reshape(18, 9)[::2],
+        lambda amps: amps.reshape(9, 18)[:, :9],
+    ], ids=["transposed", "every_other_row", "row_prefixes"])
+    def test_non_contiguous_frame_raises(self, proj9, rng, frame_of):
+        amps = random_state(rng, 4, 3).reshape(-1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            apply_real(proj9, frame_of(np.concatenate([amps, amps])))
+
+    def test_complex_operator_or_real_frame_raises(self, proj9, rng):
+        frame = random_state(rng, 4, 3).reshape(9, 9)
+        with pytest.raises(ValueError, match="float64 operator"):
+            apply_real(proj9.astype(complex), frame)
+        with pytest.raises(ValueError, match="complex128 frame"):
+            apply_real(proj9, frame.real.copy())
 
 
 class TestApplyTwoSite:
