@@ -71,14 +71,21 @@ stretch), ``state()`` (the frame) and the excited weight ``w`` (read by
 
 RNG discipline (one trajectory = one ``numpy`` Generator): each round
 first draws the per-site noise angles as one ``standard_normal(N)`` (sites
-1..N, only when noise is active); then ``mite_subroutine`` draws one
+1..N, only when noise is active); then ``mite_subroutine`` uses one
 uniform ``u`` per measurement, which picks the kernel's outcome, and one
 ``random(6)`` per correction (three per site, x/y/z order, lower-numbered
-site first).  No kernel sees the generator.
+site first).  The visit draws a stretch's uniforms as one
+``random(n_iter)`` block and rewinds the unused tail with
+``bit_generator.advance`` before each correction's ``random(6)`` and at
+the end of the visit, so the stream advances exactly as one scalar
+``random()`` per measurement would advance it; the bit generator must be
+able to move backwards, as ``default_rng``'s PCG64 can.  No kernel sees
+the generator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,13 +174,16 @@ class TwoLevelBond:
         """alpha P psi0 + beta (1 - P) psi0, renormalized by its own norm.
 
         The norm before renormalizing is 1 up to rounding; a larger defect
-        means the scalars drifted from the vectors and raises.
+        means the scalars drifted from the vectors and raises.  It is taken
+        as the two real dots ``np.linalg.norm`` computes, with its bits.
         """
         self._check_weight()
         amps = self.base - self.excited
         amps *= self.beta
         amps += self.alpha * self.excited
-        nrm = float(np.linalg.norm(amps))
+        flat = amps.reshape(-1)
+        re, im = flat.real, flat.imag
+        nrm = math.sqrt(re.dot(re) + im.dot(im))
         if abs(nrm - 1.0) > _BUILT_NORM_TOL:
             raise RuntimeError(f"bond {self.j}: built state has norm {nrm!r}, not 1")
         amps /= nrm
@@ -186,6 +196,15 @@ def peak_energy(k0: int, k1: int, epsilon: float) -> float:
     if total <= 0:
         raise ValueError("peak energy undefined for empty counts")
     return math.asin((k1 - k0) / total) / (2.0 * epsilon)
+
+
+@functools.lru_cache(maxsize=16)
+def _threshold_memo(epsilon: float, e_th: float) -> dict[tuple[int, int], bool]:
+    """The memo (k0, k1) -> ``peak_energy(k0, k1, epsilon) >= e_th`` that the
+    visit loop fills as it meets counts; one per (epsilon, e_th), shared by
+    every visit of the process.  The counter cap bounds it to the pairs with
+    k0 + k1 <= ``COUNTER_CAP``."""
+    return {}
 
 
 def site_rotations(vs, site: np.ndarray) -> np.ndarray:
@@ -295,22 +314,29 @@ def mite_subroutine(
 
     Measurements run on ``kernel``: it opens the bond at the start of the
     visit, kicks it with each correction, and collapses on each uniform
-    drawn here.  The two-level kernel pays one projector application per
-    opening and per kick.  ``counts`` is the bond's (k0, k1, run1) from
-    its last visit; the visit counts on from it and returns its end counts
-    in ``stats.counts``.
+    drawn here (see the module docstring for the blocks and rewinds).
+    The two-level kernel pays one projector application per opening and
+    per kick.  ``counts`` is the bond's (k0, k1, run1) from its last
+    visit; the visit counts on from it and returns its end counts in
+    ``stats.counts``.  The threshold test on the peak estimate is looked
+    up in ``_threshold_memo``, and ``stats`` is built once, at the end.
     """
-    e_th = config.e_th(chain.mode)
-    gains = measurement_gains(config.epsilon)
-    stats = SubroutineStats(bond=j)
+    epsilon, e_th = config.epsilon, config.e_th(chain.mode)
+    n_iter, window, fire_window = config.n_iter, config.window, config.fire_window
+    gains = measurement_gains(epsilon)
+    above = _threshold_memo(epsilon, e_th)
+    advance = rng.bit_generator.advance
     bond = kernel.open(frame, j, chain.projector)
     k0, k1, run1 = counts
-    streak = 0
-    t = 0
-    while t < config.n_iter:
-        q = bond.sample(gains, rng.random())
+    measurements = corrections = streak = t = 0
+    converged = False
+    # One block of uniforms per stretch: the unused tail is rewound before a
+    # correction's draw and at the end, so the stream advances exactly as one
+    # scalar draw per measurement would advance it.
+    us = rng.random(n_iter).tolist()
+    while t < n_iter:
+        q = bond.sample(gains, us[t])
         t += 1
-        stats.measurements += 1
         if q == 0:
             k0 += 1
             run1 = 0
@@ -320,20 +346,30 @@ def mite_subroutine(
         if k0 + k1 > COUNTER_CAP:  # halve both: forgetting that keeps their ratio
             k0 //= 2
             k1 //= 2
-        e_peak = peak_energy(k0, k1, config.epsilon)
-        stats.e_peak_last = e_peak
-        if run1 >= config.fire_window and e_peak >= e_th:
+        key = (k0, k1)
+        hit = above.get(key)
+        if hit is None:
+            hit = above[key] = peak_energy(k0, k1, epsilon) >= e_th
+        if not hit:
+            streak += 1
+            if streak >= window:
+                converged = True
+                break
+        elif run1 >= fire_window:
+            advance(t - n_iter)
             bond = bond.kick(correction_unitary(chain.site, rng))
-            stats.corrections += 1
-            k0 = k1 = run1 = 0
-            streak = 0
-            t = 0
+            measurements += t
+            corrections += 1
+            k0 = k1 = run1 = streak = t = 0
+            us = rng.random(n_iter).tolist()
         else:
-            streak = streak + 1 if e_peak < e_th else 0
-        if streak >= config.window:
-            stats.converged = True
-            break
-    stats.counts = (k0, k1, run1)
+            streak = 0
+    if t < n_iter:
+        advance(t - n_iter)
+    # the last measurement of a visit never fires, so its estimate is the end counts'
+    stats = SubroutineStats(bond=j, measurements=measurements + t, corrections=corrections,
+                            converged=converged, e_peak_last=peak_energy(k0, k1, epsilon),
+                            counts=(k0, k1, run1))
     return bond.state(), stats
 
 

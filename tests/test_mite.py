@@ -207,6 +207,27 @@ class TestRngStreams:
             assert np.array_equal(six, np.concatenate([scalar.random(3), scalar.random(3)]))
         assert batched.bit_generator.state == scalar.bit_generator.state
 
+    def test_visit_advances_the_stream_as_scalar_draws(self, aklt):
+        """A visit draws its uniforms in blocks and rewinds the unused tail
+        before each correction's ``random(6)`` and at its end: the stream
+        ends where one scalar ``random()`` per measurement and six per
+        correction would leave it.  The visits seen include one that fired,
+        one that converged without firing and one that hit the cap."""
+        chain = mite.build_chain(4, "spin1")
+        kinds = set()
+        for seed in range(8):
+            for state in (product_state(4, 3), aklt[4]):
+                rng = np.random.default_rng(seed)
+                _, stats = mite.mite_subroutine(frame_of(state, 1), 1, chain, mite.MiteConfig(),
+                                                rng, (0, 0, 0), mite.TwoLevelBond)
+                scalar = np.random.default_rng(seed)
+                for _ in range(stats.measurements + 6 * stats.corrections):
+                    scalar.random()
+                assert rng.bit_generator.state == scalar.bit_generator.state, (seed, stats)
+                kinds.add("fired" if stats.corrections else
+                          "converged" if stats.converged else "cap")
+        assert kinds == {"fired", "converged", "cap"}
+
     @pytest.mark.parametrize("seed", [0, 1, 21, 12345])
     def test_standard_normal_n_is_n_scalar_draws(self, seed):
         batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
