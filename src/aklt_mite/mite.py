@@ -93,7 +93,7 @@ import numpy as np
 
 from . import qubit_map
 from .params import COUNTER_CAP, MiteConfig, check_chain_size
-from .spin_ops import _fix_phase, aklt_state, bond_projector, site_matrices, spin1_matrices
+from .spin_ops import _fix_phase, aklt_state, bond_projector, spin1_matrices
 from .statevec import (
     apply_real,
     bond_weights,
@@ -207,50 +207,75 @@ def _threshold_memo(epsilon: float, e_th: float) -> dict[tuple[int, int], bool]:
     return {}
 
 
-def site_rotations(vs, site: np.ndarray) -> np.ndarray:
-    """exp(i v.S) for each rotation vector v of the (k, 3) stack ``vs``, in
-    closed form (one vector is a stack of one), with S the (3, d, d) stack
-    ``site``; returns the (k, d, d) stack of site matrices.
+_SQRT2 = math.sqrt(2.0)
 
-    For a unit vector n, n.S has spectrum in {-1, 0, 1} in both encodings
-    (spin 1; triplet plus singlet of a qubit pair), so (n.S)^3 = n.S and
 
-        exp(i t n.S) = 1 + i sin t (n.S) + (cos t - 1) (n.S)^2,  t = |v|.
+def site_rotations(vs, d: int) -> np.ndarray:
+    """exp(i v.S) for each rotation vector v of the (k, 3) stack ``vs`` (one
+    vector is a stack of one), S the spin of one site of dimension ``d``
+    (3: spin 1, 4: a qubit pair); returns the (k, d, d) stack.
 
-    In terms of G = v.S the coefficients are sin t / t and
-    (cos t - 1) / t^2 = -2 (sin(t/2) / t)^2, the latter free of
-    cancellation at small t; v = 0 gives the identity exactly.  The
-    coefficients come from ``math`` row by row (numpy's vectorised sin
-    does not promise libm's bits), so every matrix is bit for bit the one
-    the formula gives for its vector alone.
+    Each matrix is built from the Cayley-Klein pair (a, b) of the spin-1/2
+    rotation U = exp(i t n.sigma / 2) = [[a, b], [-b*, a*]], v = t n:
+
+        a = cos(t/2) + i n_z sin(t/2),   b = (n_y + i n_x) sin(t/2).
+
+    For spin 1 the rotation is D^1(U), whose rows in the m = +1, 0, -1
+    basis are
+
+        (a^2, sqrt2 a b, b^2),
+        (-sqrt2 a b*, |a|^2 - |b|^2, sqrt2 a* b),
+        (b*^2, -sqrt2 a* b*, a*^2);
+
+    for a qubit pair, S = s_a + s_b, it is U (x) U, whose entries are the
+    same products.  Each product is written out in real arithmetic on
+    c = cos(t/2) and (x, y, z) = n sin(t/2), with |b|^2 = x^2 + y^2,
+    |a|^2 = 1 - |b|^2 and Re a^2 = 1 - (sin^2(t/2) + z^2), so a rotation
+    near the identity is 1 plus small terms; v = 0 gives the identity
+    exactly, and an axis-aligned v has an exact unit n.  Everything is
+    scalar ``math`` and Python, vector by vector, so each matrix of a
+    stack is bit for bit the one its vector gives alone.
     """
-    vs = np.asarray(vs, dtype=float).reshape(-1, 3)
-    coef = []
-    for vx, vy, vz in vs.tolist():
+    if d not in (3, 4):
+        raise ValueError(f"no site rotation for site dimension {d}")
+    mats = []
+    for vx, vy, vz in np.asarray(vs, dtype=float).reshape(-1, 3).tolist():
         t = math.hypot(vx, vy, vz)
         if t == 0.0:
-            coef.append((0j, 0.0))
+            c = 1.0
+            h = x = y = z = 0.0
         else:
-            half = math.sin(t / 2) / t
-            coef.append((1j * math.sin(t) / t, 2 * half * half))
-    lin, quad = np.array(coef).T[:, :, None, None]
-    vx, vy, vz = vs.T[:, :, None, None]
-    gen = vx * site[0] + vy * site[1] + vz * site[2]
-    return np.eye(site.shape[-1]) + lin * gen - quad * (gen @ gen)
+            c, h = math.cos(t / 2), math.sin(t / 2)
+            x, y, z = vx / t * h, vy / t * h, vz / t * h
+        bb = x * x + y * y  # |b|^2
+        a2 = complex(1.0 - (h * h + z * z), 2 * c * z)
+        b2 = complex(y * y - x * x, 2 * x * y)
+        ab = complex(c * y - z * x, c * x + z * y)
+        abc = complex(c * y + z * x, z * y - c * x)  # a b*
+        if d == 3:
+            mats.append(((a2, _SQRT2 * ab, b2),
+                         (-_SQRT2 * abc, 1.0 - 2 * bb, _SQRT2 * abc.conjugate()),
+                         (b2.conjugate(), -_SQRT2 * ab.conjugate(), a2.conjugate())))
+        else:
+            aa = 1.0 - bb
+            mats.append(((a2, ab, ab, b2),
+                         (-abc, aa, -bb, abc.conjugate()),
+                         (-abc, -bb, aa, abc.conjugate()),
+                         (b2.conjugate(), -ab.conjugate(), -ab.conjugate(), a2.conjugate())))
+    return np.array(mats, dtype=complex)
 
 
-def correction_unitary(site: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def correction_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Independent random spin rotations exp(2 pi i a.S) on the two sites of
-    a bond.
+    a bond, each of site dimension ``d``.
 
     Six uniform [0, 1) draws: x/y/z components of ``a`` for the
     lower-numbered site, then for its neighbor.  The kron of the two site
     matrices is one broadcast product, the same single products as
     ``np.kron``.
     """
-    left, right = site_rotations(2 * np.pi * rng.random(6).reshape(2, 3), site)
-    d2 = site.shape[-1] ** 2
-    return (left[:, None, :, None] * right[None, :, None, :]).reshape(d2, d2)
+    left, right = site_rotations(2 * np.pi * rng.random(6).reshape(2, 3), d)
+    return (left[:, None, :, None] * right[None, :, None, :]).reshape(d * d, d * d)
 
 
 def sweep_order(n: int) -> list[int]:
@@ -261,12 +286,11 @@ def sweep_order(n: int) -> list[int]:
 @dataclass(frozen=True)
 class ChainOps:
     """Operators and reference state of one encoding ``mode``: the bond
-    projector, the (3, d, d) site spin stack and the reference state, whose
-    shape (d,) * N gives the chain length."""
+    projector and the reference state, whose shape (d,) * N gives the chain
+    length and the site dimension."""
 
     mode: str
     projector: np.ndarray
-    site: np.ndarray
     reference: np.ndarray
 
 
@@ -275,7 +299,6 @@ def build_chain(n: int, mode: str) -> ChainOps:
     return ChainOps(
         mode=mode,
         projector=bond_projector(mode),
-        site=site_matrices(mode),
         reference=reference,
     )
 
@@ -322,6 +345,7 @@ def mite_subroutine(
     up in ``_threshold_memo``, and ``stats`` is built once, at the end.
     """
     epsilon, e_th = config.epsilon, config.e_th(chain.mode)
+    d = chain.reference.shape[0]
     n_iter, window, fire_window = config.n_iter, config.window, config.fire_window
     gains = measurement_gains(epsilon)
     above = _threshold_memo(epsilon, e_th)
@@ -357,7 +381,7 @@ def mite_subroutine(
                 break
         elif run1 >= fire_window:
             advance(t - n_iter)
-            bond = bond.kick(correction_unitary(chain.site, rng))
+            bond = bond.kick(correction_unitary(d, rng))
             measurements += t
             corrections += 1
             k0 = k1 = run1 = streak = t = 0
@@ -409,9 +433,9 @@ def apply_noise(
     axis: str | None,
     sigma2: float,
     rng: np.random.Generator,
-    site: np.ndarray,
 ) -> np.ndarray:
-    """Random local rotations exp(i xi_j S_j^axis) on every site.
+    """Random local rotations exp(i xi_j S_j^axis) on every site, each
+    built for the state's site dimension.
 
     Angles are i.i.d. with density proportional to exp(-xi^2 / sigma2),
     i.e. Gaussian with variance sigma2 / 2 (the density is taken literally;
@@ -421,7 +445,7 @@ def apply_noise(
     if sigma2 == 0.0:
         return state
     xi = math.sqrt(sigma2 / 2.0) * rng.standard_normal(state.ndim)
-    return map_sites(site_rotations(xi[:, None] * _AXES[axis], site), state)
+    return map_sites(site_rotations(xi[:, None] * _AXES[axis], state.shape[0]), state)
 
 
 def bond_partials(state: np.ndarray, projector: np.ndarray) -> list[float]:
@@ -471,14 +495,14 @@ def prepare(config: MiteConfig, n: int, mode: str, kernel=TwoLevelBond) -> Traje
     chain = build_chain(n, mode)
     config.e_th(mode)  # validate threshold up front
     rng = np.random.default_rng(config.seed)
-    state = product_state(n, chain.site.shape[-1])
+    state = product_state(n, chain.reference.shape[0])
     counts = dict.fromkeys(range(1, n + 1), (0, 0, 0))
     record = TrajectoryRecord(f_tot=[], partial=[], e_peak=[], corrections=[], measurements=[],
                               sym_weight=[] if mode == "qubit" else None)
     try:
         for r in range(config.r_max + 1):  # round 0 records the initial state
             if r > 0:
-                state = apply_noise(state, config.noise_axis, config.noise_sigma2, rng, chain.site)
+                state = apply_noise(state, config.noise_axis, config.noise_sigma2, rng)
                 state, stats = sweep_round(state, chain, config, rng, counts, kernel)
                 by_bond = {st.bond: st for st in stats}
                 record.e_peak.append([by_bond[j].e_peak_last for j in range(1, n + 1)])
@@ -525,10 +549,9 @@ def twisted_sx_product(n: int, theta: float) -> np.ndarray:
     every chain length; at commensurate angles some lengths regain a shared
     symmetry and the overlap vanishes again.  The cascade uses theta = 1.
     """
-    s1 = spin1_matrices()
     base = sx_stretched_site_ket()
     amps = np.array([1.0 + 0j])
-    for twist in site_rotations([(0.0, 0.0, -theta * j) for j in range(n)], s1):
+    for twist in site_rotations([(0.0, 0.0, -theta * j) for j in range(n)], 3):
         amps = np.kron(amps, twist @ base)
     return amps.reshape((3,) * n)
 

@@ -345,11 +345,11 @@ def check_correction_unitarity():
     worst = worst_expm = 0.0
     for mats in (spin_ops.spin1_matrices(), spin_ops.paired_site_matrices()):
         for _ in range(20):
-            u = mite.correction_unitary(mats, rng)
+            u = mite.correction_unitary(mats.shape[-1], rng)
             worst = max(worst, _maxabs(u @ u.conj().T - np.eye(u.shape[0])))
             # correction-sized and noise-sized rotation vectors
             vs = np.stack([2 * np.pi * rng.random(3), 0.1 * rng.standard_normal(3)])
-            for v, rot in zip(vs, mite.site_rotations(vs, mats)):
+            for v, rot in zip(vs, mite.site_rotations(vs, mats.shape[-1])):
                 gen = v[0] * mats[0] + v[1] * mats[1] + v[2] * mats[2]
                 worst_expm = max(worst_expm, _maxabs(rot - expm(1j * gen)))
     passed = worst <= 1e-12 and worst_expm <= 1e-12

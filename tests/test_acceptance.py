@@ -104,9 +104,9 @@ def test_criterion_1_operator_identities():
         assert np.max(np.abs(comp)) <= 1e-12
 
     rng = np.random.default_rng(1)
-    for site in (spin_ops.spin1_matrices(), spin_ops.paired_site_matrices()):
+    for d in (3, 4):
         for _ in range(25):
-            u = mite.correction_unitary(site, rng)
+            u = mite.correction_unitary(d, rng)
             assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= 1e-12
 
     eps = 0.5

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from aklt_mite import cli, jobs, mite, recompile, spin_ops, verify
 from aklt_mite.cli import main
@@ -583,11 +584,17 @@ class TestQubitMode:
         assert len(data_rows(out)) == 5  # header + r = 0..3
 
     def test_out_of_sector_state_fails_without_output(self, tmp_path, capsys, monkeypatch):
-        """Corrections that rotate one sub-spin of a site break the a<->b swap
-        symmetry; the trajectory leaves the symmetric sector and the job
-        stops with exit 2, naming the seed and the round."""
-        one_sub_spin = np.stack([np.kron(2 * s, np.eye(2)) for s in spin_ops.spin_half_matrices()])
-        monkeypatch.setattr(mite, "site_matrices", lambda mode: one_sub_spin)
+        """Corrections that rotate one sub-spin of a site, U (x) 1 in place of
+        U (x) U, break the a<->b swap symmetry; the trajectory leaves the
+        symmetric sector and the job stops with exit 2, naming the seed and
+        the round."""
+        half = spin_ops.spin_half_matrices()
+
+        def one_sub_spin(vs, d):
+            return np.array([np.kron(expm(1j * np.tensordot(v, half, 1)), np.eye(2))
+                             for v in np.reshape(vs, (-1, 3))])
+
+        monkeypatch.setattr(mite, "site_rotations", one_sub_spin)
         out = tmp_path / "never.csv"
         assert run(["prepare", "--mode", "qubit", "--n", 3, "--runs", 1, "--rounds", 3,
                     "--seed", 4, "--out", out]) == 2

@@ -114,8 +114,9 @@ class TestAmplitudeDiagnostic:
 
 
 def _site_rotation(v, site):
-    """The scalar closed form exp(i v.S) for one vector, kept as the oracle
-    of ``mite.site_rotations``."""
+    """exp(i v.S) for one vector by the generator formula
+    1 + i (sin t / t) G - 2 (sin(t/2) / t)^2 G^2, G = v.S: an independent
+    closed form, kept as the tolerance oracle of ``mite.site_rotations``."""
     vx, vy, vz = map(float, v)
     t = math.hypot(vx, vy, vz)
     d = site.shape[-1]
@@ -130,24 +131,34 @@ def _site_rotation(v, site):
 SITES = [spin_ops.spin1_matrices, spin_ops.paired_site_matrices]
 
 
+def rotation_vectors(rng):
+    """Rotation vectors of every size the jobs use, and the edge cases."""
+    vectors = [np.zeros(3), [0.0, 0.0, -1e-300], [0.0, 0.0, 1e-9]]
+    vectors += [(0.0, 0.0, -1.0 * j) for j in range(9)]  # cascade twists
+    vectors += [2 * np.pi * rng.random(3) for _ in range(100)]  # correction-sized
+    vectors += [0.07 * rng.standard_normal() * np.array(axis)  # noise-sized
+                for axis in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]) for _ in range(50)]
+    vectors += [rng.standard_normal(3) * 10.0 ** rng.integers(-12, 3) for _ in range(100)]
+    return np.array(vectors, dtype=float)
+
+
 class TestCorrectionUnitary:
-    def test_zero_angles_identity(self):
-        s1 = spin_ops.spin1_matrices()
-        rots = mite.site_rotations([[0, 0, 0], [1.0, 2.0, 3.0], [0, 0, 0]], s1)
-        assert np.array_equal(rots[0], np.eye(3)) and np.array_equal(rots[2], np.eye(3))
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_zero_angles_identity(self, d):
+        rots = mite.site_rotations([[0, 0, 0], [1.0, 2.0, 3.0], [0, 0, 0]], d)
+        assert np.array_equal(rots[0], np.eye(d)) and np.array_equal(rots[2], np.eye(d))
 
     @pytest.mark.parametrize("maker", SITES)
     def test_unitarity(self, maker):
-        site = maker()
+        d = maker().shape[-1]
         rng = np.random.default_rng(3)
         for _ in range(100):
-            u = mite.correction_unitary(site, rng)
+            u = mite.correction_unitary(d, rng)
             assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= 1e-12
 
     def test_full_z_turn_is_identity_for_integer_spin(self):
         # 2 pi rotation of a spin-1: exp(2 pi i Sz) = diag(e^{2pi i}, 1, e^{-2pi i})
-        s1 = spin_ops.spin1_matrices()
-        assert np.allclose(mite.site_rotations([0, 0, 2 * np.pi], s1)[0], np.eye(3), atol=1e-12)
+        assert np.allclose(mite.site_rotations([0, 0, 2 * np.pi], 3)[0], np.eye(3), atol=1e-12)
 
     @pytest.mark.parametrize("maker", SITES)
     def test_closed_form_matches_expm(self, maker):
@@ -156,43 +167,70 @@ class TestCorrectionUnitary:
         vectors = [np.zeros(3), [0.0, 0.0, 1e-9]]
         vectors += [2 * np.pi * rng.random(3) for _ in range(50)]  # correction-sized
         vectors += [0.1 * rng.standard_normal(3) for _ in range(50)]  # noise-sized
-        for v, rot in zip(vectors, mite.site_rotations(vectors, site)):
+        for v, rot in zip(vectors, mite.site_rotations(vectors, site.shape[-1])):
             gen = v[0] * site[0] + v[1] * site[1] + v[2] * site[2]
             assert np.max(np.abs(rot - expm(1j * gen))) <= 1e-12
 
     @pytest.mark.parametrize("maker", SITES)
-    def test_stack_matches_scalar_formula_bitwise(self, maker):
+    def test_matches_the_generator_formula(self, maker):
+        """The Cayley-Klein build against the generator formula of
+        ``_site_rotation``, entry by entry (measured: at most 6.7e-16)."""
         site = maker()
-        rng = np.random.default_rng(12)
-        vectors = [np.zeros(3), [0.0, 0.0, -1e-300], [0.0, 0.0, 1e-9]]
-        vectors += [(0.0, 0.0, -1.0 * j) for j in range(9)]  # cascade twists
-        vectors += [2 * np.pi * rng.random(3) for _ in range(100)]  # correction-sized
-        vectors += [0.07 * rng.standard_normal() * np.array(axis)  # noise-sized
-                    for axis in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]) for _ in range(50)]
-        vectors += [rng.standard_normal(3) * 10.0 ** rng.integers(-12, 3) for _ in range(100)]
-        vectors = np.array(vectors, dtype=float)
+        vectors = rotation_vectors(np.random.default_rng(12))
+        rots = mite.site_rotations(vectors, site.shape[-1])
+        gap = max(float(np.max(np.abs(rot - _site_rotation(v, site)))) for v, rot in zip(vectors, rots))
+        assert gap <= 2e-15
+
+    @pytest.mark.parametrize("size", ["correction", "noise", "axis_noise"])
+    def test_encodings_agree_through_the_triplet_isometry(self, size):
+        """V' exp(i v.S_pair) V = exp(i v.S_spin1) for V the triplet
+        isometry: the spin-1 vs. qubit encoding oracle of the rotations, on
+        correction-sized and noise-sized vectors (the jobs' noise is along
+        one axis)."""
+        rng = np.random.default_rng(40)
+        vectors = {
+            "correction": lambda: 2 * np.pi * rng.random((200, 3)),
+            "noise": lambda: 0.1 * rng.standard_normal((200, 3)),
+            "axis_noise": lambda: 0.07 * rng.standard_normal((200, 1)) * np.eye(3)[rng.integers(0, 3, 200)],
+        }[size]()
+        v = qubit_map.triplet_isometry()
+        pairs, spins = mite.site_rotations(vectors, 4), mite.site_rotations(vectors, 3)
+        gap = max(float(np.max(np.abs(v.conj().T @ pair @ v - spin))) for pair, spin in zip(pairs, spins))
+        assert gap <= 1e-15
+
+    @pytest.mark.parametrize("maker", SITES)
+    def test_stack_matches_scalar_formula_bitwise(self, maker):
+        """Every matrix of a stack is bit for bit the one its vector gives in
+        a one-row call, whatever the stack size or position."""
+        d = maker().shape[-1]
+        vectors = rotation_vectors(np.random.default_rng(12))
+        rows = [mite.site_rotations(v, d)[0] for v in vectors]
         for k in (1, 2, 5, 9, len(vectors)):
             for start in range(0, len(vectors) - k + 1, max(k, 37)):
-                rots = mite.site_rotations(vectors[start:start + k], site)
-                assert rots.shape == (k,) + site.shape[1:]
-                for v, rot in zip(vectors[start:start + k], rots):
-                    assert np.array_equal(rot, _site_rotation(v, site))
+                rots = mite.site_rotations(vectors[start:start + k], d)
+                assert rots.shape == (k, d, d)
+                for row, rot in zip(rows[start:start + k], rots):
+                    assert np.array_equal(rot, row)
 
     @pytest.mark.parametrize("maker", SITES)
     def test_correction_matches_kron_of_scalar_rotations_bitwise(self, maker):
-        site = maker()
+        """A correction is ``np.kron`` of its two rows, each a one-row call."""
+        d = maker().shape[-1]
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            left = _site_rotation(2 * np.pi * rng.random(3), site)
-            right = _site_rotation(2 * np.pi * rng.random(3), site)
-            u = mite.correction_unitary(site, np.random.default_rng(seed))
+            left = mite.site_rotations(2 * np.pi * rng.random(3), d)[0]
+            right = mite.site_rotations(2 * np.pi * rng.random(3), d)[0]
+            u = mite.correction_unitary(d, np.random.default_rng(seed))
             assert np.array_equal(u, np.kron(left, right))
 
     def test_six_draw_reproducibility(self):
-        s1 = spin_ops.spin1_matrices()
-        u1 = mite.correction_unitary(s1, np.random.default_rng(5))
-        u2 = mite.correction_unitary(s1, np.random.default_rng(5))
+        u1 = mite.correction_unitary(3, np.random.default_rng(5))
+        u2 = mite.correction_unitary(3, np.random.default_rng(5))
         assert np.array_equal(u1, u2)
+
+    def test_site_dimension_other_than_three_or_four_rejected(self):
+        with pytest.raises(ValueError, match="site dimension 2"):
+            mite.site_rotations([0.1, 0.2, 0.3], 2)
 
 
 class TestRngStreams:
@@ -700,34 +738,35 @@ class TestNoise:
         state = product_of(3, np.eye(3)[1])
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        out = mite.apply_noise(state, "x", 0.0, rng, spin_ops.site_matrices("spin1"))
+        out = mite.apply_noise(state, "x", 0.0, rng)
         assert np.array_equal(out, state)
         assert rng.bit_generator.state == before
 
     def test_z_noise_preserves_amplitude_magnitudes(self):
         # diagonal generator: only phases move on an Sz-basis product state
         state = product_state(3, 3)
-        out = mite.apply_noise(state, "z", 0.01, np.random.default_rng(4), spin_ops.site_matrices("spin1"))
+        out = mite.apply_noise(state, "z", 0.01, np.random.default_rng(4))
         assert np.allclose(np.abs(out), np.abs(state), atol=1e-12)
 
     def test_norm_preserved(self, rng):
         state = random_state(rng, 4, 3)
-        out = mite.apply_noise(state, "x", 0.05, rng, spin_ops.site_matrices("spin1"))
+        out = mite.apply_noise(state, "x", 0.05, rng)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["spin1", "qubit"])
     @pytest.mark.parametrize("axis", ["x", "z"])
     def test_matches_per_site_scalar_rotations_bitwise(self, mode, axis):
-        site = spin_ops.site_matrices(mode)
+        d = spin_ops.site_matrices(mode).shape[-1]
         unit = np.array([1.0, 0.0, 0.0]) if axis == "x" else np.array([0.0, 0.0, 1.0])
         rng = np.random.default_rng(9)
-        state = random_state(rng, 4, site.shape[-1])
+        state = random_state(rng, 4, d)
         for seed in range(10):
             expected, oracle_rng = state, np.random.default_rng(seed)
             for j in range(1, 5):
                 xi = math.sqrt(0.05 / 2.0) * oracle_rng.standard_normal()
-                expected = statevec.apply_one_site(_site_rotation(xi * unit, site), j, expected)
-            out = mite.apply_noise(state, axis, 0.05, np.random.default_rng(seed), site)
+                rot = mite.site_rotations(xi * unit, d)[0]
+                expected = statevec.apply_one_site(rot, j, expected)
+            out = mite.apply_noise(state, axis, 0.05, np.random.default_rng(seed))
             assert np.array_equal(out, expected)
 
     def test_noiseless_config_matches_noise_free_run(self):
@@ -791,14 +830,13 @@ class TestSiteLayout:
 
     def test_kick_is_the_rebuilt_bond_apply(self, rng, d, n):
         proj = spin_ops.bond_projector("spin1" if d == 3 else "qubit")
-        site = spin_ops.site_matrices("spin1" if d == 3 else "qubit")
         gains = mite.measurement_gains(0.5)
         state = random_state(rng, n, d)
         for j in range(1, n + 1):
             bond = mite.TwoLevelBond.open(frame_of(state, j), j, proj)
             for _ in range(5):
                 bond.sample(gains, rng.random())
-            u = mite.correction_unitary(site, rng)
+            u = mite.correction_unitary(d, rng)
             full = unrotated(bond.state(), j, n, d)
             old = mite.TwoLevelBond.open(frame_of(apply_two_site(u, j, full), j), j, proj)
             new = bond.kick(u)
@@ -855,12 +893,11 @@ class TestDirectProjection:
 
     @pytest.mark.parametrize("theta", [1.0, 0.3])
     def test_twisted_product_matches_scalar_twists_bitwise(self, theta):
-        s1 = spin_ops.spin1_matrices()
         base = mite.sx_stretched_site_ket()
         for n in range(3, 10):
             amps = np.array([1.0 + 0j])
             for j in range(n):
-                amps = np.kron(amps, _site_rotation((0.0, 0.0, -theta * j), s1) @ base)
+                amps = np.kron(amps, mite.site_rotations((0.0, 0.0, -theta * j), 3)[0] @ base)
             assert np.array_equal(mite.twisted_sx_product(n, theta).reshape(-1), amps)
 
     def test_untwisted_product_is_annihilated(self, aklt, monkeypatch):

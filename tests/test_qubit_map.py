@@ -108,10 +108,9 @@ class TestQubitReference:
 
 class TestQubitDynamics:
     def test_corrections_preserve_symmetric_sector(self, rng):
-        site = spin_ops.paired_site_matrices()
         state = qubit_map.lift_state(random_state(rng, 3, 3))
         for _ in range(20):
-            u = mite.correction_unitary(site, rng)
+            u = mite.correction_unitary(4, rng)
             state = apply_two_site(u, int(rng.integers(1, 4)), state)
         assert qubit_map.symmetric_weight(state) == pytest.approx(1.0, abs=1e-9)
 

@@ -26,9 +26,9 @@ def chain_states(mode, n):
     by name: the builders of that encoding, the change of encoding into it,
     a noise step, a bond walk, a sweep round and the chain-order applies."""
     chain = mite.build_chain(n, mode)
-    d = chain.site.shape[-1]
+    d = chain.reference.shape[0]
     rng = np.random.default_rng(3)
-    noisy = mite.apply_noise(product_state(n, d), "x", 1e-2, rng, chain.site)
+    noisy = mite.apply_noise(product_state(n, d), "x", 1e-2, rng)
     counts = dict.fromkeys(range(1, n + 1), (0, 0, 0))
     states = {
         "product_state": product_state(n, d),
@@ -37,7 +37,7 @@ def chain_states(mode, n):
         "sweep_round": mite.sweep_round(noisy, chain, mite.MiteConfig(), rng, counts,
                                         mite.TwoLevelBond)[0],
         "apply_two_site": apply_two_site(chain.projector, n, noisy),
-        "apply_one_site": apply_one_site(chain.site[0], 2, noisy),
+        "apply_one_site": apply_one_site(spin_ops.site_matrices(mode)[0], 2, noisy),
         "hamiltonian_apply": spin_ops.hamiltonian_apply(noisy, chain.projector),
     }
     if mode == "spin1":
