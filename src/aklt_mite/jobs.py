@@ -11,6 +11,7 @@ benchmark's tracer wraps is loaded."""
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,10 +37,9 @@ def run_prepare(cfg: dict, ns: list[int], config: mite.MiteConfig):
     records = fan_out(mite.prepare, tasks, cfg["threads"])
     rows = []
     for rid, rec in enumerate(records):
-        for r in range(len(rec.f_tot)):
-            min_part = min(rec.partial[r])
-            corr = sum(rec.corrections[:r])
-            rows.append((rid, r, float(rec.f_tot[r]), float(min_part), corr))
+        so_far = accumulate(rec.corrections, initial=0)  # corrections of rounds 1..r at round r
+        for r, (f_tot, partial, corr) in enumerate(zip(rec.f_tot, rec.partial, so_far)):
+            rows.append((rid, r, float(f_tot), float(min(partial)), corr))
     padded = np.stack([mite.padded_series(rec, config.r_max) for rec in records])
     r_c = [mite.critical_rounds(series) for series in padded]
     crossed = sorted(x for x in r_c if x is not None)
