@@ -354,10 +354,7 @@ def mite_subroutine(
     k0, k1, run1 = counts
     measurements = corrections = streak = t = 0
     converged = False
-    # One block of uniforms per stretch: the unused tail is rewound before a
-    # correction's draw and at the end, so the stream advances exactly as one
-    # scalar draw per measurement would advance it.
-    us = rng.random(n_iter).tolist()
+    us = rng.random(n_iter).tolist()  # a stretch's block; its unused tail is rewound
     while t < n_iter:
         q = bond.sample(gains, us[t])
         t += 1

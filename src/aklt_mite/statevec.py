@@ -25,9 +25,10 @@ layout: ``rotate_sites`` shifts the site order cyclically, ``walk_bonds``
 visits a sequence of bonds on their (d^2, d^(N-2)) *frames*,
 ``bond_weights`` reads <psi|P|psi> on every bond in one rotation pass,
 ``apply_real`` applies a real operator (the bond projector) to a frame as
-one real matmul, and ``map_sites`` applies one operator per site.  The chain-order functions
-``apply_two_site``, ``apply_one_site``, ``partial_fidelity`` and
-``born_sample`` are the independent oracles those are tested against.
+one real matmul, and ``map_sites`` applies one operator per site.  The
+chain-order functions ``apply_two_site``, ``apply_one_site``,
+``partial_fidelity`` and ``born_sample`` are the independent oracles those
+are tested against.
 """
 
 from __future__ import annotations
