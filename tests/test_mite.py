@@ -143,10 +143,10 @@ def rotation_vectors(rng):
 
 
 class TestCorrectionUnitary:
-    @pytest.mark.parametrize("d", [3, 4])
-    def test_zero_angles_identity(self, d):
-        rots = mite.site_rotations([[0, 0, 0], [1.0, 2.0, 3.0], [0, 0, 0]], d)
-        assert np.array_equal(rots[0], np.eye(d)) and np.array_equal(rots[2], np.eye(d))
+    def test_zero_angles_identity(self):
+        for d in (3, 4):
+            rots = mite.site_rotations([[0, 0, 0], [1.0, 2.0, 3.0], [0, 0, 0]], d)
+            assert np.array_equal(rots[0], np.eye(d)) and np.array_equal(rots[2], np.eye(d))
 
     @pytest.mark.parametrize("maker", SITES)
     def test_unitarity(self, maker):
