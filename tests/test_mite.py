@@ -188,11 +188,12 @@ class TestCorrectionUnitary:
         correction-sized and noise-sized vectors (the jobs' noise is along
         one axis)."""
         rng = np.random.default_rng(40)
-        vectors = {
-            "correction": lambda: 2 * np.pi * rng.random((200, 3)),
-            "noise": lambda: 0.1 * rng.standard_normal((200, 3)),
-            "axis_noise": lambda: 0.07 * rng.standard_normal((200, 1)) * np.eye(3)[rng.integers(0, 3, 200)],
-        }[size]()
+        if size == "correction":
+            vectors = 2 * np.pi * rng.random((200, 3))
+        elif size == "noise":
+            vectors = 0.1 * rng.standard_normal((200, 3))
+        else:
+            vectors = 0.07 * rng.standard_normal((200, 1)) * np.eye(3)[rng.integers(0, 3, 200)]
         v = qubit_map.triplet_isometry()
         pairs, spins = mite.site_rotations(vectors, 4), mite.site_rotations(vectors, 3)
         gap = max(float(np.max(np.abs(v.conj().T @ pair @ v - spin))) for pair, spin in zip(pairs, spins))
