@@ -74,18 +74,18 @@ first draws the per-site noise angles as one ``standard_normal(N)`` (sites
 1..N, only when noise is active); then ``mite_subroutine`` uses one
 uniform ``u`` per measurement, which picks the kernel's outcome, and one
 ``random(6)`` per correction (three per site, x/y/z order, lower-numbered
-site first).  The visit draws a stretch's uniforms as one
-``random(n_iter)`` block and rewinds the unused tail with
-``bit_generator.advance`` before each correction's ``random(6)`` and at
-the end of the visit, so the stream advances exactly as one scalar
-``random()`` per measurement would advance it; the bit generator must be
-able to move backwards, as ``default_rng``'s PCG64 can.  No kernel sees
-the generator.
+site first).  The visit draws a stretch's uniforms in blocks of at most
+``UNIFORM_BLOCK`` (one ``random(n_iter)`` when ``n_iter`` fits) and rewinds
+the unused tail of the current block with ``bit_generator.advance`` before
+each correction's ``random(6)`` and at the end of the visit, so the stream
+advances exactly as one scalar ``random()`` per measurement would advance
+it, and a visit holds at most one block whatever ``n_iter`` is; the bit
+generator must be able to move backwards, as ``default_rng``'s PCG64 can.
+No kernel sees the generator.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -106,6 +106,7 @@ from .statevec import (
 _BUILT_NORM_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
 _SYM_WEIGHT_TOL = 1e-9
+UNIFORM_BLOCK = 1024  # most uniforms a visit draws at once; at least the default n_iter
 
 
 def measurement_gains(epsilon: float) -> tuple[float, float]:
@@ -196,15 +197,6 @@ def peak_energy(k0: int, k1: int, epsilon: float) -> float:
     if total <= 0:
         raise ValueError("peak energy undefined for empty counts")
     return math.asin((k1 - k0) / total) / (2.0 * epsilon)
-
-
-@functools.lru_cache(maxsize=16)
-def _threshold_memo(epsilon: float, e_th: float) -> dict[tuple[int, int], bool]:
-    """The memo (k0, k1) -> ``peak_energy(k0, k1, epsilon) >= e_th`` that the
-    visit loop fills as it meets counts; one per (epsilon, e_th), shared by
-    every visit of the process.  The counter cap bounds it to the pairs with
-    k0 + k1 <= ``COUNTER_CAP``."""
-    return {}
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -337,26 +329,27 @@ def mite_subroutine(
 
     Measurements run on ``kernel``: it opens the bond at the start of the
     visit, kicks it with each correction, and collapses on each uniform
-    drawn here (see the module docstring for the blocks and rewinds).
-    The two-level kernel pays one projector application per opening and
-    per kick.  ``counts`` is the bond's (k0, k1, run1) from its last
-    visit; the visit counts on from it and returns its end counts in
-    ``stats.counts``.  The threshold test on the peak estimate is looked
-    up in ``_threshold_memo``, and ``stats`` is built once, at the end.
+    drawn here, in blocks of at most ``UNIFORM_BLOCK`` (see the module
+    docstring for the blocks and rewinds), so a visit's memory does not
+    grow with ``n_iter``.  The two-level kernel pays one projector
+    application per opening and per kick.  ``counts`` is the bond's (k0,
+    k1, run1) from its last visit; the visit counts on from it and returns
+    its end counts in ``stats.counts``, built once, at the end.
     """
     epsilon, e_th = config.epsilon, config.e_th(chain.mode)
     d = chain.reference.shape[0]
     n_iter, window, fire_window = config.n_iter, config.window, config.fire_window
     gains = measurement_gains(epsilon)
-    above = _threshold_memo(epsilon, e_th)
     advance = rng.bit_generator.advance
     bond = kernel.open(frame, j, chain.projector)
     k0, k1, run1 = counts
     measurements = corrections = streak = t = 0
     converged = False
-    us = rng.random(n_iter).tolist()  # a stretch's block; its unused tail is rewound
+    us = []  # the current block's unused uniforms, the next one last
     while t < n_iter:
-        q = bond.sample(gains, us[t])
+        if not us:
+            us = rng.random(min(UNIFORM_BLOCK, n_iter - t)).tolist()[::-1]
+        q = bond.sample(gains, us.pop())
         t += 1
         if q == 0:
             k0 += 1
@@ -367,26 +360,22 @@ def mite_subroutine(
         if k0 + k1 > COUNTER_CAP:  # halve both: forgetting that keeps their ratio
             k0 //= 2
             k1 //= 2
-        key = (k0, k1)
-        hit = above.get(key)
-        if hit is None:
-            hit = above[key] = peak_energy(k0, k1, epsilon) >= e_th
-        if not hit:
+        if peak_energy(k0, k1, epsilon) < e_th:
             streak += 1
             if streak >= window:
                 converged = True
                 break
         elif run1 >= fire_window:
-            advance(t - n_iter)
+            advance(-len(us))
             bond = bond.kick(correction_unitary(d, rng))
             measurements += t
             corrections += 1
             k0 = k1 = run1 = streak = t = 0
-            us = rng.random(n_iter).tolist()
+            us = []
         else:
             streak = 0
-    if t < n_iter:
-        advance(t - n_iter)
+    if us:
+        advance(-len(us))
     # the last measurement of a visit never fires, so its estimate is the end counts'
     stats = SubroutineStats(bond=j, measurements=measurements + t, corrections=corrections,
                             converged=converged, e_peak_last=peak_energy(k0, k1, epsilon),
@@ -525,7 +514,7 @@ def padded_series(record: TrajectoryRecord, r_max: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# deterministic direct-projection oracle
+# the deterministic projection cascade behind the ``project`` job
 
 def sx_stretched_site_ket() -> np.ndarray:
     """The Sx eigenvalue +1 eigenvector of one spin-1 site, in the Sz basis."""

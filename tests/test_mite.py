@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -251,21 +252,46 @@ class TestRngStreams:
         before each correction's ``random(6)`` and at its end: the stream
         ends where one scalar ``random()`` per measurement and six per
         correction would leave it.  The visits seen include one that fired,
-        one that converged without firing and one that hit the cap."""
+        one that converged without firing and one that hit the cap, at the
+        default ``n_iter`` and at one whose stretches span several blocks."""
         chain = mite.build_chain(4, "spin1")
-        kinds = set()
-        for seed in range(8):
-            for state in (product_state(4, 3), aklt[4]):
-                rng = np.random.default_rng(seed)
-                _, stats = mite.mite_subroutine(frame_of(state, 1), 1, chain, mite.MiteConfig(),
-                                                rng, (0, 0, 0), mite.TwoLevelBond)
-                scalar = np.random.default_rng(seed)
-                for _ in range(stats.measurements + 6 * stats.corrections):
-                    scalar.random()
-                assert rng.bit_generator.state == scalar.bit_generator.state, (seed, stats)
-                kinds.add("fired" if stats.corrections else
-                          "converged" if stats.converged else "cap")
-        assert kinds == {"fired", "converged", "cap"}
+        several = 2 * mite.UNIFORM_BLOCK + 100
+        for config in (mite.MiteConfig(), mite.MiteConfig(n_iter=several, window=several)):
+            kinds = set()
+            for seed in range(8):
+                for state in (product_state(4, 3), aklt[4]):
+                    rng = np.random.default_rng(seed)
+                    _, stats = mite.mite_subroutine(frame_of(state, 1), 1, chain, config,
+                                                    rng, (0, 0, 0), mite.TwoLevelBond)
+                    scalar = np.random.default_rng(seed)
+                    for _ in range(stats.measurements + 6 * stats.corrections):
+                        scalar.random()
+                    assert rng.bit_generator.state == scalar.bit_generator.state, (seed, stats)
+                    kinds.add("fired" if stats.corrections else
+                              "converged" if stats.converged else "cap")
+            assert kinds == {"fired", "converged", "cap"}, config
+
+    def test_a_visit_draws_at_most_one_block_at_a_time(self, aklt):
+        """At ``n_iter`` = 10^5 the visit's stretches are far longer than a
+        block, yet no ``random`` call asks for more than ``UNIFORM_BLOCK``
+        uniforms."""
+        sizes = []
+
+        class RecordingGenerator:
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+                self._rng = rng
+
+            def random(self, size=None):
+                sizes.append(size)
+                return self._rng.random(size)
+
+        config = mite.MiteConfig(n_iter=10**5, window=10**5)
+        _, stats = mite.mite_subroutine(frame_of(aklt[4], 1), 1, mite.build_chain(4, "spin1"),
+                                        config, RecordingGenerator(np.random.default_rng(0)),
+                                        (0, 0, 0), mite.TwoLevelBond)
+        assert stats.measurements > 3 * mite.UNIFORM_BLOCK
+        assert max(sizes) == mite.UNIFORM_BLOCK
 
     @pytest.mark.parametrize("seed", [0, 1, 21, 12345])
     def test_standard_normal_n_is_n_scalar_draws(self, seed):
@@ -612,7 +638,8 @@ class TestSweepRound:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """A stand-in process pool that records its size and runs the tasks
-    here, so no process starts; the sizes of the pools made."""
+    here, so no process starts, on a host of 64 CPUs; the sizes of the
+    pools made."""
     sizes = []
 
     class RecordingPool:
@@ -629,6 +656,7 @@ def pool_sizes(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # pool sizes that do not depend on the host
     return sizes
 
 
@@ -712,6 +740,14 @@ class TestPrepare:
             column = 1 if kind == "recompile" else 0  # repetition; run_id or n
             assert len({row[column] for row in rows}) == runs, kind
         assert pool_sizes == ([] if workers is None else [workers] * 3)
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (1, None), (None, None)])
+    def test_never_more_workers_than_cpus(self, pool_sizes, monkeypatch, cpus, workers):
+        """A pool forks all its workers at once, so the thread count is
+        capped by the CPUs too; an unknown CPU count runs in this process."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert jobs.fan_out(pow, [(k, 2) for k in range(6)], 10**5) == [0, 1, 4, 9, 16, 25]
+        assert pool_sizes == ([] if workers is None else [workers])
 
     @pytest.mark.parametrize("mode", ["spin1", "qubit"])
     def test_job_path_applies_no_chain_order_bond_operator(self, monkeypatch, mode):
