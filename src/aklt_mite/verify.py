@@ -1,13 +1,14 @@
 """Named self-checks covering every operator identity the method relies on,
 and the oracles no job runs: the matrix Kraus pair, the short-form bond
-projector, the coupled |S, m> basis, exact diagonalization of the spin-1
-chain, the isometry pullback, and the ansatz's unitary, fidelity and
-operator-Schmidt bound.  Each check returns (passed, detail); ``CHECKS``
-names them in the order ``aklt-mite verify`` runs them.  The test suite
-runs each check as its own case instead of restating it, and a deployed
-build can be validated without a test harness present.  The ``expm`` oracles import scipy inside
-their checks, so importing this module does not load scipy; the CLI
-imports it only for ``aklt-mite verify``.
+projector, the coupled |S, m> basis from the Clebsch-Gordan table, exact
+diagonalization of the spin-1 chain, the isometry pullback, and the
+ansatz's unitary, fidelity and operator-Schmidt bound.  Each check returns
+(passed, detail); ``CHECKS`` names them in the order ``aklt-mite verify``
+runs them.  The test suite runs each check as its own case instead of
+restating it, and a deployed build can be validated without a test harness
+present.  The ``expm`` oracles import scipy inside their checks, so
+importing this module does not load scipy; the CLI imports it only for
+``aklt-mite verify``.
 
 The two-level bond kernel's oracle is ``FullStateKernel``: ``mite.prepare``
 runs with it in place of ``mite.TwoLevelBond``, so both sides share every
@@ -104,61 +105,34 @@ class CoupledState:
     vec: np.ndarray
 
 
+# <1 m1; 1 m2 | S m> of two spin-1 sites in the Condon-Shortley convention
+# (Condon & Shortley, The Theory of Atomic Spectra, 1935), each entry c
+# standing for sign(c) sqrt(|c|) as in the Particle Data Group's tables;
+# the keys run in the order ``coupled_basis`` returns the states
+_CLEBSCH_GORDAN_1X1 = {
+    (2, 2): {(1, 1): 1},
+    (2, 1): {(1, 0): 1 / 2, (0, 1): 1 / 2},
+    (2, 0): {(1, -1): 1 / 6, (0, 0): 2 / 3, (-1, 1): 1 / 6},
+    (2, -1): {(0, -1): 1 / 2, (-1, 0): 1 / 2},
+    (2, -2): {(-1, -1): 1},
+    (1, 1): {(1, 0): 1 / 2, (0, 1): -1 / 2},
+    (1, 0): {(1, -1): 1 / 2, (-1, 1): -1 / 2},
+    (1, -1): {(0, -1): 1 / 2, (-1, 0): -1 / 2},
+    (0, 0): {(1, -1): 1 / 3, (0, 0): -1 / 3, (-1, 1): 1 / 3},
+}
+
+
 def coupled_basis() -> list[CoupledState]:
-    """The nine |S, m> states of two spin-1 sites, built by ladder operators.
-
-    Starts from the stretched |2, 2> = |m=1>|m=1> state, walks down each
-    multiplet with the total lowering operator, and finds the top of the
-    next multiplet by orthogonality within the fixed-m subspace
-    (Condon-Shortley phases: first nonzero coefficient positive).
-    """
-    sx, sy, _ = spin_ops.spin1_matrices()
-    eye = np.eye(3)
-    s_minus = (sx - 1j * sy)
-    lower = np.kron(s_minus, eye) + np.kron(eye, s_minus)
-
-    states: list[CoupledState] = []
-    top = np.zeros(9, dtype=complex)
-    top[0] = 1.0  # |m=1>|m=1> at digits (0, 0)
-    for s in (2, 1, 0):
-        vec = top
-        states.append(CoupledState(s, s, vec))
-        for m in range(s - 1, -s - 1, -1):
-            vec = lower @ vec
-            vec = vec / np.linalg.norm(vec)
-            states.append(CoupledState(s, m, vec))
-        if s == 0:
-            break
-        # top of the next multiplet: the m = s-1 vector orthogonal to all
-        # previously found multiplets' m = s-1 members
-        got = [st.vec for st in states if st.m == s - 1]
-        basis = _m_subspace_basis(s - 1)
-        top = _orthogonal_complement_vector(basis, got)
+    """The nine |S, m> states of two spin-1 sites, S = 2, 1, 0 and m from S
+    down, read from the Clebsch-Gordan table; site digit 1 - m holds m, so
+    |m1>|m2> sits at index 3 (1 - m1) + (1 - m2)."""
+    states = []
+    for (s, m), coeffs in _CLEBSCH_GORDAN_1X1.items():
+        vec = np.zeros(9, dtype=complex)
+        for (m1, m2), c in coeffs.items():
+            vec[3 * (1 - m1) + (1 - m2)] = math.copysign(math.sqrt(abs(c)), c)
+        states.append(CoupledState(s, m, vec))
     return states
-
-
-def _m_subspace_basis(m: int) -> list[np.ndarray]:
-    """Product basis vectors of two spin-1 sites with total projection m."""
-    eye = np.eye(9, dtype=complex)
-    return [eye[3 * d1 + d2] for d1 in range(3) for d2 in range(3) if (1 - d1) + (1 - d2) == m]
-
-
-def _orthogonal_complement_vector(
-    basis: list[np.ndarray], known: list[np.ndarray]
-) -> np.ndarray:
-    """The unit vector in span(basis) orthogonal to all of ``known``."""
-    b = np.stack(basis, axis=1)
-    coeffs = np.eye(len(basis), dtype=complex)
-    for k in known:
-        proj = b.conj().T @ k
-        coeffs = coeffs - np.outer(proj, proj.conj()) @ coeffs
-    # any nonzero column spans the 1-dim complement
-    col = coeffs[:, int(np.argmax(np.linalg.norm(coeffs, axis=0)))]
-    vec = b @ col
-    vec = vec / np.linalg.norm(vec)
-    k = int(np.argmax(np.abs(vec) > 1e-12))
-    phase = vec[k] / abs(vec[k])
-    return vec / phase
 
 
 def exact_aklt_state(n: int) -> np.ndarray:

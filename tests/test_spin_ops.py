@@ -103,6 +103,21 @@ class TestCoupledBasis:
         for cs in verify.coupled_basis():
             assert np.linalg.norm(sz_tot @ cs.vec - cs.m * cs.vec) <= 1e-12
 
+    def test_total_spin_and_condon_shortley_lowering(self):
+        """The table's states are S(S+1) eigenvectors of the total spin, and
+        the total lowering operator takes |S, m> to sqrt(S(S+1) - m(m-1))
+        |S, m-1> with a positive factor, the Condon-Shortley phases."""
+        sx, sy, sz = spin_ops.spin1_matrices()
+        eye = np.eye(3)
+        total = [np.kron(s, eye) + np.kron(eye, s) for s in (sx, sy, sz)]
+        casimir = sum(t @ t for t in total)
+        lower = total[0] - 1j * total[1]
+        basis = {(cs.s, cs.m): cs.vec for cs in verify.coupled_basis()}
+        for (s, m), vec in basis.items():
+            assert np.linalg.norm(casimir @ vec - s * (s + 1) * vec) <= 1e-12
+            below = basis.get((s, m - 1), np.zeros(9))
+            assert np.linalg.norm(lower @ vec - np.sqrt(s * (s + 1) - m * (m - 1)) * below) <= 1e-12
+
 
 def _embedded_bond(op, j, n):
     """Independent dense embedding of a two-site operator on bond (j, j+1)."""
