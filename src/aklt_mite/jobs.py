@@ -10,6 +10,7 @@ benchmark's tracer wraps is loaded."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from itertools import accumulate
 
@@ -20,9 +21,10 @@ from . import mite, recompile
 
 def fan_out(fn, tasks: list[tuple], threads: int) -> list:
     """``fn(*task)`` for every task, in task order, on ``min(threads,
-    len(tasks))`` worker processes (a pool forks all its workers at once);
-    at one worker, a plain loop in this process that loads no pool."""
-    workers = min(threads, len(tasks))
+    len(tasks), os.cpu_count())`` worker processes (a pool forks all its
+    workers at once, so none is started beyond a task or a CPU); at one
+    worker, a plain loop in this process that loads no pool."""
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
