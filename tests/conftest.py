@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from aklt_mite import spin_ops
+
+# ``--hypothesis-profile ci``: the same examples on every run and no example
+# database, so a failing property test replays locally as it failed in CI
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

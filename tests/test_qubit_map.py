@@ -122,3 +122,22 @@ class TestQubitDynamics:
     def test_qubit_mode_converges(self):
         rec = mite.prepare(mite.MiteConfig(seed=0), 3, "qubit")
         assert rec.f_tot[-1] > 0.9
+
+
+class TestTwoEncodings:
+    """One trajectory, two encodings: the qubit site |00> is the spin-1
+    m = +1 state and both modes draw the same random numbers, so at one eta
+    a qubit trajectory is its spin-1 twin."""
+
+    @pytest.mark.parametrize("noise", [None, "x", "z"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_prepare_gives_the_same_trajectory(self, n, noise):
+        for seed in range(3):
+            config = mite.MiteConfig(eta=4.0, r_max=20, seed=seed, early_stop=None,
+                                     noise_axis=noise, noise_sigma2=1e-2 if noise else 0.0)
+            spin1, qubit = (mite.prepare(config, n, mode) for mode in ("spin1", "qubit"))
+            assert qubit.measurements == spin1.measurements, seed
+            assert qubit.corrections == spin1.corrections, seed
+            assert qubit.e_peak == spin1.e_peak, seed
+            assert np.max(np.abs(np.subtract(qubit.f_tot, spin1.f_tot))) <= 1e-13, seed
+            assert np.max(np.abs(np.subtract(qubit.partial, spin1.partial))) <= 1e-13, seed
