@@ -93,7 +93,7 @@ import numpy as np
 
 from . import qubit_map
 from .params import COUNTER_CAP, MiteConfig, check_chain_size
-from .spin_ops import _fix_phase, aklt_state, bond_projector, spin1_matrices
+from .spin_ops import aklt_state, bond_projector
 from .statevec import (
     apply_real,
     bond_weights,
@@ -517,9 +517,8 @@ def padded_series(record: TrajectoryRecord, r_max: int) -> np.ndarray:
 # the deterministic projection cascade behind the ``project`` job
 
 def sx_stretched_site_ket() -> np.ndarray:
-    """The Sx eigenvalue +1 eigenvector of one spin-1 site, in the Sz basis."""
-    vals, vecs = np.linalg.eigh(spin1_matrices()[0])
-    return _fix_phase(vecs[:, int(np.argmax(vals))])
+    """Sx's eigenvalue +1 eigenvector (1/2, sqrt(1/2), 1/2) of a spin-1 site, Sz basis."""
+    return np.array([0.5, math.sqrt(0.5), 0.5], dtype=complex)
 
 
 def twisted_sx_product(n: int, theta: float) -> np.ndarray:

@@ -141,16 +141,10 @@ def _kron_gates(gates: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor_rows(gd: np.ndarray) -> np.ndarray:
-    """The kron factors of every gate moment and its 15 derivative moments,
-    shape ``(n_layers + 1, 16, 5, 2, 2)``, from ``u3_and_derivatives`` of the
-    angles: row 0 holds the moment's gates, row 1 + 3 q + a the same gates
-    with gate q replaced by its derivative in angle a."""
-    q = np.repeat(np.arange(N_QUBITS), 3)
-    a = np.tile(np.arange(1, 4), N_QUBITS)
-    rows = np.repeat(gd[:, None, :, 0], 1 + PARAMS_PER_MOMENT, axis=1)
-    rows[:, 1 + np.arange(PARAMS_PER_MOMENT), q] = gd[:, q, a]
-    return rows
+# which u3_and_derivatives slot each gate of a moment's 16 kron rows reads:
+# row 0 the gates (slot 0), row 1 + 3 q + a gate q's derivative in angle a
+_SLOTS = np.vstack([np.zeros(N_QUBITS, dtype=int),
+                    np.kron(np.eye(N_QUBITS, dtype=int), np.arange(1, 4)[:, None])])
 
 
 def _forward(moments: np.ndarray) -> tuple[list, np.ndarray]:
@@ -193,7 +187,7 @@ def loss_and_grad(params: np.ndarray, target: np.ndarray) -> tuple[float, np.nda
     """
     angles = moment_angles(params)
     n_layers = len(angles) - 1
-    rows = _factor_rows(u3_and_derivatives(angles))
+    rows = u3_and_derivatives(angles)[:, np.arange(N_QUBITS), _SLOTS]
     all_moments = _kron_gates(rows.reshape(-1, N_QUBITS, 2, 2))
     all_moments = all_moments.reshape(rows.shape[:2] + all_moments.shape[1:])
     moments = all_moments[:, 0]

@@ -83,9 +83,16 @@ class TestProductState:
         assert np.count_nonzero(st_) == 1
 
     def test_sx_eigenvector_example(self):
-        # oracle: the closed-form Sx eigenvalue +1 eigenvector, phase fixed
-        # by its largest (middle) amplitude
-        assert np.allclose(sx_stretched_site_ket(), [0.5, 1 / np.sqrt(2), 0.5], atol=1e-12)
+        # oracles: the eigenvalue equation itself, and the eigensolver's
+        # eigenvector of Sx's top eigenvalue, phase fixed by its largest
+        # (middle) amplitude
+        ket = sx_stretched_site_ket()
+        sx = spin_ops.spin1_matrices()[0]
+        assert np.max(np.abs(sx @ ket - ket)) <= 1e-15
+        assert abs(np.linalg.norm(ket) - 1.0) <= 1e-15
+        vals, vecs = np.linalg.eigh(sx)
+        top = spin_ops._fix_phase(vecs[:, int(np.argmax(vals))])
+        assert np.max(np.abs(ket - top)) <= 1e-15
 
     @given(st.integers(min_value=1, max_value=5), st.sampled_from([3, 4]))
     def test_norm_one(self, n, d):
