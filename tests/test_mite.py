@@ -24,7 +24,7 @@ from aklt_mite.statevec import (
     walk_bonds,
 )
 
-from conftest import product_of, random_state
+from conftest import phase_aligned_distance, product_of, random_state
 
 GOLDEN_BOND_SERIES = Path(__file__).parent / "data" / "golden_bond_series.json"
 
@@ -806,6 +806,44 @@ class TestNoise:
             out = mite.apply_noise(state, axis, 0.05, np.random.default_rng(seed))
             assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("mode", ["spin1", "qubit"])
+    @pytest.mark.parametrize("axis", ["x", "z"])
+    def test_average_is_the_closed_form_dephasing(self, mode, axis):
+        """Averaged over its angles, the noise is a dephasing in the
+        eigenbasis of S^axis: with xi_j of variance sigma2 / 2 (density
+        proportional to exp(-xi^2 / sigma2)), E exp(i xi (m_a - m_b)) =
+        exp(-sigma2 (m_a - m_b)^2 / 4), so rho_ab goes to
+        rho_ab exp(-sigma2 sum_j (m_aj - m_bj)^2 / 4), m_aj the eigenvalue
+        of S^axis at site j in basis state a.  The eigenbasis comes from the
+        eigensolver, not from the rotations under test.
+
+        The mean of K draws of |psi'><psi'| must meet it within 6 standard
+        errors per entry, each from the entry's own sampled spread (plus
+        1e-12 where it has none).  Under the normal approximation an entry
+        exceeds that by chance with probability at most erfc(6 / sqrt 2) =
+        2e-9, so at most 2e-5 over the 9,650 entries of the four cases;
+        the seed is fixed, so the test does not flicker."""
+        sigma2, k, n = 0.5, 2000, 3
+        site = spin_ops.site_matrices(mode)
+        d = site.shape[-1]
+        psi = random_state(np.random.default_rng(5), n, d)
+        vals, vecs = np.linalg.eigh(site["xyz".index(axis)])
+        basis = vecs
+        for _ in range(n - 1):
+            basis = np.kron(basis, vecs)
+        rng = np.random.default_rng(2026)
+        draws = np.array([mite.apply_noise(psi, axis, sigma2, rng).reshape(-1) for _ in range(k)])
+        coords = draws @ basis.conj()  # row i: draw i's amplitudes in the eigenbasis
+        rho = coords.T @ coords.conj() / k
+        second = np.abs(coords.T) ** 2 @ np.abs(coords) ** 2 / k
+        stderr = np.sqrt(np.maximum(second - np.abs(rho) ** 2, 0.0) / k)
+        m = vals[np.array(np.unravel_index(np.arange(d**n), (d,) * n))]  # m[j, a]
+        gaps = ((m[:, :, None] - m[:, None, :]) ** 2).sum(axis=0)
+        c = psi.reshape(-1) @ basis.conj()
+        want = np.outer(c, c.conj()) * np.exp(-sigma2 * gaps / 4)
+        err = np.abs(rho - want)
+        assert np.all(err <= 6 * stderr + 1e-12), np.max(err / (6 * stderr + 1e-12))
+
     def test_noiseless_config_matches_noise_free_run(self):
         plain = mite.prepare(mite.MiteConfig(seed=2, r_max=6), 3, "spin1")
         zeroed = mite.prepare(
@@ -901,6 +939,7 @@ class TestNoDiagonalization:
             raise AssertionError("a job path diagonalized the Hamiltonian")
 
         monkeypatch.setattr(spin_ops, "zero_mode", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
         for mode in ("spin1", "qubit"):
             d = spin_ops.site_matrices(mode).shape[-1]
             assert mite.build_chain(4, mode).reference.shape == (d,) * 4
@@ -908,7 +947,43 @@ class TestNoDiagonalization:
         assert series.shape == (3,)
 
 
+def cascade_round(n):
+    """One round of the projection cascade from the chain-order oracle: 1 - P
+    on every bond of ``mite.sweep_order(n)`` through ``apply_two_site``,
+    without the job's ``walk_bonds`` and ``apply_real``."""
+    comp = np.eye(9) - spin_ops.bond_projector("spin1")
+
+    def apply(state):
+        for j in mite.sweep_order(n):
+            state = apply_two_site(comp, j, state)
+        return state
+
+    return apply
+
+
 class TestDirectProjection:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_round_norms_meet_the_naive_post_selection_probability(self, n):
+        """Post-selecting the projective cascade (keep a run only if every
+        bond projection passes) succeeds for r rounds with probability
+        prod_s |R psi_(s-1)|^2 = |R^r psi0|^2, the squared norms the cascade
+        divides away.  R is a product of orthogonal projections whose only
+        common fixed vector is the AKLT state, so R^r tends to the projector
+        onto it (von Neumann-Halperin) and the product to F(0) =
+        |<AKLT|psi0>|^2; the gap is |R^r (1 - Pi) psi0|^2, of order
+        |lambda_2|^(2r), below 1e-20 at 30 rounds for |lambda_2| < 1/2.  So
+        only rounding is left, and 1e-12 relative bounds it."""
+        round_map = cascade_round(n)
+        psi0 = mite.twisted_sx_product(n, 1.0)
+        state, passed = psi0, 1.0
+        for _ in range(30):
+            state = round_map(state)
+            norm2 = float(np.vdot(state, state).real)
+            passed *= norm2
+            state = state / math.sqrt(norm2)
+        f0 = fidelity(psi0, spin_ops.aklt_state(n))
+        assert abs(passed / f0 - 1.0) <= 1e-12, (passed, f0)
+
     def test_bond_factor_idempotent(self, proj9, rng):
         comp = np.eye(9) - proj9
         state = random_state(rng, 3, 3)
@@ -951,6 +1026,50 @@ class TestDirectProjection:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             mite.direct_projection_converge(2, r_max=2)
+
+
+class TestCascadeSpectrum:
+    """One cascade round as a dense matrix R, built column by column from the
+    chain-order oracle ``cascade_round``.  Each bond factor is an orthogonal
+    projection, so |Rv| = |v| forces every factor to fix v: R's only
+    eigenvalue of modulus 1 is 1, on the common kernel of the P_j, which is
+    the AKLT state alone on the ring; 1 - F(r) then falls as
+    |lambda_2|^(2r) at late rounds.  Swapping the odd and even halves
+    would test nothing new: AB and BA share a spectrum."""
+
+    @staticmethod
+    def spectrum(n):
+        round_map, dim = cascade_round(n), 3**n
+        columns = np.eye(dim, dtype=complex).reshape((dim,) + (3,) * n)
+        dense = np.stack([round_map(col).reshape(-1) for col in columns], axis=1)
+        vals, vecs = np.linalg.eig(dense)
+        order = np.argsort(-np.abs(vals))
+        return vals[order], vecs[:, order]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_one_round_contracts_onto_the_aklt_state(self, n):
+        """The fixed vector is ``aklt_state(n)``, and the rest contracts by
+        |lambda_2| < 1/2 per round (0.44444 at N = 4, 0.34090 at N = 5).
+        1/2 is an N-independent ceiling, below the largest |lambda_2| of
+        N = 3..9 (0.456, at N = 6): a contraction bounded away from 1
+        whatever N is keeps the cascade's rounds to a fixed fidelity flat
+        in N, and at 1/2 every late round cuts 1 - F at least fourfold."""
+        vals, vecs = self.spectrum(n)
+        mods = np.abs(vals)
+        assert abs(mods[0] - 1.0) <= 1e-12
+        top = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        assert phase_aligned_distance(top, spin_ops.aklt_state(n).reshape(-1)) <= 1e-12
+        assert mods[1] < 0.5, mods[1]
+
+    def test_the_job_contracts_at_the_gap_rate(self):
+        """At N = 4, |lambda_2|^2 = 16/81, and the ``project`` job's own
+        infidelity ratio (1 - F(r+1)) / (1 - F(r)) over rounds 10-14 meets
+        it within 1e-4 (measured 8.6e-6 at round 10, shrinking after)."""
+        vals, _ = self.spectrum(4)
+        assert abs(abs(vals[1]) ** 2 - 16 / 81) <= 1e-12
+        series = mite.direct_projection_converge(4, 15)
+        ratios = (1 - series[11:16]) / (1 - series[10:15])
+        assert np.max(np.abs(ratios - 16 / 81)) <= 1e-4, ratios
 
 
 class TestCriticalRounds:

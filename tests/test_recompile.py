@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from aklt_mite import jobs, verify
+from aklt_mite import jobs, spin_ops, verify
 from aklt_mite import recompile as rc
 
 
@@ -164,6 +164,21 @@ class TestTargetUnitary:
 
     def test_reduces_to_identity_at_zero_time(self):
         assert np.allclose(rc.target_unitary(0.0), np.eye(32), atol=1e-14)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+    def test_ancilla_read_in_x_gives_the_trajectories_kraus_pair(self, eps):
+        """The circuit the recompilation targets is the trajectories'
+        measurement: with the ancilla (the fastest axis) prepared in |0>
+        and read in the X basis, U = exp(-i eps P (x) sigma_y) leaves
+        <-|U|0> = (1 + (cos eps - 1 - sin eps) P) / sqrt(2) and <+|U|0> =
+        (1 + (cos eps - 1 + sin eps) P) / sqrt(2) on the four system qubits,
+        the pair ``verify.measurement_kraus`` builds (sigma_y |0> = i |1>)."""
+        u = rc.target_unitary(eps).reshape(16, 2, 16, 2)[:, :, :, 0]  # U|0> on the ancilla
+        minus = (u[:, 0] - u[:, 1]) / np.sqrt(2)
+        plus = (u[:, 0] + u[:, 1]) / np.sqrt(2)
+        kraus = verify.measurement_kraus(eps, spin_ops.bond_projector("qubit"))
+        assert np.max(np.abs(minus - kraus.m0)) <= 1e-15
+        assert np.max(np.abs(plus - kraus.m1)) <= 1e-15
 
 
 def _kron_moment(gates):
