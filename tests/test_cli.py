@@ -28,16 +28,19 @@ def data_rows(path):
     return [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
 
 
-def run_probe(code: str, *argv) -> object:
-    """The JSON that ``code`` prints, run in a fresh interpreter on this
-    checkout's package."""
+def run_on_package(*argv) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter on this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *map(str, argv)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_probe(code: str, *argv) -> object:
+    """The JSON that ``code`` prints, run in a fresh interpreter on this
+    checkout's package."""
+    proc = run_on_package("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -68,6 +71,17 @@ class TestPrepare:
         out = tmp_path / "golden.csv"
         assert run(["prepare", "--n", 3, "--runs", 2, "--rounds", 5, "--seed", 7, "--out", out]) == 0
         assert out.read_bytes() == (DATA / "golden_prepare.csv").read_bytes()
+
+    def test_golden_route_rewrites_both_files(self, tmp_path):
+        """``tests/write_golden.py``, run as its docstring says but into
+        ``tmp_path``, writes both golden files byte for byte as committed,
+        and nothing else."""
+        proc = run_on_package(DATA.parent / "write_golden.py", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        names = ["golden_bond_series.json", "golden_prepare.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
     def test_invalid_length_rejected_without_output(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
