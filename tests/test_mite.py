@@ -971,8 +971,9 @@ class TestDirectProjection:
         common fixed vector is the AKLT state, so R^r tends to the projector
         onto it (von Neumann-Halperin) and the product to F(0) =
         |<AKLT|psi0>|^2; the gap is |R^r (1 - Pi) psi0|^2, of order
-        |lambda_2|^(2r), below 1e-20 at 30 rounds for |lambda_2| < 1/2.  So
-        only rounding is left, and 1e-12 relative bounds it."""
+        |lambda_2|^(2r) <= 2^-60 ~ 1e-18 at 30 rounds (|lambda_2| < 1/2,
+        ``TestCascadeSpectrum``), against F(0) = 2.3e-3 and 3.1e-4 at N = 4
+        and 5.  So only rounding is left, and 1e-12 relative bounds it."""
         round_map = cascade_round(n)
         psi0 = mite.twisted_sx_product(n, 1.0)
         state, passed = psi0, 1.0
@@ -1050,7 +1051,7 @@ class TestCascadeSpectrum:
     def test_one_round_contracts_onto_the_aklt_state(self, n):
         """The fixed vector is ``aklt_state(n)``, and the rest contracts by
         |lambda_2| < 1/2 per round (0.44444 at N = 4, 0.34090 at N = 5).
-        1/2 is an N-independent ceiling, below the largest |lambda_2| of
+        1/2 is an N-independent ceiling, above the largest |lambda_2| of
         N = 3..9 (0.456, at N = 6): a contraction bounded away from 1
         whatever N is keeps the cascade's rounds to a fixed fidelity flat
         in N, and at 1/2 every late round cuts 1 - F at least fourfold."""
